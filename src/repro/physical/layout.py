@@ -9,6 +9,7 @@ pin.  This is the geometry that the DFM guideline checker inspects.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -82,6 +83,17 @@ class Layout:
     def net_length(self, net: str) -> int:
         """Total routed wirelength of *net* in tracks."""
         return sum(s.length for s in self.segments if s.net == net)
+
+    def net_lengths(self) -> Counter[str]:
+        """Routed wirelength of every net in one pass over the segments.
+
+        Equal to :meth:`net_length` for each net; a net without segments
+        reads 0.
+        """
+        lengths: Counter[str] = Counter()
+        for s in self.segments:
+            lengths[s.net] += s.length
+        return lengths
 
     def wirelength(self) -> int:
         """Total routed wirelength of the design."""

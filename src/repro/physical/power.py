@@ -9,6 +9,7 @@ per-cell leakage numbers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -58,16 +59,22 @@ def power_analysis(
 ) -> PowerReport:
     """Total power of the placed-and-routed design."""
     probs = signal_probabilities(circuit, cells, seed=seed)
+    lengths = layout.net_lengths() if layout is not None else Counter()
     dynamic = 0.0
     for net, p in probs.items():
         if net in (CONST0, CONST1):
             continue
         activity = 2.0 * p * (1.0 - p)
-        cap = net_load_cap(circuit, cells, layout, net)
+        cap = net_load_cap(circuit, cells, lengths[net], net)
         drv = circuit.driver(net)
         if drv is not None:
             # Include the driving cell's own output capacitance proxy.
             cap += cells[circuit.gates[drv].cell].input_cap
         dynamic += activity * cap
-    leakage = sum(cells[g.cell].leakage for g in circuit)
+    # An explicit left-to-right loop, not sum(): from Python 3.12 sum()
+    # compensates float rounding, which would move the last bits of the
+    # leakage (and every power ratio) with the interpreter version.
+    leakage = 0.0
+    for g in circuit:
+        leakage += cells[g.cell].leakage
     return PowerReport(dynamic=dynamic * DYNAMIC_SCALE, leakage=leakage)

@@ -8,6 +8,7 @@ critical path delay is the maximum PO arrival.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -33,17 +34,20 @@ class TimingReport:
 def net_load_cap(
     circuit: Circuit,
     cells: Mapping[str, StandardCell],
-    layout: Optional[Layout],
+    wire_length: int,
     net: str,
 ) -> float:
-    """Total capacitive load on *net*: sink pins + wire + PO pad."""
+    """Total capacitive load on *net*: sink pins + wire + PO pad.
+
+    *wire_length* is the net's routed length in tracks (0 before
+    routing); take it from one :meth:`Layout.net_lengths` pass.
+    """
     cap = 0.0
     # Sorted: loads() iteration order is salted per process, and float
     # accumulation order must not leak into timing numbers.
     for gname, pin in sorted(circuit.loads(net)):
         cap += cells[circuit.gates[gname].cell].input_cap
-    if layout is not None:
-        cap += WIRE_CAP_PER_TRACK * layout.net_length(net)
+    cap += WIRE_CAP_PER_TRACK * wire_length
     if net in circuit.outputs:
         cap += PO_LOAD_CAP
     return cap
@@ -57,6 +61,7 @@ def static_timing(
     """Compute arrival times and the critical path."""
     arrival: Dict[str, float] = {CONST0: 0.0, CONST1: 0.0}
     from_gate: Dict[str, Optional[str]] = {}
+    lengths = layout.net_lengths() if layout is not None else Counter()
     for pi in circuit.inputs:
         arrival[pi] = 0.0
         from_gate[pi] = None
@@ -66,7 +71,7 @@ def static_timing(
         in_arr = 0.0
         for net in gate.pins.values():
             in_arr = max(in_arr, arrival[net])
-        load = net_load_cap(circuit, cells, layout, gate.output)
+        load = net_load_cap(circuit, cells, lengths[gate.output], gate.output)
         arrival[gate.output] = in_arr + cell.intrinsic_delay + cell.drive_res * load
         from_gate[gate.output] = gname
     worst_net, worst = None, 0.0

@@ -110,6 +110,9 @@ class TestRouting:
         _fp, layout = placed
         total = sum(layout.net_length(n) for n in circuit_mod.nets())
         assert total == layout.wirelength()
+        lengths = layout.net_lengths()
+        for n in circuit_mod.nets():
+            assert lengths[n] == layout.net_length(n)
 
 
 class TestTimingPower:
