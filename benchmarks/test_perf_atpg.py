@@ -1,25 +1,15 @@
 """Performance harness for the ATPG deterministic (SAT) phase.
 
-Two independent legs, each gated on verdict identity:
-
-* **CDCL leg** — the serial incremental scan timed against a frozen
-  copy of the previous solver generation (:class:`_BaselineSolver`,
-  method bodies taken verbatim from git history): no binary-implication
-  lists, the activity-rescale heap bug, length-only learnt retention,
-  an assumption-blind restart schedule, O(trail) heap re-push on every
-  backtrack, and O(num_vars) model extraction per SAT answer.  Both
-  engines must return the identical DETECTED / UNDETECTABLE partition;
-  the speedup floor applies on every machine (serial vs serial needs no
-  spare cores).
-
-* **Parallel leg** — ``run_atpg``'s ``atpg.sat`` phase wall-clock,
-  serial versus the site-sharded process pool at each worker count.
-  Partitions must be bit-identical (unbudgeted SAT is exact, so the
-  verdict set is schedule-independent).  Scaling floors are enforced
-  only when the machine actually has the cores — a 1-CPU container
-  records honest numbers but cannot fail a floor it physically cannot
-  meet; every trajectory point records the effective CPU count so the
-  JSON stays interpretable.
+The serial incremental scan is timed against a frozen copy of the
+previous solver generation (:class:`_BaselineSolver`, method bodies
+taken verbatim from git history): no binary-implication lists, the
+activity-rescale heap bug, length-only learnt retention, an
+assumption-blind restart schedule, O(trail) heap re-push on every
+backtrack, and O(num_vars) model extraction per SAT answer.  Both
+engines must return the identical DETECTED / UNDETECTABLE partition;
+the speedup floor applies on every machine (serial vs serial needs no
+spare cores).  Every trajectory point records the effective CPU count
+so the JSON stays interpretable.
 
 A trajectory point is appended to ``benchmarks/results/BENCH_atpg.json``.
 
@@ -28,9 +18,7 @@ Run with:
 
 Knobs: ``REPRO_PERF_ATPG_CIRCUITS`` (default ``aes_core``),
 ``REPRO_PERF_ATPG_FAULTS`` (fault-sample cap, default 400),
-``REPRO_PERF_ATPG_WORKERS`` (comma-separated counts, default 2,4),
-``REPRO_PERF_ATPG_CDCL_MIN`` (CDCL-leg floor, default 1.3),
-``REPRO_PERF_ATPG_MIN_SPEEDUP`` (parallel-leg floor override).
+``REPRO_PERF_ATPG_CDCL_MIN`` (speedup floor, default 1.3).
 """
 
 from __future__ import annotations
@@ -40,16 +28,14 @@ import json
 import os
 import random
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import pytest
 
 from benchmarks.conftest import emit_report, get_library
-from repro.atpg.engine import run_atpg
 from repro.atpg.incremental import IncrementalAtpg, fault_site_net
 from repro.atpg.sat import SAT, UNKNOWN, UNSAT, _UNDEF, _enc, Solver
 from repro.bench import build_benchmark
-from repro.faults import psim
 from repro.faults.model import (
     FALL,
     RISE,
@@ -59,7 +45,6 @@ from repro.faults.model import (
     TransitionFault,
 )
 from repro.faults.sites import enumerate_internal_faults
-from repro.netlist.simulator import CompiledCircuit
 
 pytestmark = [pytest.mark.perf, pytest.mark.slow]
 
@@ -69,21 +54,7 @@ CIRCUITS = [
     if name.strip()
 ]
 N_FAULTS = int(os.environ.get("REPRO_PERF_ATPG_FAULTS", "400"))
-WORKER_COUNTS = [
-    int(tok)
-    for tok in os.environ.get("REPRO_PERF_ATPG_WORKERS", "2,4").split(",")
-    if tok.strip()
-]
 CDCL_MIN_SPEEDUP = float(os.environ.get("REPRO_PERF_ATPG_CDCL_MIN", "1.3"))
-
-# The ISSUE's acceptance floor: >= 2x on the atpg.sat phase at 4 workers
-# on aes_core.  Other (circuit, workers) points only must not collapse.
-# Parallel floors apply only when the CPUs exist (see module docstring).
-_FLOOR_OVERRIDE = os.environ.get("REPRO_PERF_ATPG_MIN_SPEEDUP")
-MIN_SPEEDUP: Dict[Tuple[str, int], float] = {
-    ("aes_core", 4): 2.0,
-    ("aes_core", 2): 1.2,
-}
 
 
 def _effective_cpus() -> int:
@@ -91,12 +62,6 @@ def _effective_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
-
-
-def _min_speedup(name: str, workers: int) -> float:
-    if _FLOOR_OVERRIDE:
-        return float(_FLOOR_OVERRIDE)
-    return MIN_SPEEDUP.get((name, workers), 0.8)
 
 
 class _BaselineSolver(Solver):
@@ -371,12 +336,6 @@ def _workload(name: str):
     return circuit, cells, faults
 
 
-def _clear_good_cache(circuit, cells) -> None:
-    plan = CompiledCircuit.get(circuit, cells)
-    plan.good_cache.clear()
-    plan.good_sums.clear()
-
-
 # ----------------------------------------------------------------------
 # CDCL leg
 # ----------------------------------------------------------------------
@@ -426,81 +385,17 @@ def _bench_cdcl(name: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Parallel leg
-# ----------------------------------------------------------------------
-
-def _sat_phase_run(circuit, cells, faults, exec_mode, workers):
-    result = run_atpg(
-        circuit, cells, faults, seed=0, random_rounds=0,
-        exec_mode=exec_mode, workers=workers,
-    )
-    return result.stats.phase_seconds["atpg.sat"], result
-
-
-def _bench_parallel(name: str) -> dict:
-    circuit, cells, faults = _workload(name)
-
-    t_serial = float("inf")
-    serial = None
-    for _rep in range(2):
-        _clear_good_cache(circuit, cells)
-        t, serial = _sat_phase_run(circuit, cells, faults, "serial", 1)
-        t_serial = min(t_serial, t)
-
-    points = []
-    for workers in WORKER_COUNTS:
-        # Warm up: fork the pool and build the per-worker persistent
-        # engines once, so the timed repeats measure steady-state phase
-        # cost (the deployment shape: one pool serves a whole campaign).
-        _sat_phase_run(circuit, cells, faults, "process", workers)
-        t_proc = float("inf")
-        proc = None
-        for _rep in range(2):
-            _clear_good_cache(circuit, cells)
-            t, proc = _sat_phase_run(
-                circuit, cells, faults, "process", workers
-            )
-            t_proc = min(t_proc, t)
-
-        # Correctness gate: identical partition, no silent fallback.
-        assert proc.detected == serial.detected
-        assert proc.undetectable == serial.undetectable
-        assert proc.aborted == serial.aborted == set()
-        assert proc.stats.sat_shards > 0, proc.stats.warnings
-
-        speedup = t_serial / t_proc if t_proc else float("inf")
-        points.append({
-            "workers": workers,
-            "sat_phase_seconds": round(t_proc, 4),
-            "speedup": round(speedup, 2),
-            "min_speedup": _min_speedup(name, workers),
-            "sat_shards": proc.stats.sat_shards,
-        })
-
-    return {
-        "circuit": name,
-        "gates": len(circuit),
-        "faults": len(faults),
-        "serial_sat_phase_seconds": round(t_serial, 4),
-        "workers": points,
-    }
-
-
-# ----------------------------------------------------------------------
 # The benchmark
 # ----------------------------------------------------------------------
 
 def test_atpg_sat_phase_perf():
     cpus = _effective_cpus()
     cdcl_rows = [_bench_cdcl(name) for name in CIRCUITS]
-    par_rows = [_bench_parallel(name) for name in CIRCUITS]
-    psim.shutdown_pools()
 
     point = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "cpus": cpus,
         "cdcl": cdcl_rows,
-        "parallel": par_rows,
     }
     results_dir = os.path.join(os.path.dirname(__file__), "results")
     os.makedirs(results_dir, exist_ok=True)
@@ -525,16 +420,6 @@ def test_atpg_sat_phase_perf():
             f"({row['current_conflicts']} conflicts) -> "
             f"{row['speedup']:.2f}x (floor {row['min_speedup']:.1f}x)"
         )
-    for row in par_rows:
-        for pt in row["workers"]:
-            enforced = cpus >= pt["workers"]
-            lines.append(
-                f"  parallel {row['circuit']:>10} x{pt['workers']}: "
-                f"serial {row['serial_sat_phase_seconds']:.3f}s, "
-                f"process {pt['sat_phase_seconds']:.3f}s -> "
-                f"{pt['speedup']:.2f}x (floor {pt['min_speedup']:.1f}x"
-                f"{'' if enforced else ', not enforced: too few CPUs'})"
-            )
     emit_report("BENCH_atpg", "\n".join(lines))
 
     # CDCL floor: serial vs serial, enforced everywhere.
@@ -544,13 +429,3 @@ def test_atpg_sat_phase_perf():
             f"{row['min_speedup']}x over the frozen baseline, got "
             f"{row['speedup']:.2f}x"
         )
-    # Parallel floors: need the cores to exist.
-    for row in par_rows:
-        for pt in row["workers"]:
-            if cpus < pt["workers"]:
-                continue
-            assert pt["speedup"] >= pt["min_speedup"], (
-                f"{row['circuit']} at {pt['workers']} workers: expected "
-                f">= {pt['min_speedup']}x on the atpg.sat phase on a "
-                f"{cpus}-CPU machine, got {pt['speedup']:.2f}x"
-            )

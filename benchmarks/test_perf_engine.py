@@ -52,7 +52,6 @@ pytestmark = [pytest.mark.perf, pytest.mark.slow]
 CIRCUIT = "aes_core"  # largest gate count in repro.bench.BENCHMARKS
 N_FAULTS = int(os.environ.get("REPRO_PERF_FAULTS", "600"))
 N_BATCHES = int(os.environ.get("REPRO_PERF_BATCHES", "3"))
-WORKERS = 4
 MIN_SPEEDUP = 2.0
 
 
@@ -245,17 +244,12 @@ def test_engine_speedup_and_equivalence():
         lambda b: baseline_fault_simulate(circuit, cells, faults, b),
         batches)
     t_serial, serial_words = _time_engine(
-        lambda b: fault_simulate(circuit, cells, faults, b, workers=1),
-        batches)
-    t_par, par_words = _time_engine(
-        lambda b: fault_simulate(
-            circuit, cells, faults, b, workers=WORKERS, stats=stats),
+        lambda b: fault_simulate(circuit, cells, faults, b, stats=stats),
         batches)
 
     # Correctness first: optimized engine bit-identical to the seed
-    # baseline, serial and parallel alike.
+    # baseline.
     assert serial_words == base_words
-    assert par_words == base_words
 
     # Differential spot check against the naive oracle on a subset
     # (the oracle is O(faults x patterns x gates) — keep it small).
@@ -266,7 +260,6 @@ def test_engine_speedup_and_equivalence():
     assert got == want
 
     speedup_serial = t_base / t_serial if t_serial else float("inf")
-    speedup_par = t_base / t_par if t_par else float("inf")
 
     point = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -275,12 +268,9 @@ def test_engine_speedup_and_equivalence():
         "faults": len(faults),
         "batches": len(batches),
         "patterns_per_batch": 64,
-        "workers": WORKERS,
         "baseline_seconds": round(t_base, 4),
         "engine_seconds": round(t_serial, 4),
-        "engine_workers_seconds": round(t_par, 4),
         "speedup_serial": round(speedup_serial, 2),
-        "speedup_workers": round(speedup_par, 2),
         "eval_compiles": _plan_compiles(circuit, cells),
         "stats": stats.as_dict(),
     }
@@ -301,16 +291,14 @@ def test_engine_speedup_and_equivalence():
         f"({len(circuit)} gates, {len(faults)} faults, "
         f"{len(batches)}x64 patterns)",
         f"  baseline (seed serial): {t_base:.3f}s",
-        f"  optimized workers=1:    {t_serial:.3f}s "
+        f"  optimized:              {t_serial:.3f}s "
         f"({speedup_serial:.2f}x)",
-        f"  optimized workers={WORKERS}:    {t_par:.3f}s "
-        f"({speedup_par:.2f}x)",
         f"  events propagated: {stats.events_propagated}, "
         f"eval compiles: {_plan_compiles(circuit, cells)}",
     ]
     emit_report("BENCH_engine", "\n".join(lines))
 
-    assert speedup_par >= MIN_SPEEDUP, (
+    assert speedup_serial >= MIN_SPEEDUP, (
         f"expected >= {MIN_SPEEDUP}x over the seed serial engine, "
-        f"got {speedup_par:.2f}x"
+        f"got {speedup_serial:.2f}x"
     )

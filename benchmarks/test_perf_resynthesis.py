@@ -4,11 +4,11 @@ Runs the full Phase-1 + Phase-2 procedure (q swept 0..q_max) twice on
 one bench circuit: once through a faithful copy of the seed serial
 driver (one candidate at a time, full ``analyze_design`` re-analysis per
 attempt, double ATPG per accepted attempt, no candidate reuse) and once
-through the optimized loop (staged cached candidate evaluation,
-speculative stage-1 pool, verdict inheritance, cone-scoped incremental
-re-analysis).  Asserts the two produce the *identical* iteration trace
-and final metrics, then asserts the speedup floor and appends a
-trajectory point to ``benchmarks/results/BENCH_resynthesis.json``.
+through the optimized loop (staged cached candidate evaluation, verdict
+inheritance, cone-scoped incremental re-analysis).  Asserts the two
+produce the *identical* iteration trace and final metrics, then asserts
+the speedup floor and appends a trajectory point to
+``benchmarks/results/BENCH_resynthesis.json``.
 
 A machine-independent regression gate compares the measured speedup
 (a ratio of two runs on the same machine) against the most recent
@@ -19,8 +19,7 @@ Run with:
 
 Knobs: ``REPRO_RESYN_CIRCUIT`` (default aes_core — the largest bench
 circuit), ``REPRO_RESYN_QMAX`` (default 2), ``REPRO_RESYN_MAX_ITER``
-(default 3), ``REPRO_RESYN_WORKERS`` (default 1),
-``REPRO_RESYN_MIN_SPEEDUP`` (default 2.0).
+(default 3), ``REPRO_RESYN_MIN_SPEEDUP`` (default 2.0).
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ pytestmark = [pytest.mark.perf, pytest.mark.slow]
 CIRCUIT = os.environ.get("REPRO_RESYN_CIRCUIT", "aes_core")
 Q_MAX = int(os.environ.get("REPRO_RESYN_QMAX", "2"))
 MAX_ITER = int(os.environ.get("REPRO_RESYN_MAX_ITER", "3"))
-WORKERS = int(os.environ.get("REPRO_RESYN_WORKERS", "1"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_RESYN_MIN_SPEEDUP", "2.0"))
 REGRESSION_TOLERANCE = 1.25  # fail on a >25% speedup drop vs checked-in
 
@@ -325,8 +323,7 @@ def test_resynthesis_speedup_and_identical_trace():
     t_base = time.perf_counter() - t0
 
     cfg = ResynthesisConfig(
-        q_max=Q_MAX, max_iterations_per_phase=MAX_ITER,
-        workers=WORKERS, incremental=True,
+        q_max=Q_MAX, max_iterations_per_phase=MAX_ITER, incremental=True,
     )
     t0 = time.perf_counter()
     opt = resynthesize_for_coverage(circuit, library, cfg)
@@ -362,7 +359,6 @@ def test_resynthesis_speedup_and_identical_trace():
         "gates": len(circuit),
         "q_max": Q_MAX,
         "max_iterations_per_phase": MAX_ITER,
-        "workers": WORKERS,
         "baseline_seconds": round(t_base, 2),
         "optimized_seconds": round(t_opt, 2),
         "speedup": round(speedup, 2),
@@ -383,15 +379,13 @@ def test_resynthesis_speedup_and_identical_trace():
     lines = [
         f"resynthesis perf on {CIRCUIT} "
         f"({len(circuit)} gates, q_max={Q_MAX}, "
-        f"max_iter={MAX_ITER}, workers={WORKERS})",
+        f"max_iter={MAX_ITER})",
         f"  seed serial loop:  {t_base:.1f}s "
         f"({len(base_history)} iterations)",
         f"  optimized loop:    {t_opt:.1f}s ({speedup:.2f}x), "
         f"identical trace, {accepted} accepted",
         f"  candidates: {opt.stats.candidates_evaluated} evaluated, "
-        f"{opt.stats.candidate_cache_hits} cache hits, "
-        f"{opt.stats.candidates_speculated} speculated "
-        f"({opt.stats.candidates_wasted} wasted)",
+        f"{opt.stats.candidate_cache_hits} cache hits",
         f"  verdicts: {eng.verdicts_inherited} inherited, "
         f"{eng.verdicts_proved} proved; "
         f"faults: {eng.faults_carried} carried, "

@@ -4,9 +4,7 @@ Runs the paper's Table-I campaign over the bench circuits at
 ``jobs=1/2/4`` and measures wall-clock makespan.  Tasks run with
 ``isolation="process"`` (each analyze in its own interpreter, so the
 scheduler's concurrency is real parallelism, not GIL-interleaved
-threads) and ``workers=1`` (inner fault-simulation pools pinned serial,
-so the speedup measured is purely task-level scheduling and no
-pool-fallback warnings can leak into payload stats).  The normalized
+threads).  The normalized
 report must be bit-identical at every jobs level — the scaling is only
 meaningful if concurrency changes nothing but the clock — and a
 trajectory point is appended to
@@ -83,7 +81,7 @@ def _min_speedup(jobs: int) -> float:
 def _run_at(jobs: int, root: str) -> dict:
     campaign = paper_campaign(
         CIRCUITS, run_id=f"bench-j{jobs}", tables=(1,),
-        workers=1, isolation="process",
+        isolation="process",
     )
     t0 = time.perf_counter()
     report = run_campaign(campaign, root=root, jobs=jobs)
@@ -95,7 +93,6 @@ def _run_at(jobs: int, root: str) -> dict:
         "wall_seconds": round(wall, 4),
         "normalized": json.dumps(normalize_report(report), sort_keys=True),
         "peak_in_flight": sched.get("peak_in_flight"),
-        "ledger_grants": sched.get("ledger_grants"),
         "busy_seconds": round(sched["busy_seconds"], 4)
         if "busy_seconds" in sched else None,
     }
@@ -128,7 +125,6 @@ def test_scheduler_scaling_and_equivalence(tmp_path):
             "speedup": round(speedup, 2),
             "min_speedup": _min_speedup(run["jobs"]),
             "peak_in_flight": run["peak_in_flight"],
-            "ledger_grants": run["ledger_grants"],
             "busy_seconds": run["busy_seconds"],
         })
 
@@ -137,7 +133,6 @@ def test_scheduler_scaling_and_equivalence(tmp_path):
         "circuits": CIRCUITS,
         "cpus": cpus,
         "isolation": "process",
-        "workers": 1,
         "runs": points,
     }
     results_dir = os.path.join(os.path.dirname(__file__), "results")
@@ -154,7 +149,7 @@ def test_scheduler_scaling_and_equivalence(tmp_path):
 
     lines = [
         f"campaign scheduler perf: {len(CIRCUITS)} Table-I circuits, "
-        f"process isolation, workers=1, {cpus} effective CPU(s)"
+        f"process isolation, {cpus} effective CPU(s)"
     ]
     for pt in points:
         enforced = pt["jobs"] <= 1 or cpus >= pt["jobs"]

@@ -27,17 +27,14 @@ def compact_tests(
     faults: Sequence[Fault],
     tests: Sequence[TestPair],
     *,
-    workers: Optional[int] = None,
     stats: Optional[EngineStats] = None,
     backend: Optional[str] = None,
-    exec_mode: Optional[str] = None,
 ) -> List[TestPair]:
     """Reverse-order compaction of *tests* against *faults*.
 
-    The detection matrix is backend- and execution-mode-independent, so
-    the kept subset is identical for any *backend* / *exec_mode*; the
-    wide backend just builds it in fewer, larger fault-simulation
-    batches, and ``workers > 1`` builds each batch's rows in parallel.
+    The detection matrix is backend-independent, so the kept subset is
+    identical for any *backend*; the wide backend just builds it in
+    fewer, larger fault-simulation batches.
     """
     if not tests:
         return []
@@ -49,9 +46,7 @@ def compact_tests(
         chunk = tests[start:start + word]
         batch = PatternBatch.from_pairs(circuit, chunk)
         words = fault_simulate(
-            circuit, cells, faults, batch,
-            workers=workers, stats=stats, backend=backend,
-            exec_mode=exec_mode,
+            circuit, cells, faults, batch, stats=stats, backend=backend,
         )
         for fi, w in enumerate(words):
             detect[fi] |= w << start

@@ -36,33 +36,14 @@ from typing import (
 from repro.atpg.budget import ABORTED, DETECTED, UNDETECTABLE, AtpgBudget
 from repro.atpg.compaction import TestPair, compact_tests
 from repro.atpg.incremental import IncrementalAtpg
-from repro.atpg.patpg import (
-    CODE_FALLBACK_ATPG,
-    MIN_PARALLEL_SAT_FAULTS,
-    process_sat_phase,
-)
 from repro.faults.collapse import behaviour_key, collapse_faults
-from repro.faults.psim import (
-    ProcessExecUnavailable,
-    SharedMemoryCorruption,
-    WorkerCrashError,
-)
 from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.model import Fault
 from repro.library.cell import StandardCell
 from repro.netlist.circuit import Circuit
-from repro.netlist.vsim import (
-    BACKEND_EVENT,
-    EXEC_PROCESS,
-    batch_capacity,
-    resolve_atpg_exec,
-    resolve_backend,
-    resolve_exec,
-    resolve_workers,
-)
-from repro.utils.observability import EngineStats, warn_coded
+from repro.netlist.vsim import BACKEND_EVENT, batch_capacity, resolve_backend
+from repro.utils.observability import EngineStats
 from repro.utils.rng import make_rng
-from repro.utils.supervise import WorkerHungError
 
 
 @dataclass
@@ -138,11 +119,9 @@ def run_atpg(
     initial_tests: Optional[Sequence[TestPair]] = None,
     assume_undetectable: Optional[AbstractSet] = None,
     assume_detected: Optional[AbstractSet] = None,
-    workers: Optional[int] = None,
     stats: Optional[EngineStats] = None,
     budget: Optional[AtpgBudget] = None,
     backend: Optional[str] = None,
-    exec_mode: Optional[str] = None,
 ) -> AtpgResult:
     """Classify *faults* on *circuit* and build a test set.
 
@@ -185,41 +164,16 @@ def run_atpg(
     inheritance safe to apply blindly; only behaviour classes with novel
     keys (the changed region's cone) are re-proved.
 
-    *workers* > 1 fault-partitions every fault-simulation batch the
-    driver runs; *exec_mode* selects how (``"thread"`` pools,
-    ``"process"`` workers over shared-memory arrays, ``"auto"`` —
-    threads for the event backend, processes for the wide backend — or
-    ``"serial"``; see :func:`repro.faults.fsim.fault_simulate`).  Both
-    default to the ``REPRO_SIM_WORKERS`` / ``REPRO_SIM_EXEC``
-    environment.  The classification and test set are bit-identical to
-    a serial run with the same seed in every mode.  Engine effort
-    counters and per-phase wall times are recorded on ``result.stats``
-    (pass *stats* to accumulate into a caller-owned instance instead).
-
-    Under ``exec_mode="process"`` with ``workers > 1`` the deterministic
-    SAT phase itself is additionally sharded site-cohesively across
-    worker processes (:mod:`repro.atpg.patpg`).  The SAT phase reads its
-    own ``REPRO_ATPG_EXEC`` environment knob, defaulting to
-    ``REPRO_SIM_EXEC``, when *exec_mode* is not given; ``auto`` keeps
-    the phase serial (opt-in parallelism).  The
-    DETECTED/UNDETECTABLE/ABORTED partition is unchanged by sharding —
-    exact SAT decisions are schedule-independent — though the generated
-    (pre-compaction) test *set* may differ from the serial one.  Any
-    process-layer failure falls back to the serial phase with the coded
-    ``MC-FALLBACK-ATPG`` warning.
+    Engine effort counters and per-phase wall times are recorded on
+    ``result.stats`` (pass *stats* to accumulate into a caller-owned
+    instance instead).
     """
     start = time.perf_counter()
-    # Resolve the backend and execution mode once so a mid-run
-    # environment change cannot split the run across backends or modes,
-    # then validate batch_size against the resolved backend's pattern
-    # capacity (explicit validation instead of silent truncation).
+    # Resolve the backend once so a mid-run environment change cannot
+    # split the run across backends, then validate batch_size against
+    # the resolved backend's pattern capacity (explicit validation
+    # instead of silent truncation).
     backend = resolve_backend(backend)
-    workers = resolve_workers(workers)
-    # The SAT phase has its own knob (REPRO_ATPG_EXEC, defaulting to
-    # REPRO_SIM_EXEC); resolve it from the *caller's* argument before
-    # the simulation default overwrites it.
-    atpg_exec = resolve_atpg_exec(exec_mode)
-    exec_mode = resolve_exec(exec_mode)
     capacity = batch_capacity(backend)
     if batch_size is None:
         batch_size = capacity if backend != BACKEND_EVENT else 64
@@ -273,8 +227,7 @@ def run_atpg(
                 batch = PatternBatch.from_pairs(circuit, chunk)
                 words = fault_simulate(
                     circuit, cells, remaining, batch,
-                    workers=workers, stats=stats, backend=backend,
-                    exec_mode=exec_mode,
+                    stats=stats, backend=backend,
                 )
                 used: Dict[int, TestPair] = {}
                 still: List[Fault] = []
@@ -299,8 +252,7 @@ def run_atpg(
             )
             words = fault_simulate(
                 circuit, cells, remaining, batch,
-                workers=workers, stats=stats, backend=backend,
-                    exec_mode=exec_mode,
+                stats=stats, backend=backend,
             )
             new_pairs: Dict[int, TestPair] = {}
             still: List[Fault] = []
@@ -323,121 +275,74 @@ def run_atpg(
     # One shared incremental solver per scan: the good circuit is encoded
     # once and learned lemmas carry over between faults (see
     # repro.atpg.incremental).  Faults are grouped by site so each shared
-    # site cone is encoded and retired exactly once.  Under an explicit
-    # process execution mode with enough work the phase is sharded
-    # site-cohesively across worker processes (repro.atpg.patpg) — the
-    # verdict partition is identical either way (exact decisions are
-    # schedule-independent); any process-layer failure falls back to the
-    # serial scan below with a coded warning, on untouched state.
+    # site cone is encoded and retired exactly once.
     sat_start = time.perf_counter()
-    par_outcome = None
-    if (
-        atpg_exec == EXEC_PROCESS
-        and workers > 1
-        and len(remaining) >= MIN_PARALLEL_SAT_FAULTS
-    ):
-        scan = [f for f in remaining if f.fault_id not in detected_reps]
-        try:
-            par_outcome = process_sat_phase(
-                circuit, cells, scan, budget,
-                workers=workers, backend=backend, batch_size=batch_size,
-                exec_mode=exec_mode, stats=stats,
-            )
-        except (
-            ProcessExecUnavailable, WorkerCrashError,
-            SharedMemoryCorruption, WorkerHungError,
-        ) as exc:
-            if isinstance(exc, WorkerHungError):
-                # The failed attempt's staged stats were discarded (the
-                # serial rerun recounts the phase); fold the supervision
-                # story in from the exception so it stays observable.
-                stats.hung_workers += exc.hung_workers
-                stats.shard_retries += exc.shard_retries
-            warn_coded(
-                stats, CODE_FALLBACK_ATPG,
-                f"atpg[{circuit.name}]: parallel SAT phase failed "
-                f"({exc}); rerunning the deterministic phase serially",
-            )
-    if par_outcome is not None:
-        detected_reps |= par_outcome.detected
-        result.undetectable |= par_outcome.undetectable
-        aborted_reps = par_outcome.aborted
-        abort_reason_reps = dict(par_outcome.abort_reasons)
-        tests.extend(par_outcome.tests)
-        result.sat_calls += par_outcome.sat_calls
-        stats.sat_calls = result.sat_calls
-        for key, delta in par_outcome.effort.items():
-            setattr(stats, key, getattr(stats, key) + delta)
-        stats.sat_shards += par_outcome.shards
-        stats.sat_workers = max(stats.sat_workers, par_outcome.workers)
-    else:
-        engine = IncrementalAtpg(circuit, cells)
-        remaining.sort(
-            key=lambda f: (engine._site_net(f) or "", f.fault_id)
-        )
-        pending_drop: List[TestPair] = []
-        aborted_reps = set()
-        abort_reason_reps: Dict[str, str] = {}
-        i = 0
-        while i < len(remaining):
-            fault = remaining[i]
-            i += 1
-            if fault.fault_id in detected_reps:
-                continue
-            result.sat_calls += 1
-            detectable, pair = engine.decide(fault, budget)
-            if detectable:
-                tests.append(pair)
-                pending_drop.append(pair)
-                detected_reps.add(fault.fault_id)
-            elif detectable is False:
-                result.undetectable.add(fault.fault_id)
-            else:
-                # Budget ran out before a proof: unclassified, not
-                # undetectable.  Later fresh tests may still detect it.
-                aborted_reps.add(fault.fault_id)
-                stats.sat_aborts += 1
-                reason = engine.last_abort_reason or "unknown"
-                abort_reason_reps[fault.fault_id] = reason
-                stats.sat_abort_reasons[reason] = \
-                    stats.sat_abort_reasons.get(reason, 0) + 1
-            # Periodically fault-simulate the fresh tests to drop classes
-            # before paying for their SAT calls.
-            if len(pending_drop) >= 16 or (
-                i == len(remaining) and pending_drop
-            ):
-                todo = [
-                    f for f in remaining[i:]
-                    if f.fault_id not in detected_reps
-                ]
-                if aborted_reps:
-                    # Aborted classes sit behind the scan index; fresh
-                    # tests can still upgrade them to detected (never
-                    # the reverse).
-                    todo.extend(
-                        f for f in remaining[:i]
-                        if f.fault_id in aborted_reps
-                    )
-                if todo:
-                    batch = PatternBatch.from_pairs(circuit, pending_drop)
-                    words = fault_simulate(
-                        circuit, cells, todo, batch,
-                        workers=workers, stats=stats, backend=backend,
-                        exec_mode=exec_mode,
-                    )
-                    for f, w in zip(todo, words):
-                        if w:
-                            detected_reps.add(f.fault_id)
-                            aborted_reps.discard(f.fault_id)
-                            abort_reason_reps.pop(f.fault_id, None)
-                pending_drop = []
-        stats.sat_calls = result.sat_calls
-        effort = engine.effort()
-        stats.sat_conflicts = effort["sat_conflicts"]
-        stats.sat_propagations = effort["sat_propagations"]
-        stats.sat_learned = effort["sat_learned"]
-        stats.sat_restarts = effort["sat_restarts"]
-        stats.sat_lemmas_reused = effort["sat_lemmas_reused"]
+    engine = IncrementalAtpg(circuit, cells)
+    remaining.sort(
+        key=lambda f: (engine._site_net(f) or "", f.fault_id)
+    )
+    pending_drop: List[TestPair] = []
+    aborted_reps: Set[str] = set()
+    abort_reason_reps: Dict[str, str] = {}
+    i = 0
+    while i < len(remaining):
+        fault = remaining[i]
+        i += 1
+        if fault.fault_id in detected_reps:
+            continue
+        result.sat_calls += 1
+        detectable, pair = engine.decide(fault, budget)
+        if detectable:
+            tests.append(pair)
+            pending_drop.append(pair)
+            detected_reps.add(fault.fault_id)
+        elif detectable is False:
+            result.undetectable.add(fault.fault_id)
+        else:
+            # Budget ran out before a proof: unclassified, not
+            # undetectable.  Later fresh tests may still detect it.
+            aborted_reps.add(fault.fault_id)
+            stats.sat_aborts += 1
+            reason = engine.last_abort_reason or "unknown"
+            abort_reason_reps[fault.fault_id] = reason
+            stats.sat_abort_reasons[reason] = \
+                stats.sat_abort_reasons.get(reason, 0) + 1
+        # Periodically fault-simulate the fresh tests to drop classes
+        # before paying for their SAT calls.
+        if len(pending_drop) >= 16 or (
+            i == len(remaining) and pending_drop
+        ):
+            todo = [
+                f for f in remaining[i:]
+                if f.fault_id not in detected_reps
+            ]
+            if aborted_reps:
+                # Aborted classes sit behind the scan index; fresh
+                # tests can still upgrade them to detected (never
+                # the reverse).
+                todo.extend(
+                    f for f in remaining[:i]
+                    if f.fault_id in aborted_reps
+                )
+            if todo:
+                batch = PatternBatch.from_pairs(circuit, pending_drop)
+                words = fault_simulate(
+                    circuit, cells, todo, batch,
+                    stats=stats, backend=backend,
+                )
+                for f, w in zip(todo, words):
+                    if w:
+                        detected_reps.add(f.fault_id)
+                        aborted_reps.discard(f.fault_id)
+                        abort_reason_reps.pop(f.fault_id, None)
+            pending_drop = []
+    stats.sat_calls = result.sat_calls
+    effort = engine.effort()
+    stats.sat_conflicts = effort["sat_conflicts"]
+    stats.sat_propagations = effort["sat_propagations"]
+    stats.sat_learned = effort["sat_learned"]
+    stats.sat_restarts = effort["sat_restarts"]
+    stats.sat_lemmas_reused = effort["sat_lemmas_reused"]
     stats.add_phase("atpg.sat", time.perf_counter() - sat_start)
 
     # ---- expand classes to all member faults ----------------------------
@@ -498,8 +403,7 @@ def run_atpg(
         with stats.phase("atpg.compaction"):
             tests = compact_tests(
                 circuit, cells, detected_rep_faults, tests,
-                workers=workers, stats=stats, backend=backend,
-                exec_mode=exec_mode,
+                stats=stats, backend=backend,
             )
     result.tests = tests
     result.runtime = time.perf_counter() - start

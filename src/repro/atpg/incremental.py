@@ -52,9 +52,8 @@ _MAX_LEARNT = 3000
 def fault_site_net(circuit: Circuit, fault: Fault) -> Optional[str]:
     """Net whose output cone carries *fault*'s effect.
 
-    Module-level so shard partitioners can group faults by site without
-    instantiating an engine (the parallel SAT phase sorts and shards on
-    this key in the parent, before any worker exists).
+    Module-level so callers can group faults by site without
+    instantiating an engine.
     """
     if isinstance(fault, (StuckAtFault, TransitionFault)):
         if fault.branch is not None:
@@ -251,9 +250,8 @@ class IncrementalAtpg:
         """Full solver-effort snapshot as a counter dict.
 
         Keys line up with the ``sat_*`` fields of
-        :class:`~repro.utils.observability.EngineStats` so drivers (and
-        parallel shard workers computing before/after deltas) can map
-        them mechanically.
+        :class:`~repro.utils.observability.EngineStats` so drivers can
+        map them mechanically.
         """
         return {
             "sat_conflicts": self.solver.conflicts,

@@ -176,12 +176,10 @@ def analyze_design(
     assume_undetectable: Optional[set] = None,
     assume_detected: Optional[set] = None,
     physical: Optional[PhysicalDesign] = None,
-    workers: Optional[int] = None,
     prev: Optional[DesignState] = None,
     internal_atpg: Optional[AtpgResult] = None,
     stats: Optional[EngineStats] = None,
     budget: Optional[AtpgBudget] = None,
-    exec_mode: Optional[str] = None,
 ) -> DesignState:
     """Run physical design + DFM fault extraction + ATPG + clustering.
 
@@ -212,13 +210,8 @@ def analyze_design(
     the assume sets and its tests the initial test set, so the internal
     ATPG work is not repeated.
 
-    *workers* > 1 parallelizes the fault-simulation batches inside ATPG
-    and *exec_mode* selects how — thread pools, shared-memory process
-    workers, or serial (defaults: ``REPRO_SIM_WORKERS`` /
-    ``REPRO_SIM_EXEC``; results stay bit-identical to a serial run in
-    every mode).  Per-stage wall times
-    land in ``DesignState.timings``; engine counters in
-    ``DesignState.stats`` (pass *stats* to accumulate into a
+    Per-stage wall times land in ``DesignState.timings``; engine
+    counters in ``DesignState.stats`` (pass *stats* to accumulate into a
     caller-owned instance).
 
     Raises :class:`~repro.physical.placement.PlacementError` if the
@@ -277,10 +270,8 @@ def analyze_design(
         seed=atpg_seed, initial_tests=initial_tests,
         assume_undetectable=assume_undet,
         assume_detected=assume_det,
-        workers=workers,
         stats=stats,
         budget=budget,
-        exec_mode=exec_mode,
     )
     timings["atpg"] = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -312,10 +303,8 @@ def classify_internal(
     atpg_seed: int = 0,
     assume_undetectable: Optional[set] = None,
     assume_detected: Optional[set] = None,
-    workers: Optional[int] = None,
     stats: Optional[EngineStats] = None,
     budget: Optional[AtpgBudget] = None,
-    exec_mode: Optional[str] = None,
 ) -> AtpgResult:
     """Classify the internal faults of the bare netlist (no compaction).
 
@@ -332,10 +321,8 @@ def classify_internal(
         seed=atpg_seed, initial_tests=initial_tests, compaction=False,
         assume_undetectable=assume_undetectable,
         assume_detected=assume_detected,
-        workers=workers,
         stats=stats,
         budget=budget,
-        exec_mode=exec_mode,
     )
 
 
@@ -346,8 +333,6 @@ def count_undetectable_internal(
     atpg_seed: int = 0,
     assume_undetectable: Optional[set] = None,
     assume_detected: Optional[set] = None,
-    workers: Optional[int] = None,
-    exec_mode: Optional[str] = None,
 ) -> int:
     """Number of undetectable internal faults of the bare netlist."""
     atpg = classify_internal(
@@ -355,7 +340,5 @@ def count_undetectable_internal(
         initial_tests=initial_tests, atpg_seed=atpg_seed,
         assume_undetectable=assume_undetectable,
         assume_detected=assume_detected,
-        workers=workers,
-        exec_mode=exec_mode,
     )
     return len(atpg.undetectable)

@@ -20,7 +20,7 @@ top of the previous solution, exactly as in Section I of the paper.
 Performance model
 -----------------
 The loop's dominant cost is evaluating candidate implementations:
-synthesize + place-and-route, then fault re-analysis.  Three levers cut
+synthesize + place-and-route, then fault re-analysis.  Two levers cut
 it without changing any result:
 
 * **Staged, cached candidate evaluation** — a candidate is identified
@@ -30,13 +30,6 @@ it without changing any result:
   work across the whole q sweep.  The q = 0 and q = 1 passes, and the
   phase-1/phase-2 passes over an unchanged state, repeat *identical*
   candidate evaluations — the cache collapses them to lookups.
-* **Speculative evaluation** — with ``speculation > 1`` the q- and
-  phase-independent stage 1 (synthesize + replace + PDesign) of the
-  next few candidates in the cell ordering runs ahead on a thread pool.
-  Acceptance still scans candidates strictly in the original order on
-  the consuming thread, so the accepted-iteration trace is bit-identical
-  to the serial loop; overshoot stays in the cache and often pays off in
-  a later pass or q step.
 * **Cone-scoped incremental re-analysis** — an accepted-path candidate
   is re-analyzed with ``analyze_design(prev=state, internal_atpg=...)``:
   verdicts and layout-independent fault objects of gates outside the
@@ -47,10 +40,8 @@ it without changing any result:
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -87,14 +78,8 @@ class ResynthesisConfig:
     max_iterations_per_phase: int = 25
     trend_window: int = 3  # stop a sweep when U rises this many times
     guidelines: Optional[Sequence[Guideline]] = None
-    # Performance knobs — none of these change any produced result
-    # (accepted trace, verdicts, clusters); they only move work around.
-    workers: int = 1  # fault-simulation workers inside the engine
-    # How fault-simulation batches execute at workers > 1: "thread",
-    # "process" (shared-memory multi-core, repro.faults.psim), "auto"
-    # or "serial"; None defers to REPRO_SIM_EXEC.
-    exec_mode: Optional[str] = None
-    speculation: Optional[int] = None  # stage-1 evals in flight (None -> workers)
+    # Performance knobs — neither changes any produced result (accepted
+    # trace, verdicts, clusters); they only move work around.
     incremental: bool = True  # cone-scoped incremental re-analysis
     candidate_cache_size: int = 256  # retained candidate evaluations
 
@@ -136,10 +121,9 @@ class ResynthesisResult:
 class _Evaluation:
     """Staged, cached evaluation of one candidate implementation.
 
-    Stage 1 (synthesize + replace + PDesign) is thread-safe and may run
-    ahead on the speculation pool; stages 2 (pre-PDesign internal
-    classification) and 3 (full re-analysis) run lazily on the consuming
-    thread, in consumption order.  All stages are computed at most once.
+    Stage 1 (synthesize + replace + PDesign), stage 2 (pre-PDesign
+    internal classification) and stage 3 (full re-analysis) run lazily,
+    in consumption order.  All stages are computed at most once.
 
     Constraint checking happens before fault analysis: in this substrate
     PDesign() is cheap relative to exact ATPG — the inverse of the
@@ -151,7 +135,6 @@ class _Evaluation:
     __slots__ = (
         "driver", "state", "replacement", "allowed",
         "kind", "candidate", "physical", "internal_atpg", "cand_state",
-        "_lock",
     )
 
     def __init__(
@@ -170,42 +153,40 @@ class _Evaluation:
         self.physical: Optional[PhysicalDesign] = None
         self.internal_atpg: Optional[AtpgResult] = None
         self.cand_state: Optional[DesignState] = None
-        self._lock = threading.Lock()
 
     def ensure_placed(self) -> str:
         """Stage 1: synthesize the replacement and place-and-route it."""
-        with self._lock:
-            if self.kind is not None:
-                return self.kind
-            driver = self.driver
-            sub = extract_subcircuit(
-                self.state.circuit, self.replacement, name="csub"
-            )
-            try:
-                new_sub = synthesize(
-                    sub, driver.library, allowed_cells=list(self.allowed),
-                    objective=driver.cfg.objective,
-                )
-                candidate = replace_subcircuit(
-                    self.state.circuit, self.replacement, new_sub
-                )
-            except TechmapError:
-                self.kind = "synthfail"
-                return self.kind
-            try:
-                physical = pdesign(
-                    candidate, driver.cells,
-                    floorplan=driver.orig.physical.floorplan,
-                    seed=driver.cfg.seed,
-                )
-            except PlacementError:
-                self.kind = "nofit"  # does not fit the fixed die
-                return self.kind
-            self.candidate = candidate
-            self.physical = physical
-            self.kind = "placed"
-            driver.count("candidates_evaluated")
+        if self.kind is not None:
             return self.kind
+        driver = self.driver
+        sub = extract_subcircuit(
+            self.state.circuit, self.replacement, name="csub"
+        )
+        try:
+            new_sub = synthesize(
+                sub, driver.library, allowed_cells=list(self.allowed),
+                objective=driver.cfg.objective,
+            )
+            candidate = replace_subcircuit(
+                self.state.circuit, self.replacement, new_sub
+            )
+        except TechmapError:
+            self.kind = "synthfail"
+            return self.kind
+        try:
+            physical = pdesign(
+                candidate, driver.cells,
+                floorplan=driver.orig.physical.floorplan,
+                seed=driver.cfg.seed,
+            )
+        except PlacementError:
+            self.kind = "nofit"  # does not fit the fixed die
+            return self.kind
+        self.candidate = candidate
+        self.physical = physical
+        self.kind = "placed"
+        driver.stats.candidates_evaluated += 1
+        return self.kind
 
     def u_in_new(self) -> int:
         """Stage 2: undetectable internal faults of the bare candidate.
@@ -224,8 +205,6 @@ class _Evaluation:
                 initial_tests=state.tests, atpg_seed=driver.cfg.seed,
                 assume_undetectable=undet,
                 assume_detected=det if driver.cfg.incremental else None,
-                workers=driver.cfg.workers,
-                exec_mode=driver.cfg.exec_mode,
                 stats=driver.stats.engine,
             )
         return (
@@ -245,8 +224,6 @@ class _Evaluation:
                     physical=self.physical,
                     prev=state,
                     internal_atpg=self.internal_atpg,
-                    workers=driver.cfg.workers,
-                    exec_mode=driver.cfg.exec_mode,
                     stats=driver.stats.engine,
                 )
             else:
@@ -257,8 +234,6 @@ class _Evaluation:
                     initial_tests=state.tests, atpg_seed=driver.cfg.seed,
                     assume_undetectable=undet,
                     physical=self.physical,
-                    workers=driver.cfg.workers,
-                    exec_mode=driver.cfg.exec_mode,
                     stats=driver.stats.engine,
                 )
         return self.cand_state
@@ -283,24 +258,6 @@ class _Resynthesizer:
         self._order = library.order_by_internal_faults()
         self._eval_cache: "OrderedDict[tuple, _Evaluation]" = OrderedDict()
         self._keys_cache: "OrderedDict[int, tuple]" = OrderedDict()
-        self._stats_lock = threading.Lock()
-        spec = cfg.speculation if cfg.speculation is not None else cfg.workers
-        self.speculation = max(1, spec)
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=self.speculation)
-            if self.speculation > 1 else None
-        )
-
-    def close(self) -> None:
-        """Drain the speculation pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Thread-safe increment of a ResynthesisStats counter."""
-        with self._stats_lock:
-            setattr(self.stats, name, getattr(self.stats, name) + n)
 
     def behaviour_keys(self, state: DesignState) -> Tuple[set, set]:
         """(undetectable, detected) behaviour keys of *state*, cached."""
@@ -320,27 +277,22 @@ class _Resynthesizer:
         state: DesignState,
         replacement: Set[str],
         allowed: Sequence[str],
-        record: bool = True,
     ) -> _Evaluation:
         """The cached evaluation for (state, replacement, allowed).
 
         The key uses ``id(state)``; every live cache entry holds a
         reference to its state, so an id cannot be recycled while
-        entries for it remain.  Only the consuming thread touches the
-        cache.  *record* is off for speculative warm-ups so a candidate
-        counts one cache hit/miss per consumption, not per touch.
+        entries for it remain.
         """
         repl = frozenset(replacement)
         allow = tuple(allowed)
         key = (id(state), repl, allow)
         ev = self._eval_cache.get(key)
         if ev is not None and ev.state is state:
-            if record:
-                self.stats.candidate_cache_hits += 1
+            self.stats.candidate_cache_hits += 1
             self._eval_cache.move_to_end(key)
             return ev
-        if record:
-            self.stats.candidate_cache_misses += 1
+        self.stats.candidate_cache_misses += 1
         ev = _Evaluation(self, state, repl, allow)
         self._eval_cache[key] = ev
         limit = max(1, self.cfg.candidate_cache_size)
@@ -418,10 +370,10 @@ class _Resynthesizer:
             state.circuit.gates[g].cell for g in replacement_base
         }
 
-        # Eligible steps of the cell ordering (rules (1)-(3) of Section
-        # III-B), precomputed so stage-1 evaluations can run ahead.
-        specs: List[Tuple[object, Tuple[str, ...], int]] = []
+        u_trend: List[int] = []
         for i, cell_i in enumerate(self._order[:-1]):
+            # Eligible steps of the cell ordering: rules (1)-(3) of
+            # Section III-B.
             if cell_i.name not in used_cells:
                 continue
             if not any(
@@ -432,88 +384,57 @@ class _Resynthesizer:
             rest = self._order[i + 1:]
             if not is_complete_subset(rest):
                 break  # even smaller suffixes cannot synthesize C_sub
-            specs.append((cell_i, tuple(c.name for c in rest), i))
+            allowed = [c.name for c in rest]
 
-        ahead: Set[int] = set()  # speculated, not yet consumed
-        launched: Set[int] = set()
+            def accept_and_track(
+                cand: DesignState, cur: DesignState
+            ) -> bool:
+                u_trend.append(cand.u_total)
+                return accept(cand, cur)
 
-        def warm(from_k: int) -> None:
-            # Speculation: launch stage 1 for the next few candidates.
-            # Acceptance below still consumes strictly in order.
-            if self._executor is None:
-                return
-            for j in range(from_k, min(from_k + self.speculation, len(specs))):
-                if j in launched:
-                    continue
-                launched.add(j)
-                ev = self._evaluation(
-                    state, replacement_base, specs[j][1], record=False
+            status, cand = self.attempt(
+                state, replacement_base, allowed, q, accept_and_track
+            )
+            self.history.append(IterationRecord(
+                phase=phase, q=q, csub_size=len(replacement_base),
+                excluded_upto=cell_i.name, status=status,
+                u_total=cand.u_total if cand else None,
+                smax=cand.smax_size if cand else None,
+            ))
+            if status == "accepted":
+                return cand
+            if status == "constraints":
+                g_i = [
+                    g for g in sorted(replacement_base)
+                    if self._cell_index(state.circuit.gates[g].cell) <= i
+                ]
+                # Replace the most fault-laden gates preferentially:
+                # the tail of g_i (moved to G_back first) holds the
+                # gates with the fewest undetectable internal faults.
+                g_i.sort(key=lambda g: (-u_int_by_gate.get(g, 0), g))
+                back = backtrack_resynthesis(
+                    replacement_base, g_i,
+                    lambda repl: self.attempt(
+                        state, repl, allowed, q, accept_and_track
+                    ),
+                    on_attempt=self._on_backtrack_attempt,
                 )
-                if ev.kind is None:
-                    if j > from_k:
-                        self.count("candidates_speculated")
-                        ahead.add(j)
-                    self._executor.submit(ev.ensure_placed)
-
-        u_trend: List[int] = []
-        try:
-            for k, (cell_i, allowed_names, i) in enumerate(specs):
-                warm(k)
-                ahead.discard(k)
-                allowed = list(allowed_names)
-
-                def accept_and_track(
-                    cand: DesignState, cur: DesignState
-                ) -> bool:
-                    u_trend.append(cand.u_total)
-                    return accept(cand, cur)
-
-                status, cand = self.attempt(
-                    state, replacement_base, allowed, q, accept_and_track
-                )
-                self.history.append(IterationRecord(
-                    phase=phase, q=q, csub_size=len(replacement_base),
-                    excluded_upto=cell_i.name, status=status,
-                    u_total=cand.u_total if cand else None,
-                    smax=cand.smax_size if cand else None,
-                ))
-                if status == "accepted":
-                    return cand
-                if status == "constraints":
-                    g_i = [
-                        g for g in sorted(replacement_base)
-                        if self._cell_index(state.circuit.gates[g].cell) <= i
-                    ]
-                    # Replace the most fault-laden gates preferentially:
-                    # the tail of g_i (moved to G_back first) holds the
-                    # gates with the fewest undetectable internal faults.
-                    g_i.sort(key=lambda g: (-u_int_by_gate.get(g, 0), g))
-                    back = backtrack_resynthesis(
-                        replacement_base, g_i,
-                        lambda repl: self.attempt(
-                            state, repl, allowed, q, accept_and_track
-                        ),
-                        on_attempt=self._on_backtrack_attempt,
-                    )
-                    if back is not None:
-                        self.history.append(IterationRecord(
-                            phase=phase, q=q,
-                            csub_size=len(replacement_base),
-                            excluded_upto=cell_i.name,
-                            status="backtrack-accepted",
-                            u_total=back.u_total, smax=back.smax_size,
-                        ))
-                        return back
-                # Early phase termination: the U trend turned upward.
-                w = self.cfg.trend_window
-                if len(u_trend) > w and all(
-                    u_trend[-j] > u_trend[-j - 1] for j in range(1, w + 1)
-                ):
-                    break
-            return None
-        finally:
-            if ahead:
-                self.count("candidates_wasted", len(ahead))
+                if back is not None:
+                    self.history.append(IterationRecord(
+                        phase=phase, q=q,
+                        csub_size=len(replacement_base),
+                        excluded_upto=cell_i.name,
+                        status="backtrack-accepted",
+                        u_total=back.u_total, smax=back.smax_size,
+                    ))
+                    return back
+            # Early phase termination: the U trend turned upward.
+            w = self.cfg.trend_window
+            if len(u_trend) > w and all(
+                u_trend[-j] > u_trend[-j - 1] for j in range(1, w + 1)
+            ):
+                break
+        return None
 
     def _cell_index(self, cell_name: str) -> int:
         for i, cell in enumerate(self._order):
@@ -582,20 +503,16 @@ def resynthesize_for_coverage(
     t0 = time.perf_counter()
     orig = analyze_design(
         circuit, library, seed=cfg.seed, utilization=cfg.utilization,
-        guidelines=cfg.guidelines, atpg_seed=cfg.seed,
-        workers=cfg.workers, exec_mode=cfg.exec_mode, stats=stats.engine,
+        guidelines=cfg.guidelines, atpg_seed=cfg.seed, stats=stats.engine,
     )
     baseline = time.perf_counter() - t0
     driver = _Resynthesizer(library, orig, cfg, stats=stats)
-    try:
-        state = orig
-        per_q: Dict[int, DesignState] = {}
-        for q in range(cfg.q_max + 1):
-            state = driver.run_phase1(state, q)
-            state = driver.run_phase2(state, q)
-            per_q[q] = state
-    finally:
-        driver.close()
+    state = orig
+    per_q: Dict[int, DesignState] = {}
+    for q in range(cfg.q_max + 1):
+        state = driver.run_phase1(state, q)
+        state = driver.run_phase2(state, q)
+        per_q[q] = state
     final = per_q[cfg.q_max]
     q_used = cfg.q_max
     for q in range(cfg.q_max + 1):

@@ -21,12 +21,6 @@ from repro.faults.sites import FaultSet, enumerate_internal_faults
 from repro.faults.collapse import collapse_faults
 from repro.faults.fsim import fault_simulate, detected_by_patterns
 from repro.faults.vfsim import wide_fault_simulate
-from repro.faults.psim import (
-    ProcessExecUnavailable,
-    SharedMemoryCorruption,
-    WorkerCrashError,
-    process_fault_simulate,
-)
 
 __all__ = [
     "BridgingFault",
@@ -43,8 +37,4 @@ __all__ = [
     "fault_simulate",
     "detected_by_patterns",
     "wide_fault_simulate",
-    "ProcessExecUnavailable",
-    "SharedMemoryCorruption",
-    "WorkerCrashError",
-    "process_fault_simulate",
 ]

@@ -22,11 +22,7 @@ resolution, load lists) is hoisted into a cached
 :class:`~repro.netlist.simulator.CompiledCircuit` plan, nets are handled
 as dense integer indices, and good-machine values are served from a
 per-plan LRU so re-simulating a previously seen pattern batch skips the
-good simulation entirely.  ``workers=N`` fault-partitions a batch across
-a thread pool or — with ``exec_mode="process"`` / ``REPRO_SIM_EXEC`` —
-across shared-memory worker processes (:mod:`repro.faults.psim`); in
-both modes chunks are balanced by output-cone size and merged by fault
-index, so results are bit-identical to the serial path.
+good simulation entirely.
 
 :func:`fault_simulate` is also the dispatch point for the *wide* numpy
 backend (:mod:`repro.faults.vfsim`): pass ``backend="wide"`` or set
@@ -37,7 +33,6 @@ backends for the same batch.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -54,24 +49,13 @@ from repro.library.defects import CellDefect
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulator import CompiledCircuit
 from repro.netlist.vsim import (
-    BACKEND_EVENT,
     BACKEND_WIDE,
-    EXEC_AUTO,
-    EXEC_PROCESS,
-    EXEC_SERIAL,
-    EXEC_THREAD,
     batch_capacity,
     resolve_backend,
-    resolve_exec,
-    resolve_workers,
     words_for,
 )
-from repro.utils.observability import EngineStats, warn_coded
+from repro.utils.observability import EngineStats
 from repro.utils.rng import make_rng
-
-# Below this many faults the thread-pool dispatch overhead outweighs any
-# win, so the serial path is used even when workers > 1.
-_MIN_PARALLEL_FAULTS = 8
 
 
 @dataclass
@@ -138,9 +122,8 @@ class _SimContext:
     """One batch's good-machine values over a shared compiled plan.
 
     ``good1`` / ``good2`` are net-value vectors indexed by the plan's
-    dense net indices.  The context is read-only during propagation
-    except for the ``events`` counter, so worker threads operate on
-    cheap :meth:`fork` views that share the value vectors.
+    dense net indices; ``scratch`` is the working copy propagation
+    writes faulty values into.
     """
 
     __slots__ = (
@@ -165,10 +148,6 @@ class _SimContext:
         # In-queue flags per gate; all zero between propagations.
         self.inq = bytearray(len(plan.gate_out))
         self.events = 0
-
-    def fork(self) -> "_SimContext":
-        """Per-worker view sharing the (read-only) good values."""
-        return _SimContext(self.plan, self.mask, self.good1, self.good2)
 
     def propagate(
         self, overrides: Dict[int, int], activation: int
@@ -398,60 +377,14 @@ def _simulate_one(ctx: _SimContext, fault: Fault) -> int:
     raise TypeError(type(fault).__name__)
 
 
-def _fault_site_index(plan: CompiledCircuit, fault: Fault) -> Optional[int]:
-    """Net index whose output cone carries this fault's effect."""
-    if isinstance(fault, (StuckAtFault, TransitionFault)):
-        if fault.branch is not None:
-            gate = plan.circuit.gates.get(fault.branch[0])
-            return plan.net_index.get(gate.output) if gate else None
-        return plan.net_index.get(fault.net)
-    if isinstance(fault, BridgingFault):
-        return plan.net_index.get(fault.victim)
-    if isinstance(fault, CellAwareFault):
-        gate = plan.circuit.gates.get(fault.gate)
-        return plan.net_index.get(gate.output) if gate else None
-    return None
-
-
-def _partition_faults(
-    plan: CompiledCircuit, faults: Sequence[Fault], workers: int
-) -> List[List[int]]:
-    """LPT-partition fault indices into *workers* chunks by cone size.
-
-    Deterministic: faults are ordered by (cost desc, index asc) and each
-    is assigned to the least-loaded chunk (ties broken by chunk id).
-    Shared by the thread path below and the process-parallel layer
-    (:mod:`repro.faults.psim`), so shard composition is identical in
-    both execution modes.
-    """
-    cone = plan.cone_sizes()
-    costs: List[int] = []
-    for fault in faults:
-        idx = _fault_site_index(plan, fault)
-        costs.append(cone[idx] if idx is not None else 1)
-    order = sorted(range(len(faults)), key=lambda i: (-costs[i], i))
-    loads: List[int] = [0] * workers
-    chunks: List[List[int]] = [[] for _ in range(workers)]
-    heap = [(0, c) for c in range(workers)]
-    for i in order:
-        load, c = heappop(heap)
-        chunks[c].append(i)
-        heappush(heap, (load + costs[i], c))
-    for chunk in chunks:
-        chunk.sort()
-    return [chunk for chunk in chunks if chunk]
-
-
 def fault_simulate(
     circuit: Circuit,
     cells: Mapping[str, StandardCell],
     faults: Sequence[Fault],
     batch: PatternBatch,
     *,
-    workers: Optional[int] = None,
     stats: Optional[EngineStats] = None,
     backend: Optional[str] = None,
-    exec_mode: Optional[str] = None,
 ) -> List[int]:
     """Per-fault detect words (bit i set = pair i detects the fault).
 
@@ -464,94 +397,13 @@ def fault_simulate(
     pick the wide backend up without changes.  Both backends return
     bit-identical detect words for the same batch.
 
-    *workers* / *exec_mode* select how a batch's fault universe is
-    partitioned (``None`` defers to ``REPRO_SIM_WORKERS`` /
-    ``REPRO_SIM_EXEC``).  With ``workers > 1``:
-
-    * ``"thread"`` — the event backend fault-partitions across a thread
-      pool (chunks LPT-balanced by output-cone size; GIL-bound but
-      cheap to dispatch).  The wide backend has no thread path — a
-      coded ``MC-THREAD-WIDE`` warning is emitted and the batch runs
-      serial;
-    * ``"process"`` — both backends shard across ``multiprocessing``
-      workers that attach the batch's good-value arrays from a
-      shared-memory block (:mod:`repro.faults.psim`).  If process
-      execution is unavailable (no shared memory, unpicklable faults,
-      no usable start method) a coded warning is emitted and the batch
-      falls back to threads (event) or serial (wide) — never silently;
-    * ``"auto"`` (default) — threads for the event backend, processes
-      for the wide backend;
-    * ``"serial"`` — force the serial path regardless of *workers*.
-
-    Every mode is bit-identical: shards/chunks are deterministic and
-    results are merged back by fault index.
-
-    Counter discipline: nothing records into the caller's *stats* while
-    workers run.  Every count lands in a private per-call instance
-    (thread and process workers count into their own chunk contexts,
-    whose totals are folded in at join, on the dispatching side), and
-    the per-call instance is merged into *stats* in one atomic step at
-    the end — so a shared EngineStats never loses increments, and the
-    semantic counters of a parallel run equal those of a serial run.
+    Counters accumulate in a private per-call instance that is merged
+    into *stats* in one atomic step at the end, so an EngineStats shared
+    between threads never loses increments.
     """
-    backend = resolve_backend(backend)
-    workers = resolve_workers(workers)
-    exec_mode = resolve_exec(exec_mode)
-    parallel_ok = (
-        workers > 1
-        and len(faults) >= max(_MIN_PARALLEL_FAULTS, workers)
-        and exec_mode != EXEC_SERIAL
-    )
-    want_process = parallel_ok and (
-        exec_mode == EXEC_PROCESS
-        or (exec_mode == EXEC_AUTO and backend == BACKEND_WIDE)
-    )
-    if want_process:
-        from repro.faults.psim import (
-            ProcessExecUnavailable,
-            process_fault_simulate,
-        )
-        from repro.utils.supervise import WorkerHungError
-
-        try:
-            return process_fault_simulate(
-                circuit, cells, faults, batch,
-                workers=workers, backend=backend, stats=stats,
-            )
-        except ProcessExecUnavailable as exc:
-            # Graceful but *announced* degradation: the caller asked for
-            # (or auto-resolved to) processes and is getting threads or
-            # a serial pass instead.
-            fallback = "threads" if backend == BACKEND_EVENT else "serial"
-            warn_coded(
-                stats, exc.code,
-                f"process execution unavailable ({exc}); "
-                f"falling back to {fallback}",
-            )
-        except WorkerHungError as exc:
-            # The supervisor reaped a hung worker twice (initial run
-            # and the one-shot shard retry).  The failed attempt's
-            # staged counters are discarded — the fallback re-runs the
-            # whole batch — so the supervision story is folded in from
-            # the exception instead, keeping it observable.
-            fallback = "threads" if backend == BACKEND_EVENT else "serial"
-            if stats is not None:
-                stats.hung_workers += exc.hung_workers
-                stats.shard_retries += exc.shard_retries
-            warn_coded(
-                stats, exc.code,
-                f"{exc}; falling back to {fallback}",
-            )
-    if backend == BACKEND_WIDE:
+    if resolve_backend(backend) == BACKEND_WIDE:
         from repro.faults.vfsim import wide_fault_simulate
 
-        if parallel_ok and exec_mode == EXEC_THREAD:
-            warn_coded(
-                stats, "MC-THREAD-WIDE",
-                "the wide backend has no thread path (vectorization "
-                "replaces fault-partitioned threading); running serial —"
-                " use exec_mode='process' for multi-core wide batches",
-            )
         return wide_fault_simulate(
             circuit, cells, faults, batch, stats=stats
         )
@@ -559,28 +411,8 @@ def fault_simulate(
     ctx = _make_context(circuit, cells, batch, stats=local)
     local.batches += 1
     local.faults_simulated += len(faults)
-    if not parallel_ok:
-        results = [_simulate_one(ctx, fault) for fault in faults]
-        local.events_propagated += ctx.events
-        if stats is not None:
-            stats.merge(local)
-        return results
-
-    chunks = _partition_faults(ctx.plan, faults, workers)
-    results: List[int] = [0] * len(faults)
+    results = [_simulate_one(ctx, fault) for fault in faults]
     local.events_propagated += ctx.events
-
-    def run_chunk(chunk: List[int]) -> Tuple[List[Tuple[int, int]], int]:
-        view = ctx.fork()
-        out = [(i, _simulate_one(view, faults[i])) for i in chunk]
-        return out, view.events
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for out, chunk_events in pool.map(run_chunk, chunks):
-            local.events_propagated += chunk_events
-            for i, word in out:
-                results[i] = word
-    local.parallel_chunks += len(chunks)
     if stats is not None:
         stats.merge(local)
     return results
@@ -592,10 +424,8 @@ def detected_by_patterns(
     faults: Sequence[Fault],
     pairs: Sequence[Tuple[Mapping[str, int], Mapping[str, int]]],
     *,
-    workers: Optional[int] = None,
     stats: Optional[EngineStats] = None,
     backend: Optional[str] = None,
-    exec_mode: Optional[str] = None,
 ) -> List[bool]:
     """Convenience wrapper: which faults do these test pairs detect?
 
@@ -611,8 +441,7 @@ def detected_by_patterns(
     for start in range(0, len(pairs), word):
         batch = PatternBatch.from_pairs(circuit, pairs[start:start + word])
         words = fault_simulate(
-            circuit, cells, faults, batch, workers=workers, stats=stats,
-            backend=backend, exec_mode=exec_mode,
+            circuit, cells, faults, batch, stats=stats, backend=backend,
         )
         for i, w in enumerate(words):
             if w:

@@ -297,13 +297,7 @@ def _simulate_one_wide(ctx: _WideContext, fault: Fault) -> int:
 
 
 def wide_batch_key(plan: CompiledCircuit, batch, words: int) -> tuple:
-    """Good-value LRU key of one wide batch (backend-tagged, word-counted).
-
-    Shared with the process-parallel layer (:mod:`repro.faults.psim`):
-    the parent process keys its good-value lookup exactly like the
-    serial wide path, so a process-parallel run and a serial run of the
-    same batch hit the same cache entry.
-    """
+    """Good-value LRU key of one wide batch (backend-tagged, word-counted)."""
     return (
         "wide", words, batch.n,
         tuple(batch.frame1.get(pi, 0) for pi in plan.pi_order),
@@ -328,9 +322,6 @@ def wide_fault_simulate(
     default just enough words to hold ``batch.n`` patterns, so small
     batches (compaction chunks, inherited tests) stay cheap.
 
-    The wide backend is single-threaded by design: vectorization over
-    the pattern dimension replaces the event backend's fault-partitioned
-    thread pool, so a ``workers`` knob would only add dispatch overhead.
     Counters land on *stats* in one atomic merge, mirroring the event
     path's discipline.
     """

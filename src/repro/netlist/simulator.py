@@ -169,7 +169,7 @@ class CompiledCircuit:
         "circuit", "cells", "pi_order", "net_index", "n_nets",
         "gate_names", "gate_index", "gate_fn", "gate_in", "gate_out",
         "gate_eval", "loads_of", "is_po", "po_index", "eval_compiles",
-        "good_cache", "good_sums", "_good_lock", "_cone_sizes",
+        "good_cache", "good_sums", "_good_lock",
         "_cone_gates", "_topo_ref", "__weakref__",
     )
 
@@ -240,13 +240,11 @@ class CompiledCircuit:
         # keys).  Kept out of good_cache itself so cached values remain
         # plain frame tuples for every existing consumer.
         self.good_sums: Dict[tuple, Tuple[int, ...]] = {}
-        # Fault-partition worker threads (and concurrent candidate
-        # evaluations sharing one plan) all consult the LRU; OrderedDict
-        # get/move_to_end/popitem are not safe to interleave, so every
-        # cache touch happens under this lock.  The good simulation
-        # itself runs outside the lock.
+        # Inline campaign tasks run on scheduler threads and may share
+        # one plan; OrderedDict get/move_to_end/popitem are not safe to
+        # interleave, so every cache touch happens under this lock.  The
+        # good simulation itself runs outside the lock.
         self._good_lock = threading.Lock()
-        self._cone_sizes: Optional[List[int]] = None
         # Lazily computed forward cones: net index -> (gate indices in
         # topological order, PO net indices reachable from the net).
         # Used by the wide backend's dense cone-scoped propagation.
@@ -376,30 +374,6 @@ class CompiledCircuit:
                 evicted, _ = self.good_cache.popitem(last=False)
                 self.good_sums.pop(evicted, None)
         return result
-
-    def cone_sizes(self) -> List[int]:
-        """Per-net fanout-cone gate-count estimates (for load balancing).
-
-        Computed by a reverse-topological sum capped at the gate count;
-        reconvergence makes it an overestimate, which is fine for
-        partitioning work by expected propagation cost.
-        """
-        if self._cone_sizes is None:
-            n_gates = len(self.gate_out)
-            gate_cost = [1] * n_gates
-            for gi in range(n_gates - 1, -1, -1):
-                total = 1
-                for gj in self.loads_of[self.gate_out[gi]]:
-                    total += gate_cost[gj]
-                gate_cost[gi] = min(total, n_gates)
-            cone = [1] * self.n_nets
-            for idx in range(self.n_nets):
-                total = 1
-                for gj in self.loads_of[idx]:
-                    total += gate_cost[gj]
-                cone[idx] = min(total, n_gates) if n_gates else 1
-            self._cone_sizes = cone
-        return self._cone_sizes
 
     def cone_gates(
         self, net_idx: int

@@ -23,13 +23,7 @@ hold for both representations.
 Environment knobs:
 
 * ``REPRO_SIM_BACKEND`` — default simulation backend (``event``/``wide``);
-* ``REPRO_SIM_WORDS`` — wide batch capacity in 64-bit words (default 64);
-* ``REPRO_SIM_WORKERS`` — default fault-partition worker count for call
-  sites that do not pass ``workers=`` explicitly (default 1);
-* ``REPRO_SIM_EXEC`` — default execution mode for ``workers > 1``:
-  ``serial`` / ``thread`` / ``process`` / ``auto`` (default ``auto``:
-  threads for the event backend, shared-memory processes for the wide
-  backend — see :mod:`repro.faults.psim`).
+* ``REPRO_SIM_WORDS`` — wide batch capacity in 64-bit words (default 64).
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ import numpy as np
 
 from repro.netlist.circuit import NetlistError
 from repro.netlist.simulator import CompiledCircuit, cache_integrity_enabled
-from repro.utils import seams, supervise
+from repro.utils import seams
 from repro.utils.observability import EngineStats
 
 BACKEND_EVENT = "event"
@@ -68,82 +62,6 @@ def resolve_backend(backend: Optional[str] = None) -> str:
             f"unknown simulation backend {backend!r}; expected one of {_BACKENDS}"
         )
     return backend
-
-
-EXEC_SERIAL = "serial"
-EXEC_THREAD = "thread"
-EXEC_PROCESS = "process"
-EXEC_AUTO = "auto"
-_EXEC_MODES = (EXEC_SERIAL, EXEC_THREAD, EXEC_PROCESS, EXEC_AUTO)
-
-
-def resolve_exec(exec_mode: Optional[str] = None) -> str:
-    """Normalize an execution-mode choice; ``None`` falls back to the env.
-
-    ``REPRO_SIM_EXEC`` is read at call time for the same reason as
-    ``REPRO_SIM_BACKEND``: campaigns and the resynthesis loop pick the
-    mode up without call-site changes, and tests can monkeypatch it.
-    """
-    if exec_mode is None:
-        exec_mode = (
-            os.environ.get("REPRO_SIM_EXEC", "").strip() or EXEC_AUTO
-        )
-    if exec_mode not in _EXEC_MODES:
-        raise ValueError(
-            f"unknown execution mode {exec_mode!r}; "
-            f"expected one of {_EXEC_MODES}"
-        )
-    return exec_mode
-
-
-def resolve_atpg_exec(exec_mode: Optional[str] = None) -> str:
-    """Execution mode for the deterministic ATPG SAT phase.
-
-    An explicit *exec_mode* wins — it is the same value ``run_atpg``
-    hands its fault-simulation batches, so one argument steers the whole
-    run.  Otherwise ``REPRO_ATPG_EXEC`` decides, defaulting to
-    ``REPRO_SIM_EXEC`` (one env knob parallelizes everything) and
-    finally to ``auto``.  Note the SAT phase only shards across
-    processes under an explicit ``process`` mode: ``auto`` keeps it
-    serial, because unlike a simulation batch the phase's dispatch cost
-    (per-worker solver encodings) only pays off on real multi-core
-    hardware (see :mod:`repro.atpg.patpg`).
-    """
-    if exec_mode is None:
-        exec_mode = (
-            os.environ.get("REPRO_ATPG_EXEC", "").strip()
-            or os.environ.get("REPRO_SIM_EXEC", "").strip()
-            or EXEC_AUTO
-        )
-    if exec_mode not in _EXEC_MODES:
-        raise ValueError(
-            f"unknown execution mode {exec_mode!r}; "
-            f"expected one of {_EXEC_MODES}"
-        )
-    return exec_mode
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count; ``None`` falls back to ``REPRO_SIM_WORKERS`` (1).
-
-    When the campaign scheduler has a :class:`~repro.utils.supervise.Lease`
-    active on this thread (or a process-isolated task worker installed a
-    static share from ``REPRO_RUN_CORE_SHARE``), the request is
-    negotiated against the core ledger: ``None`` with no environment
-    override means "my fair share", and an explicit count is capped at
-    the share.  Unmanaged callers see the historical behaviour exactly.
-    """
-    if workers is None:
-        raw = os.environ.get("REPRO_SIM_WORKERS", "").strip()
-        if raw:
-            workers = int(raw)
-        else:
-            granted = supervise.negotiate_workers(None)
-            return 1 if granted is None else granted
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    granted = supervise.negotiate_workers(workers)
-    return workers if granted is None else granted
 
 
 def resolve_words(words: Optional[int] = None) -> int:

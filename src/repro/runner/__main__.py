@@ -95,20 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--workers", type=int, default=None,
-        help="fault-simulation workers per task (default: negotiated "
-             "from the core ledger under --jobs > 1, else 1)",
-    )
-    run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="concurrent campaign tasks (default: REPRO_RUN_JOBS, "
              "falling back to the CPU count; 1 = serial)",
-    )
-    run.add_argument(
-        "--exec-mode", default=None,
-        choices=("serial", "thread", "process", "auto"),
-        help="how fault-simulation batches execute at workers > 1 "
-             "(default: REPRO_SIM_EXEC, falling back to auto)",
     )
     run.add_argument(
         "--variants", type=_csv, default=("full",),
@@ -124,12 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kill-at", default=None, metavar="TASK[:ATTEMPT]",
         help="fault injection: SIGKILL self after that task_start",
     )
-    run.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="supervised execution: per-shard deadline for process pools "
-             "(sets REPRO_SUPERVISE_SHARD_TIMEOUT; hung workers are "
-             "reaped and their shards re-run)",
-    )
 
     res = sub.add_parser("resume", help="resume a run from its journal")
     res.add_argument("run_id")
@@ -142,11 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     res.add_argument(
         "--kill-at", default=None, metavar="TASK[:ATTEMPT]",
         help="fault injection: SIGKILL self after that task_start",
-    )
-    res.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="supervised execution: per-shard deadline for process pools "
-             "(sets REPRO_SUPERVISE_SHARD_TIMEOUT)",
     )
 
     rep = sub.add_parser("report", help="render a run's final report")
@@ -211,17 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_shard_timeout(args) -> None:
-    # The knob is an env variable (read at call time by the dispatch
-    # layers and inherited by process-isolated task workers), so the
-    # CLI flag just exports it for this orchestrator process tree.
-    value = getattr(args, "shard_timeout", None)
-    if value is not None:
-        os.environ["REPRO_SUPERVISE_SHARD_TIMEOUT"] = str(value)
-
-
 def _cmd_run(args) -> int:
-    _apply_shard_timeout(args)
     if args.campaign:
         campaign = CampaignSpec.load(args.campaign)
         if args.run_id:
@@ -238,8 +206,6 @@ def _cmd_run(args) -> int:
             max_iterations_per_phase=args.max_iter,
             scale=args.scale,
             seed=args.seed,
-            workers=args.workers,
-            exec_mode=args.exec_mode,
             variants=args.variants,
             isolation=args.isolation,
             timeout=args.timeout,
@@ -278,7 +244,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    _apply_shard_timeout(args)
     if args.kill_at:
         campaign = CampaignSpec.load(
             os.path.join(args.out, args.run_id, "campaign.json")

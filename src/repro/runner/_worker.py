@@ -27,19 +27,6 @@ def main(argv=None) -> int:
         spec = json.load(fh)
 
     from repro.runner.registry import TaskContext, get_task
-    from repro.utils.supervise import (
-        install_core_share_from_env,
-        install_deadline_from_env,
-    )
-
-    # The orchestrator exports the task timeout as
-    # REPRO_SUPERVISE_DEADLINE; entering the scope here lets the engine
-    # bound its own shards/SAT calls instead of waiting for the kill.
-    install_deadline_from_env()
-    # Under the concurrent scheduler, REPRO_RUN_CORE_SHARE carries the
-    # parent ledger's fair share at dispatch time; installing it caps
-    # every pool in this interpreter so peers don't oversubscribe.
-    install_core_share_from_env()
 
     ctx = TaskContext(
         run_dir=spec["run_dir"],

@@ -4,11 +4,8 @@
 either serially in deterministic topological order (``jobs=1``) or with
 a **ready-set scheduler** (``jobs>1`` / ``REPRO_RUN_JOBS``, default =
 CPU count): tasks whose dependencies are all settled dispatch
-concurrently onto a bounded thread pool, and a process-global
-:class:`~repro.utils.supervise.CoreLedger` arbitrates cores between the
-scheduler and the inner psim/patpg pools — a task running alone may
-claim every core, four peers get a quarter each, renegotiated at every
-pool dispatch as peers finish.  Around every task it journals
+concurrently onto a bounded thread pool.  This is the one parallel
+layer: each task itself runs serially.  Around every task it journals
 ``task_start`` / ``task_end`` events (fsync'd before proceeding), so the
 run directory always reflects exactly what has finished — a SIGKILL,
 OOM, or power cut mid-campaign loses at most the tasks that were
@@ -16,25 +13,19 @@ running.
 
 Concurrency changes *when* tasks run, never *what* they compute: journal
 events are task-keyed so replay / ``diff`` / resume are insensitive to
-interleaving, outcomes are re-ordered to campaign topological order
-before the report is built, and worker-count negotiation only touches
-execution-shape counters (all volatile under
-:func:`~repro.runner.report.normalize_report`) — a ``jobs=4`` report
-normalizes bit-identical to a serial one.
+interleaving, and outcomes are re-ordered to campaign topological order
+before the report is built — a ``jobs=4`` report normalizes
+bit-identical to a serial one.
 
 Execution policy per task:
 
 * **timeout** — wall-clock bound per attempt.  Process-isolated tasks
   are killed preemptively; inline tasks run on a daemon worker thread
   that is abandoned on timeout (best-effort — use ``isolation:
-  "process"`` for tasks that must be preemptible).  Either way the
-  timeout also enters the engine as a *deadline*: inline bodies run
-  inside a :func:`repro.utils.supervise.deadline_scope`, and
-  process-isolated workers inherit it via ``REPRO_SUPERVISE_DEADLINE``,
-  so shard dispatch and SAT solving bound themselves instead of relying
-  on the kill backstop.  An abandoned inline thread is journaled as the
-  coded ``RUN-THREAD-ABANDONED`` warning and counted in the report —
-  the thread still occupies the interpreter until its body returns.
+  "process"`` for tasks that must be preemptible).  An abandoned
+  inline thread is journaled as the coded ``RUN-THREAD-ABANDONED``
+  warning and counted in the report — the thread still occupies the
+  interpreter until its body returns.
 * **retries / backoff** — a failed attempt is retried up to ``retries``
   times, sleeping ``backoff * 2**(attempt-1)`` seconds in between; every
   retry is journaled.
@@ -71,12 +62,6 @@ from repro.runner.model import (
 )
 from repro.runner.registry import TaskContext, fingerprint_extra, get_task
 from repro.runner.report import build_report, write_report
-from repro.utils.supervise import (
-    activate_lease,
-    core_ledger,
-    current_lease,
-    deadline_scope,
-)
 
 DEFAULT_RUNS_ROOT = os.path.join("benchmarks", "results", "runs")
 
@@ -85,8 +70,7 @@ def resolve_run_jobs(jobs: Optional[int] = None) -> int:
     """Scheduler width; ``None`` falls back to ``REPRO_RUN_JOBS`` (CPUs).
 
     ``--jobs`` / an explicit argument wins over the environment; the
-    default saturates the machine with one in-flight task per core
-    (inner pools then negotiate their own share off the core ledger).
+    default saturates the machine with one in-flight task per core.
     """
     if jobs is None:
         raw = os.environ.get("REPRO_RUN_JOBS", "").strip()
@@ -386,15 +370,11 @@ class Runner:
         A task is *ready* when every dependency has an outcome.  Ready
         tasks are settled fast-path first (cached / skipped — these may
         unblock dependents within the same wave); the remainder are
-        submitted to the pool, each wrapped in a core-ledger lease so
-        the inner engine pools size themselves off the live peer count.
-        The scheduler thread is the only writer of ``outcomes``, the
-        fingerprint map, and the campaign file; worker threads only
-        journal their own task events (the journal is thread-safe) and
-        return their outcome through the future.
+        submitted to the pool.  The scheduler thread is the only writer
+        of ``outcomes``, the fingerprint map, and the campaign file;
+        worker threads only journal their own task events (the journal
+        is thread-safe) and return their outcome through the future.
         """
-        ledger = core_ledger()
-        ledger.configure()  # re-read REPRO_RUN_CORES at execute time
         started = time.perf_counter()
         pending: "OrderedDict[str, TaskSpec]" = OrderedDict(
             (s.task_id, s) for s in order
@@ -402,7 +382,6 @@ class Runner:
         in_flight: Dict[Future, str] = {}
         spans: Dict[str, Dict[str, float]] = {}
         peak_in_flight = 0
-        base_grants = ledger.total_grants
         with ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="repro-sched"
         ) as pool:
@@ -422,7 +401,7 @@ class Runner:
                             continue
                         self._save_campaign(force=True)
                         fut = pool.submit(
-                            self._run_leased,
+                            self._run_timed,
                             spec,
                             self._fps[spec.task_id],
                             time.perf_counter(),
@@ -452,8 +431,6 @@ class Runner:
         busy = sum(span["run"] for span in spans.values())
         self.scheduler_info = {
             "run_jobs": jobs,
-            "ledger_total": ledger.total,
-            "ledger_grants": ledger.total_grants - base_grants,
             "peak_in_flight": peak_in_flight,
             "makespan": makespan,
             "busy_seconds": busy,
@@ -468,17 +445,12 @@ class Runner:
             **{k: v for k, v in self.scheduler_info.items() if k != "spans"},
         })
 
-    def _run_leased(
+    def _run_timed(
         self, spec: TaskSpec, fp: str, enqueued: float
     ) -> Tuple[TaskOutcome, Dict[str, float]]:
-        """Worker-thread body: run one task under a core-ledger lease."""
-        lease = core_ledger().acquire(spec.task_id)
+        """Worker-thread body: run one task, timing its queue/run span."""
         t0 = time.perf_counter()
-        try:
-            with lease.activate():
-                outcome = self._run_attempts(spec, fp)
-        finally:
-            lease.release()
+        outcome = self._run_attempts(spec, fp)
         return outcome, {
             "queued": t0 - enqueued,
             "run": time.perf_counter() - t0,
@@ -564,17 +536,10 @@ class Runner:
             except Exception as exc:
                 raise TaskFailure(f"{type(exc).__name__}: {exc}") from exc
         box: dict = {}
-        lease = current_lease()
 
         def body() -> None:
-            # The deadline scope and the core lease are thread-local, so
-            # both must be installed *inside* the worker thread: engine
-            # dispatch layers under this body read remaining_time() to
-            # bound their own shards and SAT calls, and negotiate their
-            # worker counts off the scheduler's lease.
             try:
-                with activate_lease(lease), deadline_scope(spec.timeout):
-                    box["payload"] = fn(spec.params, ctx)
+                box["payload"] = fn(spec.params, ctx)
             except BaseException as exc:  # captured, re-raised below
                 box["error"] = exc
 
@@ -639,19 +604,6 @@ class Runner:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_root, env.get("PYTHONPATH")) if p
         )
-        if spec.timeout is not None:
-            # The fresh interpreter enters a deadline scope from this at
-            # startup (_worker calls install_deadline_from_env), so the
-            # engine bounds itself before the parent's kill fires.
-            env["REPRO_SUPERVISE_DEADLINE"] = str(spec.timeout)
-        lease = current_lease()
-        if lease is not None:
-            # A process-isolated task cannot see the parent's core
-            # ledger; export the share current at dispatch time so the
-            # child's pools cap themselves at it (_worker installs it).
-            env["REPRO_RUN_CORE_SHARE"] = str(lease.ledger.share())
-        else:
-            env.pop("REPRO_RUN_CORE_SHARE", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.runner._worker",
              in_path, out_path],

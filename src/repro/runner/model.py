@@ -31,31 +31,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 ENV_KNOBS = ("REPRO_SCALE", "REPRO_QMAX", "REPRO_MAX_ITER")
 
 # Knobs that change *how* tasks execute but never their results
-# (supervision deadlines, parallelism, chaos injection).  They are
-# journaled on run_start for diagnosability — a hang reaped under a
-# 0.5 s shard deadline reads very differently from one under 30 s —
-# but kept out of fingerprints on purpose: a resume on a machine with
-# different resilience settings must reuse completed work, not redo it.
+# (scheduler width, journal durability, chaos injection).  They are
+# journaled on run_start for diagnosability but kept out of
+# fingerprints on purpose: a resume on a machine with different
+# settings must reuse completed work, not redo it.
 OBSERVED_ENV_KNOBS = (
-    "REPRO_SIM_EXEC",
-    "REPRO_SIM_WORKERS",
     "REPRO_RUN_JOBS",
-    "REPRO_RUN_CORES",
     "REPRO_JOURNAL_FSYNC",
-    "REPRO_SUPERVISE_SHARD_TIMEOUT",
-    "REPRO_SUPERVISE_POLL_MS",
-    "REPRO_SUPERVISE_BREAKER_THRESHOLD",
-    "REPRO_SUPERVISE_BREAKER_COOLDOWN",
     "REPRO_CHAOS",
 )
-
-# Task parameters that tune execution performance without changing the
-# computed result (worker pools are bit-identical to serial by
-# contract).  Excluded from fingerprints so a campaign resumed with a
-# different parallelism — or scheduled concurrently with
-# ledger-negotiated worker counts — reuses completed work instead of
-# re-running the whole DAG.
-PERF_PARAMS = ("workers", "exec_mode")
 
 
 class CampaignError(ValueError):
@@ -217,15 +201,10 @@ def fingerprint_task(
     of the benchmark circuit a task analyzes) provided by the task
     registry; *dep_fingerprints* chains the fingerprints of the task's
     dependencies, so an upstream change invalidates the whole cone.
-    :data:`PERF_PARAMS` are dropped from the hashed parameters — they
-    steer the execution shape, never the result.
     """
-    params = {
-        k: v for k, v in spec.params.items() if k not in PERF_PARAMS
-    }
     body = {
         "kind": spec.kind,
-        "params": params,
+        "params": dict(spec.params),
         "extra": extra,
         "env": env_knobs(env),
         "deps": {d: dep_fingerprints[d] for d in spec.deps},

@@ -44,32 +44,42 @@ VOLATILE_KEYS = frozenset({
     # count depends on cache temperature, like the counters above.  The
     # repaired results themselves are bit-identical either way.
     "cache_integrity_failures",
-    # Supervision bookkeeping is process-history: whether a worker hung,
-    # how often the supervisor woke, which breakers are live, and which
-    # budget happened to trip first on an abort are all wall-clock
-    # facts — the verdicts and tables they annotate are not.
+    # Process history: whether an inline thread was abandoned, and which
+    # budget happened to trip first on an abort, are wall-clock facts —
+    # the verdicts and tables they annotate are not.
     "runtime_warnings",
-    "hung_workers",
-    "shard_retries",
-    "supervise_wakeups",
-    "breaker_state",
     "sat_abort_reasons",
     "abort_reasons",
-    # Execution-shape counters: how the work was sliced across workers,
-    # threads, and shards.  A jobs=4 campaign under ledger-negotiated
-    # worker counts slices differently from a serial one, yet computes
-    # bit-identical results — exactly what normalized comparison checks.
+    # Scheduler shape: a jobs=4 campaign interleaves differently from a
+    # serial one, yet computes bit-identical results — exactly what
+    # normalized comparison checks.
     "scheduler",
     "run_jobs",
-    "ledger_grants",
-    "ledger_workers",
+}) | frozenset({
+    # Keys only reports of earlier revisions carry: the intra-task
+    # parallel layers' counters and coded warnings, the speculation
+    # counters, and the campaign's worker settings.  Dropping them keeps
+    # those reports diffable against current ones, and lets a resumed
+    # run mix their cached payloads with fresh ones.
     "parallel_chunks",
     "proc_shards",
     "proc_workers",
     "shm_bytes",
     "shard_imbalance",
+    "ledger_grants",
+    "ledger_workers",
+    "warnings",
+    "warning_counts",
     "sat_shards",
     "sat_workers",
+    "hung_workers",
+    "shard_retries",
+    "supervise_wakeups",
+    "breaker_state",
+    "candidates_speculated",
+    "candidates_wasted",
+    "workers",
+    "exec_mode",
 })
 
 
@@ -96,7 +106,7 @@ def _merge_numeric(dst: Dict[str, object], src: Mapping[str, object]) -> None:
             sub = dst.setdefault(key, {})
             if isinstance(sub, dict):
                 _merge_numeric(sub, value)
-                if not sub:  # all-non-numeric map (e.g. breaker states)
+                if not sub:  # empty or all-non-numeric map
                     del dst[key]
 
 
@@ -115,7 +125,7 @@ def build_report(
     *runtime_warnings* maps warning codes (``RUN-THREAD-ABANDONED``) to
     counts from this orchestrator life; present in the report only when
     something actually warned.  *scheduler* is the concurrent
-    scheduler's utilization snapshot (``run_jobs``, ``ledger_grants``,
+    scheduler's utilization snapshot (``run_jobs``, ``makespan``,
     per-task queue/run spans); volatile by definition, so
     :func:`normalize_report` strips it whole.
     """
@@ -306,8 +316,7 @@ def render_report(report: Mapping[str, object]) -> str:
     if isinstance(scheduler, Mapping) and scheduler:
         head = [
             [key, scheduler[key]]
-            for key in ("run_jobs", "ledger_total", "ledger_grants",
-                        "peak_in_flight", "makespan")
+            for key in ("run_jobs", "peak_in_flight", "makespan")
             if key in scheduler
         ]
         if head:
@@ -334,12 +343,8 @@ def render_report(report: Mapping[str, object]) -> str:
             [key, totals[key]]
             for key in ("sat_calls", "sat_conflicts", "sat_propagations",
                         "sat_learned", "sat_restarts", "sat_lemmas_reused",
-                        "sat_shards", "sat_workers",
                         "faults_simulated", "events_propagated",
-                        "verdicts_inherited", "verdicts_proved",
-                        "hung_workers", "shard_retries",
-                        "supervise_wakeups",
-                        "ledger_grants", "ledger_workers")
+                        "verdicts_inherited", "verdicts_proved")
             if key in totals
         ]
         engine = totals.get("engine")

@@ -33,7 +33,6 @@ chaos run is exactly reproducible.
 from __future__ import annotations
 
 import random
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional
@@ -60,56 +59,15 @@ class ChaosConfig:
       hit before it is served (0 disables).  Installing a corrupting
       injector force-enables cache integrity checking so the corruption
       is caught rather than silently served;
-    * ``corrupt_shm_every`` — flip a bit in every Nth shared-memory
-      good-value block after the parent checksums it and before the
-      process workers attach (0 disables).  The workers' CRC
-      verification must catch it: the parent rebuilds the block once
-      from its pristine arrays (results stay bit-identical), and a
-      persistently rotten block surfaces as an explicit
-      :class:`~repro.faults.psim.SharedMemoryCorruption`;
     * ``fail_analyze_at`` — raise :class:`ChaosError` on the Nth
-      ``flow.analyze`` call (1-based; 0 disables);
-    * ``kill_atpg_shard`` — SIGKILL the worker process on the Nth
-      ``atpg.shard`` firing (1-based; 0 disables), modelling a SAT
-      worker dying mid-shard.  ``run_atpg`` must rerun the phase
-      serially with the coded ``MC-FALLBACK-ATPG`` warning and an
-      unchanged verdict partition.  The kill fires at most once per
-      injector: the serial rerun must not be re-killed (and the serial
-      phase never fires the seam anyway — it runs in the parent);
-    * ``hang_shard_at`` — sleep ``hang_shard_s`` seconds on the Nth
-      ``psim.shard_start`` / ``atpg.shard_start`` firing (1-based; 0
-      disables), modelling a hung worker.  Under an active shard
-      deadline the supervisor must reap the worker and re-run the lost
-      shards (``MC-WORKER-HUNG`` / ``MC-SHARD-RETRY``); without one the
-      dispatch blocks for the whole sleep — exactly the failure mode
-      supervision exists for.  Like ``kill_atpg_shard`` the counter is
-      per-process under fork-started pools, so rebuilt workers hang
-      again on their own Nth shard; tests that want a one-shot hang
-      register a flag-file handler directly;
-    * ``slow_shard_every`` — sleep ``slow_shard_ms`` milliseconds on
-      every Nth shard start (0 disables), modelling a slow-but-alive
-      worker: its heartbeats keep advancing, so the supervisor must
-      *not* reap it and results stay bit-identical;
-    * ``torn_board_write_at`` — scribble a garbage value into the
-      shard's own heartbeat word on the Nth shard start (1-based; 0
-      disables), modelling a torn/partial shared-memory write.  The
-      heartbeat row is advisory and outside the CRC-covered payload, so
-      garbage beats may at most delay hang detection — verdicts and
-      detect words must stay bit-identical.
+      ``flow.analyze`` call (1-based; 0 disables).
     """
 
     seed: int = 0
     sat_abort_rate: float = 0.0
     sat_abort_calls: FrozenSet[int] = frozenset()
     corrupt_good_cache_every: int = 0
-    corrupt_shm_every: int = 0
     fail_analyze_at: int = 0
-    kill_atpg_shard: int = 0
-    hang_shard_at: int = 0
-    hang_shard_s: float = 3600.0
-    slow_shard_every: int = 0
-    slow_shard_ms: float = 50.0
-    torn_board_write_at: int = 0
 
     @classmethod
     def from_env(
@@ -139,16 +97,14 @@ class ChaosConfig:
                 raise ValueError(f"REPRO_CHAOS: expected key=value, got {item!r}")
             key = key.strip()
             value = value.strip()
-            if key in ("sat_abort_rate", "hang_shard_s", "slow_shard_ms"):
+            if key == "sat_abort_rate":
                 kwargs[key] = float(value)
             elif key == "sat_abort_calls":
                 kwargs[key] = frozenset(
                     int(tok) for tok in value.split(":") if tok
                 )
             elif key in (
-                "seed", "corrupt_good_cache_every", "corrupt_shm_every",
-                "fail_analyze_at", "kill_atpg_shard", "hang_shard_at",
-                "slow_shard_every", "torn_board_write_at",
+                "seed", "corrupt_good_cache_every", "fail_analyze_at",
             ):
                 kwargs[key] = int(value)
             else:
@@ -164,24 +120,8 @@ class ChaosCounters:
     aborts_injected: int = 0
     cache_hits_seen: int = 0
     corruptions_injected: int = 0
-    shm_blocks_seen: int = 0
-    shm_corruptions_injected: int = 0
     analyze_calls: int = 0
     failures_raised: int = 0
-    # atpg.shard fires inside worker processes: with fork-started pools
-    # these two count within each worker's inherited copy of the
-    # injector, so the parent's instance stays at 0 — tests assert the
-    # observable contract (MC-FALLBACK-ATPG + unchanged verdicts)
-    # instead.
-    atpg_shards_seen: int = 0
-    workers_killed: int = 0
-    # *.shard_start also fires inside the workers: same per-process
-    # caveat as above — parent-side assertions go through the engine's
-    # coded warnings and supervision counters instead.
-    shard_starts_seen: int = 0
-    hangs_injected: int = 0
-    slowdowns_injected: int = 0
-    torn_writes_injected: int = 0
 
 
 class ChaosInjector:
@@ -239,63 +179,6 @@ class ChaosInjector:
         plan.good_cache[batch_key] = rotten  # type: ignore[attr-defined]
         self.counters.corruptions_injected += 1
 
-    def _on_shm_block(
-        self, block: object = None, view: object = None, **_: object
-    ) -> None:
-        cfg = self.config
-        self.counters.shm_blocks_seen += 1
-        if not cfg.corrupt_shm_every:
-            return
-        if self.counters.shm_blocks_seen % cfg.corrupt_shm_every:
-            return
-        # The CRC is already recorded on the block, so this models rot
-        # between the parent's write and a worker's read: every worker
-        # must detect the mismatch on attach.
-        view[view.shape[0] // 2, view.shape[1] // 2] ^= 1  # type: ignore[index]
-        self.counters.shm_corruptions_injected += 1
-
-    def _on_atpg_shard(
-        self, shard: object = None, pid: object = None, **_: object
-    ) -> None:
-        cfg = self.config
-        self.counters.atpg_shards_seen += 1
-        if not cfg.kill_atpg_shard:
-            return
-        if self.counters.atpg_shards_seen != cfg.kill_atpg_shard:
-            return
-        # Running in the worker itself (fork-inherited handler): suicide
-        # by SIGKILL models an OOM kill mid-shard.  The counter check is
-        # per-process, i.e. each worker dies on its own Nth shard task.
-        import os
-        import signal
-
-        self.counters.workers_killed += 1
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def _on_shard_start(
-        self, shard: object = None, heartbeats: object = None, **_: object
-    ) -> None:
-        cfg = self.config
-        self.counters.shard_starts_seen += 1
-        idx = self.counters.shard_starts_seen
-        if (
-            cfg.torn_board_write_at
-            and idx == cfg.torn_board_write_at
-            and heartbeats is not None
-        ):
-            # Garbage into the shard's own heartbeat word: a torn write
-            # can only make the supervisor *believe* in liveness (any
-            # change counts as a beat), never corrupt a result — the
-            # row sits outside the CRC-covered payload.
-            heartbeats[shard] = 0xDEAD_BEEF_DEAD_BEEF  # type: ignore[index]
-            self.counters.torn_writes_injected += 1
-        if cfg.hang_shard_at and idx == cfg.hang_shard_at:
-            self.counters.hangs_injected += 1
-            time.sleep(cfg.hang_shard_s)
-        elif cfg.slow_shard_every and idx % cfg.slow_shard_every == 0:
-            self.counters.slowdowns_injected += 1
-            time.sleep(cfg.slow_shard_ms / 1000.0)
-
     def _on_analyze(self, **_: object) -> None:
         cfg = self.config
         self.counters.analyze_calls += 1
@@ -318,16 +201,8 @@ class ChaosInjector:
             # exactly the silent failure this harness exists to rule out.
             self._prev_integrity = set_cache_integrity(True)
             seams.register("fsim.good_cache_hit", self._on_cache_hit)
-        if cfg.corrupt_shm_every:
-            seams.register("fsim.shm_block", self._on_shm_block)
         if cfg.fail_analyze_at:
             seams.register("flow.analyze", self._on_analyze)
-        if cfg.kill_atpg_shard:
-            seams.register("atpg.shard", self._on_atpg_shard)
-        if (cfg.hang_shard_at or cfg.slow_shard_every
-                or cfg.torn_board_write_at):
-            seams.register("psim.shard_start", self._on_shard_start)
-            seams.register("atpg.shard_start", self._on_shard_start)
         self._installed = True
         return self
 
@@ -336,11 +211,7 @@ class ChaosInjector:
             return
         seams.unregister("atpg.decide")
         seams.unregister("fsim.good_cache_hit")
-        seams.unregister("fsim.shm_block")
         seams.unregister("flow.analyze")
-        seams.unregister("atpg.shard")
-        seams.unregister("psim.shard_start")
-        seams.unregister("atpg.shard_start")
         if self._prev_integrity is not None:
             set_cache_integrity(self._prev_integrity)
             self._prev_integrity = None

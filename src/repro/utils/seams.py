@@ -27,34 +27,6 @@ Known seam names (the registry does not enforce this list):
   hit ``batch_key``; a handler may corrupt or replace
   ``plan.good_cache[batch_key]`` to model a rotten cache entry (pair
   with cache integrity checking, which catches and repairs it).
-* ``fsim.shm_block`` — in the parent process, after a shared-memory
-  good-value block is written and checksummed and before any worker
-  attaches (:class:`repro.faults.psim.SharedBatchBlock`), with the
-  ``block`` and a writable numpy ``view`` of it; a handler may corrupt
-  the view to model rot between write and read (the workers' CRC
-  verification must catch it).
-* ``psim.shard`` — in each process worker, before it simulates its
-  fault shard, with the shard's ``indices`` and the worker ``pid``; a
-  handler may kill the process to model a worker death mid-shard
-  (handlers are inherited by fork-started workers).
-* ``psim.shard_start`` — in each process worker, after it attached and
-  CRC-verified the shared block and bumped its first heartbeat, with
-  the ``shard`` index, its ``indices``, the worker ``pid`` and the
-  writable ``heartbeats`` view (``None`` when supervision is off); a
-  handler may sleep to model a hung or slow worker, or scribble on the
-  heartbeat row to model a torn write (the supervision layer must reap
-  hangs under a shard deadline, and torn beats must never change a
-  verdict — they live outside the CRC-covered payload).
-* ``atpg.shard_start`` — same contract for the SAT phase: fires in
-  :func:`repro.atpg.patpg._run_sat_shard` after the worker attached the
-  test board, with the ``shard`` index, worker ``pid`` and the board's
-  ``counters`` and ``heartbeats`` views.
-* ``atpg.shard`` — in each process worker, before it runs the SAT
-  decisions of one ATPG shard (:func:`repro.atpg.patpg._run_sat_shard`),
-  with the ``shard`` index, its ``n_faults`` and the worker ``pid``; a
-  handler may kill the process to model a SAT worker death mid-shard
-  (``run_atpg`` must fall back to the serial phase with the coded
-  ``MC-FALLBACK-ATPG`` warning and unchanged verdicts).
 * ``flow.analyze`` — inside :func:`repro.core.flow.analyze_design`; a
   handler may raise to model a crash mid-analysis.
 """

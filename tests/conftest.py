@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -134,3 +141,67 @@ def random_mapped_circuit(cells, n_pi=8, n_gates=60, n_po=8, seed=0):
     c.set_outputs(rng.sample(nets[n_pi:], min(n_po, n_gates)))
     c.validate()
     return c
+
+
+def on_workers(fn, n):
+    """``[fn(0), ..., fn(n - 1)]``, each on its own thread, started together.
+
+    The way the campaign runner's inline ``--jobs`` runs tasks: threads
+    of one process sharing every process-wide cache.
+    """
+    barrier = threading.Barrier(n)
+
+    def body(i):
+        barrier.wait()
+        return fn(i)
+
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(body, range(n)))
+
+
+_TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+_REPO_ROOT = os.path.dirname(_TESTS_DIR)
+
+# Child side of call_in_fresh_process: argv = [in.pkl, out.pkl].
+_CHILD_MAIN = (
+    "import importlib, pickle, sys\n"
+    "with open(sys.argv[1], 'rb') as fh:\n"
+    "    target, args = pickle.load(fh)\n"
+    "module, _, name = target.partition(':')\n"
+    "result = getattr(importlib.import_module(module), name)(*args)\n"
+    "with open(sys.argv[2], 'wb') as fh:\n"
+    "    pickle.dump(result, fh)\n"
+)
+
+
+def call_in_fresh_process(target, *args, hash_seed="1", timeout=900.0):
+    """Call ``"module:function"`` with *args* in a new interpreter.
+
+    The child imports everything itself, so it starts with cold caches
+    and its own ``PYTHONHASHSEED`` — the situation of a campaign task
+    run with ``--isolation process``.  Arguments and the return value
+    travel by pickle; a failing child fails the calling test with its
+    stderr.
+    """
+    import repro
+
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, _REPO_ROOT, env.get("PYTHONPATH")) if p
+    )
+    env["PYTHONHASHSEED"] = hash_seed
+    with tempfile.TemporaryDirectory() as tmp:
+        in_path = os.path.join(tmp, "in.pkl")
+        out_path = os.path.join(tmp, "out.pkl")
+        with open(in_path, "wb") as fh:
+            pickle.dump((target, args), fh)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD_MAIN, in_path, out_path],
+            env=env, cwd=_REPO_ROOT, capture_output=True, text=True,
+            timeout=timeout,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(out_path, "rb") as fh:
+            return pickle.load(fh)

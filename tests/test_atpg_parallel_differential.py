@@ -1,43 +1,34 @@
-"""Differential tests: site-sharded parallel SAT phase vs the serial scan.
+"""Differential tests: the exact SAT phase in a fresh process vs in-process.
 
-The parallel deterministic phase (:mod:`repro.atpg.patpg`) must leave
-the verdict partition untouched: exact SAT decisions are schedule-
-independent, so DETECTED / UNDETECTABLE / ABORTED from a process run is
-bit-identical to the serial scan for unbudgeted runs on every bundled
-benchmark circuit, and the UNDETECTABLE set stays identical under a
-budget generous enough for every UNSAT proof to complete.  Under a
-*tight* budget only the conservative containments are guaranteed (the
-abort schedule is legitimately different across shards) — those are
-asserted separately.  The suite also locks the ``REPRO_ATPG_EXEC``
-environment dispatch, the flow-level undetectable counts through
-``analyze_design``, and the chaos-injected SAT-worker-death fallback
-(``MC-FALLBACK-ATPG`` + unchanged verdicts).
+Under campaign-level ``--jobs`` with ``--isolation process`` each
+analysis runs in its own fresh interpreter, and its verdicts must not
+depend on that: exact SAT decisions are schedule-independent, so the
+DETECTED / UNDETECTABLE / ABORTED partition computed in a child
+interpreter (:func:`tests.conftest.call_in_fresh_process`) is
+bit-identical to the in-process one for unbudgeted runs on every bundled
+benchmark circuit, and so are the flow-level undetectable sets of
+``analyze_design``.  Under a budget the containments hold instead: a
+budget generous enough for every UNSAT proof to complete leaves the
+partition untouched, and a *tight* budget may abort faults but never
+corrupts a verdict.  The SAT effort counters must surface on the stats.
 
 Every ATPG run here uses ``random_rounds=0`` so all representatives
 reach the deterministic phase — otherwise the random phase drops most
-faults and the parallel path (which needs a minimum number of SAT
-candidates) would never engage on these small benchmarks.
-
-The worker count is environment-overridable like the PR 6 suite: the CI
-multicore leg re-runs this file with ``REPRO_SIM_WORKERS=2`` and ``=4``.
+faults on these small benchmarks and the SAT phase sees little work.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.atpg.budget import AtpgBudget
 from repro.atpg.engine import run_atpg
-from repro.atpg.patpg import CODE_FALLBACK_ATPG, MIN_PARALLEL_SAT_FAULTS
 from repro.bench.circuits import BENCHMARKS, build_benchmark
 from repro.core.flow import analyze_design
-from repro.testing.chaos import ChaosConfig, chaos
-from repro.utils.observability import EngineStats
-from tests.conftest import mixed_fault_list
+from repro.library import osu018_library
+from tests.conftest import call_in_fresh_process, mixed_fault_list
 
-WORKERS = int(os.environ.get("REPRO_SIM_WORKERS", "0")) or 3
+SEEDS = [0, 1, 2]
 
 _BENCH_CACHE = {}
 
@@ -50,162 +41,138 @@ def _bench(name, library):
     return circuit
 
 
-def _fell_back(stats: EngineStats) -> bool:
-    return any(CODE_FALLBACK_ATPG in w for w in stats.warnings)
-
-
-def _run(circuit, cells, faults, seed, exec_mode, workers=1, budget=None):
+def _run(circuit, cells, faults, seed, budget=None):
     return run_atpg(
-        circuit, cells, faults, seed=seed, random_rounds=0,
-        exec_mode=exec_mode, workers=workers, budget=budget,
+        circuit, cells, faults, seed=seed, random_rounds=0, budget=budget,
     )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_partition_identity_on_benchmarks(cells, library, name, seed):
-    """Unbudgeted: bit-identical verdict partition on every benchmark."""
+def _partition(name, seed, library, cells):
     circuit = _bench(name, library)
     faults = mixed_fault_list(circuit, library, seed=seed, per_kind=6)
-    serial = _run(circuit, cells, faults, seed, "serial")
-    proc = _run(circuit, cells, faults, seed, "process", workers=WORKERS)
-    assert proc.detected == serial.detected
-    assert proc.undetectable == serial.undetectable
-    assert proc.aborted == serial.aborted == set()
-    assert proc.approximate is serial.approximate is False
-    assert proc.coverage == serial.coverage
-    assert serial.stats.sat_shards == 0
-    if proc.stats.sat_shards:  # the parallel phase actually ran here
-        assert proc.stats.sat_workers == WORKERS
-    else:  # fell back (e.g. no shared memory): it must have said so
-        assert _fell_back(proc.stats)
+    return _run(circuit, cells, faults, seed)
+
+
+def _summary(result):
+    return (
+        result.detected, result.undetectable, result.aborted,
+        result.approximate, result.coverage, result.sat_calls,
+    )
+
+
+# ----------------------------------------------------------------------
+# Child side: one call per group, run by call_in_fresh_process
+# ----------------------------------------------------------------------
+
+def _child_partitions(jobs):
+    library = osu018_library()
+    cells = {c.name: c for c in library}
+    return [
+        _summary(_partition(name, seed, library, cells))
+        for name, seed in jobs
+    ]
+
+
+def _child_analyses(names):
+    library = osu018_library()
+    out = []
+    for name in names:
+        state = analyze_design(build_benchmark(name, library), library)
+        out.append((state.atpg.detected, state.atpg.undetectable))
+    return out
+
+
+@pytest.fixture(scope="module")
+def child_partitions():
+    jobs = [(name, seed) for name in sorted(BENCHMARKS) for seed in SEEDS]
+    results = call_in_fresh_process(f"{__name__}:_child_partitions", jobs)
+    return dict(zip(jobs, results))
+
+
+ANALYZED = ["sparc_tlu", "wb_conmax"]
+
+
+@pytest.fixture(scope="module")
+def child_analyses():
+    results = call_in_fresh_process(f"{__name__}:_child_analyses", ANALYZED)
+    return dict(zip(ANALYZED, results))
+
+
+# ----------------------------------------------------------------------
+# Tests
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_partition_identity_on_benchmarks(
+    cells, library, child_partitions, name, seed
+):
+    """Unbudgeted: bit-identical verdict partition on every benchmark."""
+    serial = _partition(name, seed, library, cells)
+    detected, undetectable, aborted, approximate, coverage, sat_calls = (
+        child_partitions[name, seed]
+    )
+    assert detected == serial.detected
+    assert undetectable == serial.undetectable
+    assert aborted == serial.aborted == set()
+    assert approximate is serial.approximate is False
+    assert coverage == serial.coverage
+    assert sat_calls == serial.sat_calls
+    assert (
+        len(serial.detected) + len(serial.undetectable) == serial.n_faults
+    )
 
 
 def test_generous_budget_identical_undetectable(cells, library):
     """Every UNSAT proof completes ⇒ identical UNDETECTABLE either way."""
     circuit = _bench("sparc_exu", library)
     faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
+    exact = _run(circuit, cells, faults, 0)
     budget = AtpgBudget(conflict_budget=200_000)
-    serial = _run(circuit, cells, faults, 0, "serial", budget=budget)
-    proc = _run(
-        circuit, cells, faults, 0, "process", workers=WORKERS, budget=budget
-    )
-    assert proc.undetectable == serial.undetectable
-    assert proc.detected == serial.detected
-    assert proc.aborted == serial.aborted == set()
+    budgeted = _run(circuit, cells, faults, 0, budget=budget)
+    assert budgeted.undetectable == exact.undetectable
+    assert budgeted.detected == exact.detected
+    assert budgeted.aborted == exact.aborted == set()
 
 
 def test_tight_budget_stays_conservative(cells, library):
-    """Aborts may differ across shards, but never corrupt a verdict.
+    """Aborts are allowed, but never corrupt a verdict.
 
-    Against the unbudgeted (exact) serial run: everything the budgeted
-    parallel run *proves* must agree with the exact answer, and aborted
-    faults are never counted undetectable.
+    Against the unbudgeted (exact) run: everything the budgeted run
+    *proves* must agree with the exact answer, and aborted faults are
+    never counted undetectable.
     """
     circuit = _bench("sparc_ffu", library)
     faults = mixed_fault_list(circuit, library, seed=1, per_kind=6)
-    exact = _run(circuit, cells, faults, 1, "serial")
+    exact = _run(circuit, cells, faults, 1)
     budget = AtpgBudget(conflict_budget=1, decision_budget=4)
-    proc = _run(
-        circuit, cells, faults, 1, "process", workers=WORKERS, budget=budget
-    )
-    assert proc.undetectable <= exact.undetectable
-    assert proc.detected <= exact.detected
-    assert not (proc.aborted & proc.undetectable)
-    assert not (proc.aborted & proc.detected)
+    tight = _run(circuit, cells, faults, 1, budget=budget)
+    assert tight.aborted  # the budget actually bit
+    assert tight.undetectable <= exact.undetectable
+    assert tight.detected <= exact.detected
+    assert not (tight.aborted & tight.undetectable)
+    assert not (tight.aborted & tight.detected)
     assert (
-        len(proc.detected) + len(proc.undetectable) + len(proc.aborted)
-        == proc.n_faults
+        len(tight.detected) + len(tight.undetectable) + len(tight.aborted)
+        == tight.n_faults
     )
 
 
-@pytest.mark.parametrize("name", ["sparc_tlu", "wb_conmax"])
-def test_analyze_design_undetectable_counts(library, name):
-    """Flow-level U is execution-mode-independent."""
-    serial_state = analyze_design(
-        _bench(name, library), library, exec_mode="serial",
-    )
-    proc_state = analyze_design(
-        build_benchmark(name, library), library,
-        workers=WORKERS, exec_mode="process",
-    )
-    assert (
-        len(proc_state.atpg.undetectable)
-        == len(serial_state.atpg.undetectable)
-    )
-    assert proc_state.atpg.detected == serial_state.atpg.detected
-    assert proc_state.atpg.undetectable == serial_state.atpg.undetectable
-
-
-def test_env_dispatch_atpg_exec(cells, library, monkeypatch):
-    """REPRO_ATPG_EXEC reroutes the SAT phase without call-site changes."""
-    circuit = _bench("sparc_lsu", library)
-    faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
-    assert len(faults) >= MIN_PARALLEL_SAT_FAULTS
-    baseline = _run(circuit, cells, faults, 0, "serial")
-
-    monkeypatch.setenv("REPRO_ATPG_EXEC", "process")
-    monkeypatch.setenv("REPRO_SIM_WORKERS", str(WORKERS))
-    rerouted = run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
-    assert rerouted.detected == baseline.detected
-    assert rerouted.undetectable == baseline.undetectable
-    assert rerouted.stats.sat_shards > 0 or _fell_back(rerouted.stats)
-
-    monkeypatch.setenv("REPRO_ATPG_EXEC", "sideways")
-    with pytest.raises(ValueError):
-        run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
-
-
-def test_atpg_exec_overrides_sim_exec(cells, library, monkeypatch):
-    """REPRO_ATPG_EXEC=serial pins the SAT phase even when simulation
-    batches run in process mode via REPRO_SIM_EXEC."""
-    circuit = _bench("sparc_lsu", library)
-    faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
-    monkeypatch.setenv("REPRO_SIM_EXEC", "process")
-    monkeypatch.setenv("REPRO_ATPG_EXEC", "serial")
-    monkeypatch.setenv("REPRO_SIM_WORKERS", str(WORKERS))
-    result = run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
-    assert result.stats.sat_shards == 0
-    assert not _fell_back(result.stats)
-
-
-def test_sat_exec_defaults_to_sim_exec(cells, library, monkeypatch):
-    """With only REPRO_SIM_EXEC=process set, the SAT phase shards too."""
-    circuit = _bench("sparc_lsu", library)
-    faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
-    monkeypatch.delenv("REPRO_ATPG_EXEC", raising=False)
-    monkeypatch.setenv("REPRO_SIM_EXEC", "process")
-    monkeypatch.setenv("REPRO_SIM_WORKERS", str(WORKERS))
-    result = run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
-    assert result.stats.sat_shards > 0 or result.stats.warnings
+@pytest.mark.parametrize("name", ANALYZED)
+def test_analyze_design_undetectable_counts(library, child_analyses, name):
+    """Flow-level U does not depend on the interpreter it ran in."""
+    state = analyze_design(_bench(name, library), library)
+    detected, undetectable = child_analyses[name]
+    assert len(undetectable) == len(state.atpg.undetectable)
+    assert detected == state.atpg.detected
+    assert undetectable == state.atpg.undetectable
 
 
 def test_effort_counters_surface(cells, library):
-    """sat_learned/restarts/lemmas land on stats in both execution modes."""
+    """sat_learned/lemmas_reused land on stats, sat_calls matches."""
     circuit = _bench("sparc_tlu", library)
     faults = mixed_fault_list(circuit, library, seed=2, per_kind=6)
-    serial = _run(circuit, cells, faults, 2, "serial")
-    assert serial.stats.sat_learned > 0
-    assert serial.stats.sat_lemmas_reused > 0
-    proc = _run(circuit, cells, faults, 2, "process", workers=WORKERS)
-    if proc.stats.sat_shards:
-        assert proc.stats.sat_learned > 0
-        assert proc.stats.sat_lemmas_reused >= 0
-        assert proc.stats.sat_calls == proc.sat_calls
-
-
-def test_chaos_kill_atpg_shard_falls_back_serially(cells, library):
-    """A SAT worker SIGKILLed mid-shard ⇒ coded fallback, verdicts intact.
-
-    The circuit is built fresh (not from the module cache) so the worker
-    pool forks *after* the chaos handler installs and inherits it.
-    """
-    circuit = build_benchmark("sparc_tlu", library)
-    faults = mixed_fault_list(circuit, library, seed=0, per_kind=6)
-    serial = _run(circuit, cells, faults, 0, "serial")
-    with chaos(ChaosConfig(kill_atpg_shard=1)):
-        proc = _run(circuit, cells, faults, 0, "process", workers=WORKERS)
-    assert _fell_back(proc.stats), proc.stats.warnings
-    assert proc.detected == serial.detected
-    assert proc.undetectable == serial.undetectable
-    assert proc.aborted == serial.aborted == set()
+    result = _run(circuit, cells, faults, 2)
+    assert result.stats.sat_learned > 0
+    assert result.stats.sat_lemmas_reused > 0
+    assert result.stats.sat_calls == result.sat_calls

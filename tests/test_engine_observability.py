@@ -9,6 +9,8 @@ propagates.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 import repro.netlist.simulator as sim
@@ -16,7 +18,15 @@ from repro.atpg.engine import run_atpg
 from repro.core.metrics import engine_row
 from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.sites import enumerate_internal_faults
-from repro.utils.observability import EngineStats
+from repro.utils.observability import (
+    DICT_SUM,
+    EXTEND,
+    MAX,
+    MERGE,
+    SUM,
+    EngineStats,
+    ResynthesisStats,
+)
 from tests.conftest import mixed_fault_list, random_mapped_circuit
 
 
@@ -84,8 +94,7 @@ def test_good_cache_eviction_keeps_results_correct(cells):
 def test_run_atpg_populates_stats(adder4, cells, library):
     faults = enumerate_internal_faults(adder4, library)
     # Skip the random phase so the SAT phase has real work left.
-    result = run_atpg(adder4, cells, faults, seed=1, workers=2,
-                      random_rounds=0)
+    result = run_atpg(adder4, cells, faults, seed=1, random_rounds=0)
     stats = result.stats
     assert stats.faults_simulated > 0
     assert stats.events_propagated > 0
@@ -97,10 +106,25 @@ def test_run_atpg_populates_stats(adder4, cells, library):
     for phase in ("atpg.random", "atpg.sat", "atpg.compaction"):
         assert stats.phase_seconds.get(phase, -1.0) >= 0.0
     # Re-running with inherited tests exercises the initial-tests phase.
-    again = run_atpg(adder4, cells, faults, seed=1, workers=2,
+    again = run_atpg(adder4, cells, faults, seed=1,
                      initial_tests=result.tests)
     assert again.stats.phase_seconds.get("atpg.initial_tests", -1.0) >= 0.0
     assert again.undetectable == result.undetectable
+
+
+def _populated(offset):
+    """An EngineStats with every field set, by its merge rule."""
+    values = {}
+    for i, f in enumerate(fields(EngineStats)):
+        rule = f.metadata[MERGE]
+        n = offset + i + 1
+        if rule in (SUM, MAX):
+            values[f.name] = n
+        elif rule == DICT_SUM:
+            values[f.name] = {"shared": n, f"only{offset}": 1}
+        else:
+            values[f.name] = [f"{f.name}-{offset}"]
+    return EngineStats(**values)
 
 
 def test_stats_merge_and_as_dict():
@@ -117,11 +141,66 @@ def test_stats_merge_and_as_dict():
     assert d["faults_simulated"] == 7
     assert d["phase_seconds"]["y"] == 1.0
 
+    # Every field declares a merge rule, and merging two fully populated
+    # instances applies it, in either direction.
+    for f in fields(EngineStats):
+        assert f.metadata.get(MERGE) in (SUM, MAX, DICT_SUM, EXTEND), f.name
+    for lo, hi in ((0, 100), (100, 0)):
+        merged = _populated(lo)
+        merged.merge(_populated(hi))
+        x, y = _populated(lo), _populated(hi)
+        for f in fields(EngineStats):
+            got = getattr(merged, f.name)
+            mine, theirs = getattr(x, f.name), getattr(y, f.name)
+            rule = f.metadata[MERGE]
+            if rule == SUM:
+                want = mine + theirs
+            elif rule == MAX:
+                want = max(mine, theirs)
+            elif rule == DICT_SUM:
+                want = {"shared": mine["shared"] + theirs["shared"],
+                        f"only{lo}": 1, f"only{hi}": 1}
+            else:
+                want = mine + theirs
+            assert got == want, (f.name, rule, got, want)
+
+    # as_dict covers every field in declaration order, with containers
+    # copied rather than shared.
+    full = _populated(0)
+    snap = full.as_dict()
+    assert list(snap) == [
+        "faults_simulated", "events_propagated", "good_simulations",
+        "good_cache_hits", "plan_builds", "plan_cache_hits",
+        "eval_compiles", "eval_cache_hits", "eval_cache_misses",
+        "verdicts_inherited", "verdicts_proved", "faults_carried",
+        "faults_extracted", "clusters_reused", "clusters_recomputed",
+        "batches", "wide_batches", "words_per_batch", "vector_ops",
+        "sat_calls", "sat_conflicts", "sat_propagations", "sat_learned",
+        "sat_restarts", "sat_lemmas_reused", "sat_aborts",
+        "sat_abort_reasons", "verdicts_aborted",
+        "cache_integrity_failures", "degradations", "phase_seconds",
+    ]
+    for f in fields(EngineStats):
+        assert snap[f.name] == getattr(full, f.name)
+    snap["degradations"].append("mutated")
+    snap["phase_seconds"]["mutated"] = 1.0
+    assert "mutated" not in full.degradations
+    assert "mutated" not in full.phase_seconds
+
+    resyn = ResynthesisStats(candidates_evaluated=2, engine=full)
+    resyn_snap = resyn.as_dict()
+    assert list(resyn_snap) == [
+        "candidates_evaluated", "candidate_cache_hits",
+        "candidate_cache_misses", "backtrack_attempts", "engine",
+    ]
+    assert resyn_snap["candidates_evaluated"] == 2
+    assert resyn_snap["engine"] == full.as_dict()
+
 
 def test_engine_row_flattens_counters(library, cells, adder4):
     from repro.core.flow import analyze_design
 
-    state = analyze_design(adder4, library, workers=2)
+    state = analyze_design(adder4, library)
     row = engine_row("adder4", state)
     assert row["Circuit"] == "adder4"
     assert row["Gates"] == len(adder4)

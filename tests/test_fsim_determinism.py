@@ -1,14 +1,18 @@
-"""Determinism guarantees of the parallel engine.
+"""Determinism of the engine under concurrent callers.
 
-The worker count is a throughput knob, never a semantics knob: detect
-words, ATPG classification, generated tests, and coverage must be
-byte-identical between ``workers=1`` and ``workers=4`` for a fixed seed.
-Also pins the 64-pattern word-boundary behaviour of
-``detected_by_patterns``.
+The campaign runner's inline ``--jobs`` executes tasks on threads of one
+process, so concurrent analyses share the process-wide caches: compiled
+plans, the good-value LRU and the evaluator cache.  The number of such
+workers is a throughput knob, never a semantics knob: detect words, ATPG
+classification, generated tests, coverage and every effort counter must
+be byte-identical between a lone serial call and each of ``WORKERS``
+calls racing on the same circuit.  Also pins the 64-pattern
+word-boundary behaviour of ``detected_by_patterns``.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -18,7 +22,13 @@ from repro.faults.fsim import PatternBatch, detected_by_patterns, fault_simulate
 from repro.faults.reference import reference_detect_words
 from repro.faults.sites import enumerate_internal_faults
 from repro.utils.observability import EngineStats
-from tests.conftest import mixed_fault_list, random_mapped_circuit
+from tests.conftest import mixed_fault_list, on_workers, random_mapped_circuit
+
+WORKERS = 4
+
+
+def _on_workers(fn):
+    return on_workers(fn, WORKERS)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -26,25 +36,34 @@ def test_fault_simulate_workers_bit_identical(cells, library, seed):
     circuit = random_mapped_circuit(cells, seed=seed + 50)
     faults = mixed_fault_list(circuit, library=library, seed=seed)
     batch = PatternBatch.random(circuit, 48, seed=seed)
-    serial = fault_simulate(circuit, cells, faults, batch, workers=1)
-    stats = EngineStats()
-    parallel = fault_simulate(
-        circuit, cells, faults, batch, workers=4, stats=stats)
-    assert parallel == serial
-    assert stats.parallel_chunks > 1  # the parallel path actually ran
+    serial = fault_simulate(circuit, cells, faults, batch)
+    # A second, cold copy of the circuit: the workers race to build its
+    # plan and fill its caches.
+    shared = random_mapped_circuit(cells, seed=seed + 50)
+    parallel = _on_workers(
+        lambda _i: fault_simulate(shared, cells, faults, batch)
+    )
+    assert all(words == serial for words in parallel)
     assert any(serial)
 
 
 def test_parallel_events_match_serial(cells, library):
-    """Worker views merge their event counts back losslessly."""
+    """Concurrent callers each count exactly their own events (an
+    event-backend counter, so the backend is pinned)."""
     circuit = random_mapped_circuit(cells, seed=60)
     faults = mixed_fault_list(circuit, library=library, seed=6)
     batch = PatternBatch.random(circuit, 32, seed=6)
-    s1, s4 = EngineStats(), EngineStats()
-    fault_simulate(circuit, cells, faults, batch, workers=1, stats=s1)
-    fault_simulate(circuit, cells, faults, batch, workers=4, stats=s4)
-    assert s4.events_propagated == s1.events_propagated
-    assert s4.faults_simulated == s1.faults_simulated == len(faults)
+    s1 = EngineStats()
+    fault_simulate(circuit, cells, faults, batch, stats=s1, backend="event")
+    views = [EngineStats() for _ in range(WORKERS)]
+    _on_workers(
+        lambda i: fault_simulate(circuit, cells, faults, batch,
+                                 stats=views[i], backend="event")
+    )
+    assert s1.events_propagated > 0
+    for view in views:
+        assert view.events_propagated == s1.events_propagated
+        assert view.faults_simulated == s1.faults_simulated == len(faults)
 
 
 @pytest.mark.parametrize("n_pairs", [63, 64, 65])
@@ -61,10 +80,8 @@ def test_detected_by_patterns_word_boundary(cells, library, n_pairs):
         for _ in range(n_pairs)
     ]
     flags = detected_by_patterns(circuit, cells, faults, pairs)
-    parallel = detected_by_patterns(
-        circuit, cells, faults, pairs, workers=4)
     words = reference_detect_words(circuit, cells, faults, pairs)
-    assert flags == parallel == [w != 0 for w in words]
+    assert flags == [w != 0 for w in words]
     assert any(flags) and not all(flags)
 
 
@@ -72,50 +89,53 @@ def test_run_atpg_workers_byte_identical(adder4, cells, library):
     """Full ATPG: tests, classification, coverage identical across workers."""
     faults = enumerate_internal_faults(adder4, library)
     faults += mixed_fault_list(adder4, seed=8, per_kind=4)
-    serial = run_atpg(adder4, cells, faults, seed=3, workers=1)
-    parallel = run_atpg(adder4, cells, faults, seed=3, workers=4)
-    assert parallel.tests == serial.tests
-    assert parallel.detected == serial.detected
-    assert parallel.undetectable == serial.undetectable
-    assert parallel.coverage == serial.coverage
-    assert parallel.sat_calls == serial.sat_calls
+    # The workers go first, on the cold circuit; the serial reference
+    # then runs against the caches they left behind.
+    parallel = _on_workers(
+        lambda _i: run_atpg(adder4, cells, faults, seed=3)
+    )
+    serial = run_atpg(adder4, cells, faults, seed=3)
+    for result in parallel:
+        assert result.tests == serial.tests
+        assert result.detected == serial.detected
+        assert result.undetectable == serial.undetectable
+        assert result.coverage == serial.coverage
+        assert result.sat_calls == serial.sat_calls
     assert serial.detected  # non-degenerate run
 
 
 def test_all_stats_counters_identical_serial_vs_parallel(cells, library):
-    """Worker count must not change any effort counter.
+    """The worker count must not change any effort counter.
 
-    Per-chunk counters are accumulated in worker-local views and merged
-    once at join, so workers=4 reports exactly the counters workers=1
-    does.  Excluded by design: ``parallel_chunks`` (counts the chunks
-    themselves) and the eval-cache temperature split (the compiled-eval
-    lru_cache is process-wide, so hits vs. misses depend on what ran
-    earlier — their *sum* must still match), plus wall-clock phases.
+    Each run simulates its own freshly built circuit, so per-plan caches
+    start cold everywhere and each concurrent worker must report exactly
+    the counters a lone serial run does.  Excluded by design: wall-clock
+    phases and the evaluator-cache hits/misses — deltas of the
+    process-wide lru_cache's own counters, which plan builds racing on
+    other threads skew (see ``CompiledCircuit.get``).
     """
-    def run(workers):
-        # Fresh circuit object per run: both runs start with a cold
-        # compiled plan and a cold good-value cache.
+    def run(_i=0):
         circuit = random_mapped_circuit(cells, seed=55)
         faults = mixed_fault_list(circuit, library=library, seed=5)
         batch = PatternBatch.random(circuit, 48, seed=5)
         stats = EngineStats()
-        out = fault_simulate(
-            circuit, cells, faults, batch, workers=workers, stats=stats)
+        out = fault_simulate(circuit, cells, faults, batch, stats=stats)
         return out, stats.as_dict()
 
-    out1, serial = run(1)
-    out4, parallel = run(4)
-    assert out4 == out1
-    assert parallel["parallel_chunks"] > 1
-    volatile = {
-        "parallel_chunks", "phase_seconds",
-        "eval_cache_hits", "eval_cache_misses",
-    }
-    assert (
-        serial["eval_cache_hits"] + serial["eval_cache_misses"]
-        == parallel["eval_cache_hits"] + parallel["eval_cache_misses"]
-    )
-    for key in serial:
-        if key in volatile:
-            continue
-        assert parallel[key] == serial[key], key
+    out1, serial = run()
+    volatile = {"phase_seconds", "eval_cache_hits", "eval_cache_misses"}
+    if os.environ.get("REPRO_CHAOS"):
+        # An environment chaos injector corrupts every Nth good-cache hit
+        # process-wide, so concurrent runs see their repairs at
+        # different points: results stay bit-identical, cache-temperature
+        # counters drift.
+        volatile |= {
+            "good_simulations", "good_cache_hits",
+            "cache_integrity_failures", "degradations", "vector_ops",
+        }
+    for out, parallel in _on_workers(run):
+        assert out == out1
+        for key in serial:
+            if key in volatile:
+                continue
+            assert parallel[key] == serial[key], key

@@ -600,9 +600,6 @@ class TestBackendDifferential:
         detect = {}
         for backend in ("event", "wide"):
             monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-            detect[backend] = fault_simulate(
-                circuit, cells, faults, batch,
-                workers=1, exec_mode="serial",
-            )
+            detect[backend] = fault_simulate(circuit, cells, faults, batch)
         assert detect["event"] == detect["wide"]
         assert any(detect["event"])  # the check is not vacuous

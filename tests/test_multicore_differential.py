@@ -1,24 +1,23 @@
-"""Differential tests: process-parallel fault sharding vs the serial path.
+"""Differential tests: fault simulation in a fresh process vs in-process.
 
-The process execution layer (:mod:`repro.faults.psim`) must be
-*bit-identical* to the serial path — same detect words, same ATPG
-verdict partition, same generated tests, and the same semantic engine
-counters after the merge — for both simulation backends.  This suite
-locks that in:
+The project's one parallel layer is the campaign runner's ``--jobs``;
+with ``--isolation process`` every task runs in a fresh interpreter —
+its own imports, cold caches and its own hash seed — and its Table I/II
+numbers must equal an inline run's bit for bit.  This suite locks that
+in at the engine level, for both simulation backends, by computing in a
+child interpreter (:func:`tests.conftest.call_in_fresh_process`) and
+comparing against the in-process serial path:
 
 * detect-word bit-identity on every bundled benchmark circuit for seeds
-  {0, 1, 2}, event and wide backends;
+  {0, 1, 2};
 * end-to-end through ``run_atpg``: identical detected / undetectable /
   aborted partitions, tests and coverage;
-* merged ``EngineStats`` equality against a serial run (cache-neutral:
-  each run gets a freshly built circuit, so cache temperature cannot
-  leak between runs);
-* the ``detected_by_patterns`` wrapper and the ``REPRO_SIM_EXEC`` /
-  ``REPRO_SIM_WORKERS`` environment dispatch.
+* ``EngineStats`` equality, counter by counter (each side simulates a
+  freshly built circuit, so per-plan caches start cold on both);
+* the ``detected_by_patterns`` wrapper.
 
-The worker count is deliberately environment-overridable: the CI
-multicore leg re-runs this file with ``REPRO_SIM_WORKERS=2`` and ``=4``
-to cover both below- and at-core-count sharding.
+Each group of child-side computations runs in one child interpreter per
+module run, so the suite pays one interpreter start-up per group.
 """
 
 from __future__ import annotations
@@ -34,19 +33,19 @@ from repro.faults.fsim import (
     detected_by_patterns,
     fault_simulate,
 )
+from repro.library import osu018_library
 from repro.utils.observability import EngineStats
-from tests.conftest import mixed_fault_list, random_mapped_circuit
-
-# Worker count under test.  REPRO_SIM_WORKERS (the engine's own env
-# knob) doubles as the suite's override so the CI multicore leg can
-# sweep worker counts without touching the tests; 3 otherwise (an odd
-# count exercises uneven LPT shards).
-WORKERS = int(os.environ.get("REPRO_SIM_WORKERS", "0")) or 3
+from tests.conftest import (
+    call_in_fresh_process,
+    mixed_fault_list,
+    random_mapped_circuit,
+)
 
 BACKENDS = ["event", "wide"]
+SEEDS = [0, 1, 2]
 
 # Benchmark circuits are expensive to synthesize; build each once for
-# the whole module run.
+# the whole module run (on either side of the process boundary).
 _BENCH_CACHE = {}
 
 
@@ -58,114 +57,59 @@ def _bench(name, library):
     return circuit
 
 
-# Counters that may legitimately differ between a serial and a process
-# run: dispatch bookkeeping, wall-clock, process-of-execution detail,
-# and the bounded global evaluator cache (whose temperature depends on
-# what ran before in the same session).
-_VOLATILE = {
-    "parallel_chunks", "phase_seconds", "eval_cache_hits",
-    "eval_cache_misses", "proc_shards", "proc_workers", "shm_bytes",
-    "shard_imbalance", "warnings",
-    # Supervision metadata exists only on the process path by nature
-    # (a serial run has no breaker, no supervisor loop).
-    "breaker_state", "supervise_wakeups",
-}
+# Counters that may legitimately differ between the two sides: wall
+# clock, and the split of the bounded process-wide evaluator cache into
+# hits and misses (cold in the child, warm in the test process; their
+# sum is asserted separately).
+_VOLATILE = {"phase_seconds", "eval_cache_hits", "eval_cache_misses"}
 if os.environ.get("REPRO_CHAOS"):
     # Under an environment-installed chaos injector the corruption
-    # pattern is positional (every Nth cache hit *globally*), so the
-    # serial and process runs see repairs at different points; results
-    # stay bit-identical but cache-temperature counters drift.
+    # pattern is positional (every Nth cache hit *globally*) and only
+    # the test process has it installed, so repairs happen at different
+    # points; results stay bit-identical but cache-temperature counters
+    # drift.
     _VOLATILE |= {
         "good_simulations", "good_cache_hits",
         "cache_integrity_failures", "degradations", "vector_ops",
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_process_matches_serial_on_benchmarks(
-    cells, library, name, seed, backend
-):
+def _cells(library):
+    return {c.name: c for c in library}
+
+
+def _bench_workload(name, seed, library):
     circuit = _bench(name, library)
     faults = mixed_fault_list(circuit, library, seed=seed, per_kind=6)
     batch = PatternBatch.random(circuit, 200, seed=seed)
-    serial = fault_simulate(
-        circuit, cells, faults, batch,
-        workers=1, backend=backend, exec_mode="serial",
-    )
-    stats = EngineStats()
-    proc = fault_simulate(
-        circuit, cells, faults, batch,
-        workers=WORKERS, backend=backend, exec_mode="process", stats=stats,
-    )
-    assert serial == proc
-    if stats.proc_shards:  # process execution actually ran here
-        assert stats.proc_workers == WORKERS
-        assert stats.shm_bytes > 0
-        assert stats.shard_imbalance >= 1.0
-    else:  # fell back (e.g. no shared memory): it must have said so
-        assert stats.warnings
+    return circuit, faults, batch
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("seed", [0, 1])
-def test_run_atpg_process_bit_identity(cells, library, seed, backend):
-    """Same seed ⇒ the whole ATPG result matches serial in process mode."""
+def _atpg_partition(cells, library, seed, backend):
     circuit = random_mapped_circuit(cells, seed=seed)
     faults = mixed_fault_list(circuit, library, seed=seed)
-    serial = run_atpg(
-        circuit, cells, faults, seed=seed, batch_size=64,
-        backend=backend, workers=1, exec_mode="serial",
+    result = run_atpg(
+        circuit, cells, faults, seed=seed, batch_size=64, backend=backend,
     )
-    proc = run_atpg(
-        circuit, cells, faults, seed=seed, batch_size=64,
-        backend=backend, workers=WORKERS, exec_mode="process",
+    return (
+        result.detected, result.undetectable, result.aborted,
+        result.tests, result.coverage,
     )
-    assert serial.detected == proc.detected
-    assert serial.undetectable == proc.undetectable
-    assert serial.aborted == proc.aborted
-    assert serial.tests == proc.tests
-    assert serial.coverage == proc.coverage
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_all_stats_counters_identical_serial_vs_process(
-    cells, library, backend
-):
-    """The merged stats of a process run equal a serial run's, counter by
-    counter — private per-worker instances folded in one atomic merge.
-
-    Each run builds its own circuit so per-plan caches start cold in
-    both runs and cache temperature cannot favour either side.
-    """
-
-    def run(workers, exec_mode):
-        circuit = random_mapped_circuit(cells, seed=21)
-        faults = mixed_fault_list(circuit, library, seed=21)
-        batch = PatternBatch.random(circuit, 128, seed=3)
-        stats = EngineStats()
-        words = fault_simulate(
-            circuit, cells, faults, batch,
-            workers=workers, backend=backend, exec_mode=exec_mode,
-            stats=stats,
-        )
-        return words, stats.as_dict()
-
-    serial_words, serial_stats = run(1, "serial")
-    proc_words, proc_stats = run(WORKERS, "process")
-    assert serial_words == proc_words
-    assert not proc_stats["warnings"], proc_stats["warnings"]
-    for key in serial_stats:
-        if key in _VOLATILE:
-            continue
-        assert serial_stats[key] == proc_stats[key], (
-            f"{key}: serial={serial_stats[key]} process={proc_stats[key]}"
-        )
+def _stats_run(cells, library, backend):
+    # A freshly built circuit: per-plan caches start cold on each side.
+    circuit = random_mapped_circuit(cells, seed=21)
+    faults = mixed_fault_list(circuit, library, seed=21)
+    batch = PatternBatch.random(circuit, 128, seed=3)
+    stats = EngineStats()
+    words = fault_simulate(
+        circuit, cells, faults, batch, backend=backend, stats=stats,
+    )
+    return words, stats.as_dict()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_detected_by_patterns_process(cells, library, backend):
+def _pattern_flags(cells, library, backend):
     circuit = random_mapped_circuit(cells, seed=9)
     faults = mixed_fault_list(circuit, library, seed=9)
     gen = PatternBatch.random(circuit, 150, seed=13)
@@ -176,58 +120,115 @@ def test_detected_by_patterns_process(cells, library, backend):
         )
         for i in range(150)
     ]
-    serial = detected_by_patterns(
-        circuit, cells, faults, pairs, backend=backend, exec_mode="serial",
+    return detected_by_patterns(
+        circuit, cells, faults, pairs, backend=backend,
     )
-    proc = detected_by_patterns(
-        circuit, cells, faults, pairs,
-        workers=WORKERS, backend=backend, exec_mode="process",
+
+
+# ----------------------------------------------------------------------
+# Child side: one call per group, run by call_in_fresh_process
+# ----------------------------------------------------------------------
+
+def _child_bench_words(jobs):
+    library = osu018_library()
+    cells = _cells(library)
+    out = []
+    for name, seed, backend in jobs:
+        circuit, faults, batch = _bench_workload(name, seed, library)
+        out.append(fault_simulate(
+            circuit, cells, faults, batch, backend=backend,
+        ))
+    return out
+
+
+def _child_small():
+    library = osu018_library()
+    cells = _cells(library)
+    out = {}
+    for backend in BACKENDS:
+        out["stats", backend] = _stats_run(cells, library, backend)
+        out["patterns", backend] = _pattern_flags(cells, library, backend)
+        for seed in (0, 1):
+            out["atpg", seed, backend] = _atpg_partition(
+                cells, library, seed, backend,
+            )
+    return out
+
+
+@pytest.fixture(scope="module")
+def child_bench_words():
+    jobs = [
+        (name, seed, backend)
+        for name in sorted(BENCHMARKS) for seed in SEEDS
+        for backend in BACKENDS
+    ]
+    words = call_in_fresh_process(f"{__name__}:_child_bench_words", jobs)
+    return dict(zip(jobs, words))
+
+
+@pytest.fixture(scope="module")
+def child_small():
+    return call_in_fresh_process(f"{__name__}:_child_small")
+
+
+# ----------------------------------------------------------------------
+# Tests
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_process_matches_serial_on_benchmarks(
+    cells, library, child_bench_words, name, seed, backend
+):
+    circuit, faults, batch = _bench_workload(name, seed, library)
+    serial = fault_simulate(circuit, cells, faults, batch, backend=backend)
+    assert len(serial) == len(faults)
+    assert child_bench_words[name, seed, backend] == serial
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_atpg_process_bit_identity(
+    cells, library, child_small, seed, backend
+):
+    """Same seed ⇒ the whole ATPG result matches across the boundary."""
+    serial = _atpg_partition(cells, library, seed, backend)
+    proc = child_small["atpg", seed, backend]
+    detected, undetectable, aborted, tests, coverage = serial
+    assert proc[0] == detected
+    assert proc[1] == undetectable
+    assert proc[2] == aborted
+    assert proc[3] == tests
+    assert proc[4] == coverage
+    assert detected  # non-degenerate run
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_all_stats_counters_identical_serial_vs_process(
+    cells, library, child_small, backend
+):
+    """A run in a fresh interpreter reports the test process's counters,
+    counter by counter, apart from wall clock and the evaluator-cache
+    hit/miss split (whose sum still matches)."""
+    serial_words, serial_stats = _stats_run(cells, library, backend)
+    proc_words, proc_stats = child_small["stats", backend]
+    assert serial_words == proc_words
+    assert list(serial_stats) == list(proc_stats)
+    assert (
+        serial_stats["eval_cache_hits"] + serial_stats["eval_cache_misses"]
+        == proc_stats["eval_cache_hits"] + proc_stats["eval_cache_misses"]
     )
-    assert serial == proc
+    for key in serial_stats:
+        if key in _VOLATILE:
+            continue
+        assert serial_stats[key] == proc_stats[key], (
+            f"{key}: serial={serial_stats[key]} process={proc_stats[key]}"
+        )
 
 
-def test_env_dispatch_selects_process_mode(cells, library, monkeypatch):
-    """REPRO_SIM_EXEC/WORKERS reroute fault_simulate without call changes."""
-    circuit = random_mapped_circuit(cells, seed=30)
-    faults = mixed_fault_list(circuit, library, seed=30)
-    batch = PatternBatch.random(circuit, 64, seed=30)
-    baseline = fault_simulate(circuit, cells, faults, batch)
-
-    monkeypatch.setenv("REPRO_SIM_EXEC", "process")
-    monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
-    stats = EngineStats()
-    rerouted = fault_simulate(circuit, cells, faults, batch, stats=stats)
-    assert rerouted == baseline
-    assert stats.proc_shards > 0 or stats.warnings
-
-    monkeypatch.setenv("REPRO_SIM_EXEC", "sideways")
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        fault_simulate(circuit, cells, faults, batch)
-
-    monkeypatch.setenv("REPRO_SIM_EXEC", "auto")
-    monkeypatch.setenv("REPRO_SIM_WORKERS", "0")
-    with pytest.raises(ValueError, match="workers"):
-        fault_simulate(circuit, cells, faults, batch)
-
-
-def test_auto_mode_uses_processes_for_wide_backend(cells, library):
-    """exec_mode=auto: threads for event, shared-memory procs for wide."""
-    circuit = random_mapped_circuit(cells, seed=31)
-    faults = mixed_fault_list(circuit, library, seed=31)
-    batch = PatternBatch.random(circuit, 128, seed=31)
-
-    event_stats = EngineStats()
-    fault_simulate(
-        circuit, cells, faults, batch,
-        workers=2, backend="event", exec_mode="auto", stats=event_stats,
-    )
-    assert event_stats.parallel_chunks > 0
-    assert event_stats.proc_shards == 0
-
-    wide_stats = EngineStats()
-    fault_simulate(
-        circuit, cells, faults, batch,
-        workers=2, backend="wide", exec_mode="auto", stats=wide_stats,
-    )
-    assert wide_stats.parallel_chunks == 0
-    assert wide_stats.proc_shards > 0 or wide_stats.warnings
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_detected_by_patterns_process(cells, library, child_small, backend):
+    serial = _pattern_flags(cells, library, backend)
+    assert child_small["patterns", backend] == serial
+    assert any(serial)

@@ -153,17 +153,22 @@ class TestMulticoreInvariance:
     def test_detects_invariant_to_workers_and_shard_order(
         self, cells, library, data
     ):
-        """The detected-fault set is a pure function of (circuit, faults,
-        batch): invariant to worker count, execution mode, and the order
-        the faults are handed in (shard composition follows fault order,
-        so permuting the list reshuffles every LPT shard)."""
-        from tests.conftest import mixed_fault_list, random_mapped_circuit
+        """The detect word of each fault is a pure function of (circuit,
+        fault, batch): invariant to the order the faults are handed in,
+        to how the list is cut into shards, and to how many workers
+        simulate those shards concurrently on one shared circuit (the
+        inline ``--jobs`` situation), on either backend."""
+        from tests.conftest import (
+            mixed_fault_list,
+            on_workers,
+            random_mapped_circuit,
+        )
 
         seed = data.draw(st.integers(0, 2 ** 16), label="circuit seed")
         backend = data.draw(
             st.sampled_from(["event", "wide"]), label="backend"
         )
-        workers = data.draw(st.integers(1, 8), label="workers")
+        workers = data.draw(st.integers(1, 4), label="workers")
         circuit = random_mapped_circuit(cells, n_gates=30, seed=seed)
         pool = mixed_fault_list(circuit, library, seed=seed, per_kind=4)
         faults = data.draw(
@@ -173,25 +178,30 @@ class TestMulticoreInvariance:
         )
         batch = PatternBatch.random(circuit, 96, seed=seed ^ 0x5A5A)
 
-        serial = fault_simulate(
-            circuit, cells, faults, batch,
-            workers=1, backend=backend, exec_mode="serial",
-        )
-        baseline = {
-            f.fault_id: w for f, w in zip(faults, serial)
-        }
+        words = fault_simulate(circuit, cells, faults, batch, backend=backend)
+        baseline = {f.fault_id: w for f, w in zip(faults, words)}
 
         shuffled = list(faults)
         random.Random(data.draw(
             st.integers(0, 2 ** 16), label="shuffle seed"
         )).shuffle(shuffled)
-        words = fault_simulate(
-            circuit, cells, shuffled, batch,
-            workers=workers, backend=backend, exec_mode="process",
+        cuts = sorted(data.draw(
+            st.lists(st.integers(1, len(shuffled) - 1),
+                     min_size=workers - 1, max_size=workers - 1),
+            label="shard cuts",
+        ))
+        bounds = [0] + cuts + [len(shuffled)]
+        shards = [shuffled[a:b] for a, b in zip(bounds, bounds[1:])]
+        shard_words = on_workers(
+            lambda i: fault_simulate(
+                circuit, cells, shards[i], batch, backend=backend
+            ),
+            workers,
         )
-        assert {
-            f.fault_id: w for f, w in zip(shuffled, words)
-        } == baseline
+        merged = {}
+        for shard, words in zip(shards, shard_words):
+            merged.update((f.fault_id, w) for f, w in zip(shard, words))
+        assert merged == baseline
 
 
 class TestParallelAtpgInvariance:
@@ -201,13 +211,17 @@ class TestParallelAtpgInvariance:
         self, cells, library, data
     ):
         """The UNDETECTABLE set of run_atpg is a pure function of
-        (circuit, fault set): invariant to the ATPG worker count (1/2/4)
-        and to the order representatives are handed in (site shards are
-        rebuilt from the fault list, so permuting it reshuffles every
-        shard).  Exact SAT decisions are schedule-independent, so this
-        holds bit-exactly — not just statistically."""
+        (circuit, fault set): invariant to the order representatives are
+        handed in and to how many ATPG runs (1/2/4) race on the shared
+        circuit, each with its own order.  Exact SAT decisions are
+        schedule-independent, so this holds bit-exactly — not just
+        statistically."""
         from repro.atpg.engine import run_atpg
-        from tests.conftest import mixed_fault_list, random_mapped_circuit
+        from tests.conftest import (
+            mixed_fault_list,
+            on_workers,
+            random_mapped_circuit,
+        )
 
         seed = data.draw(st.integers(0, 2 ** 16), label="circuit seed")
         workers = data.draw(st.sampled_from([1, 2, 4]), label="workers")
@@ -218,19 +232,22 @@ class TestParallelAtpgInvariance:
                      unique_by=lambda f: f.fault_id),
             label="fault subset",
         )
-        baseline = run_atpg(
-            circuit, cells, faults, seed=0, random_rounds=0,
-            workers=1, exec_mode="serial",
-        )
+        baseline = run_atpg(circuit, cells, faults, seed=0, random_rounds=0)
 
-        shuffled = list(faults)
-        random.Random(data.draw(
-            st.integers(0, 2 ** 16), label="shuffle seed"
-        )).shuffle(shuffled)
-        proc = run_atpg(
-            circuit, cells, shuffled, seed=0, random_rounds=0,
-            workers=workers, exec_mode="process",
+        orders = []
+        for _ in range(workers):
+            shuffled = list(faults)
+            random.Random(data.draw(
+                st.integers(0, 2 ** 16), label="shuffle seed"
+            )).shuffle(shuffled)
+            orders.append(shuffled)
+        results = on_workers(
+            lambda i: run_atpg(
+                circuit, cells, orders[i], seed=0, random_rounds=0
+            ),
+            workers,
         )
-        assert proc.undetectable == baseline.undetectable
-        assert proc.detected == baseline.detected
-        assert proc.aborted == baseline.aborted == set()
+        for result in results:
+            assert result.undetectable == baseline.undetectable
+            assert result.detected == baseline.detected
+            assert result.aborted == baseline.aborted == set()

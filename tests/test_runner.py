@@ -134,6 +134,29 @@ class TestFingerprints:
         f2 = fingerprint_task(spec, {"a": "sha256:y"}, env={})
         assert f1 != f2
 
+    def test_paper_task_fingerprints_are_stable(self):
+        """Golden fingerprints of the paper sweep's task kinds.
+
+        Journaled runs stay resumable with zero re-execution only while
+        these values hold; a change here invalidates every such run.
+        """
+        from repro.runner.model import fingerprint_campaign
+        from repro.runner.tasks import paper_campaign
+
+        fps = {}
+        for tables in ((1,), (1, 2)):
+            fps.update(fingerprint_campaign(
+                paper_campaign(["sparc_tlu"], "golden", tables=tables),
+                env={},
+            ))
+        assert fps == {
+            "analyze:full:sparc_tlu": "sha256:5b32b69628bd0f9e27e9c63f586d8"
+                                      "cf028d8067e6a47dc371a6cfaeaa470ee7f",
+            "resynthesize:full:sparc_tlu": "sha256:5fcfa89817e5b32d1b33c01"
+                                           "957bbafa4151c61f070355a7c0ef99"
+                                           "ad380d3411f",
+        }
+
 
 # ----------------------------------------------------------------------
 # Straight-through execution + journal shape
@@ -251,31 +274,6 @@ class TestRetries:
         assert warnings[0]["task"] == "h"
         # A normalized report must not keep process-history facts.
         assert "runtime_warnings" not in normalize_report(report)
-
-    def test_task_timeout_reaches_inline_task_as_deadline(self, tmp_path):
-        c = CampaignSpec("pd", [TaskSpec(
-            "p", "probe_deadline", timeout=5.0,
-        )])
-        report = Runner(c, root=str(tmp_path)).execute()
-        remaining = report["results"]["p"]["remaining"]
-        assert remaining is not None
-        assert 0.0 < remaining <= 5.0
-
-    def test_untimed_task_sees_no_deadline(self, tmp_path):
-        c = CampaignSpec("pd0", [TaskSpec("p", "probe_deadline")])
-        report = Runner(c, root=str(tmp_path)).execute()
-        assert report["results"]["p"]["remaining"] is None
-
-    def test_task_timeout_reaches_process_isolated_task(self, tmp_path):
-        """Process isolation forwards the budget via
-        REPRO_SUPERVISE_DEADLINE to the fresh interpreter."""
-        c = CampaignSpec("pdp", [TaskSpec(
-            "p", "probe_deadline", timeout=30.0, isolation="process",
-        )])
-        report = Runner(c, root=str(tmp_path)).execute()
-        remaining = report["results"]["p"]["remaining"]
-        assert remaining is not None
-        assert 0.0 < remaining <= 30.0
 
     def test_flaky_task_retries_then_succeeds(self, tmp_path):
         root = str(tmp_path)

@@ -1,12 +1,10 @@
-"""Tests for the concurrent campaign scheduler and the core ledger.
+"""Tests for the concurrent campaign scheduler.
 
 The contract under test: ``jobs>1`` changes *when* tasks run, never
 *what* they compute — normalized reports are bit-identical to serial
 runs, resume never re-executes completed work even when the orchestrator
 is SIGKILLed mid-wave, and per-task timeouts bound stuck tasks without
-stalling their peers.  The :class:`~repro.utils.supervise.CoreLedger`
-divides cores fairly among in-flight tasks and renegotiates as peers
-finish.
+stalling their peers.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -42,16 +39,6 @@ from repro.runner.model import (
     fingerprint_task,
     observed_env_knobs,
 )
-from repro.utils.supervise import (
-    CoreLedger,
-    activate_lease,
-    active_core_share,
-    core_ledger,
-    current_lease,
-    install_core_share_from_env,
-    negotiate_workers,
-    reset_core_ledger,
-)
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -61,15 +48,10 @@ posix_only = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _clean_ledger(monkeypatch):
-    """Every test starts with a fresh process-global ledger and no knobs."""
-    for knob in ("REPRO_RUN_CORES", "REPRO_RUN_JOBS",
-                 "REPRO_RUN_CORE_SHARE", "REPRO_JOURNAL_FSYNC",
-                 "REPRO_SIM_WORKERS"):
+def _clean_env(monkeypatch):
+    """Every test starts with no scheduler or journal knobs set."""
+    for knob in ("REPRO_RUN_JOBS", "REPRO_JOURNAL_FSYNC"):
         monkeypatch.delenv(knob, raising=False)
-    reset_core_ledger()
-    yield
-    reset_core_ledger()
 
 
 def events_of(root, run_id):
@@ -134,142 +116,10 @@ class TestResolveRunJobs:
 
 
 # ----------------------------------------------------------------------
-# CoreLedger / Lease
-# ----------------------------------------------------------------------
-
-class TestCoreLedger:
-    def test_share_divides_among_active_leases(self):
-        ledger = CoreLedger(total=8)
-        assert ledger.share() == 8  # no leases: a lone caller gets all
-        leases = [ledger.acquire(f"t{i}") for i in range(4)]
-        assert ledger.share() == 2
-        for lease in leases:
-            lease.release()
-        assert ledger.share() == 8
-
-    def test_share_never_below_one(self):
-        ledger = CoreLedger(total=2)
-        leases = [ledger.acquire(f"t{i}") for i in range(5)]
-        assert ledger.share() == 1
-        for lease in leases:
-            lease.release()
-
-    def test_grant_caps_explicit_request(self):
-        ledger = CoreLedger(total=8)
-        a, b = ledger.acquire("a"), ledger.acquire("b")
-        assert a.grant(16) == 4  # capped at the fair share
-        assert a.grant(2) == 2   # explicit request below the share wins
-        assert a.grant(None) == 4  # None means "my share"
-        b.release()
-        assert a.grant(None) == 8  # renegotiated after the peer left
-        a.release()
-
-    def test_grant_counters(self):
-        ledger = CoreLedger(total=4)
-        lease = ledger.acquire("t")
-        lease.grant(None)
-        lease.grant(1)
-        assert lease.grants == 2
-        assert lease.peak_workers == 4
-        assert ledger.total_grants == 2
-        lease.release()
-
-    def test_release_is_idempotent(self):
-        ledger = CoreLedger(total=4)
-        lease = ledger.acquire("t")
-        lease.release()
-        lease.release()
-        assert ledger.active_count() == 0
-
-    def test_configure_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_CORES", "12")
-        ledger = CoreLedger()
-        assert ledger.total == 12
-        monkeypatch.delenv("REPRO_RUN_CORES")
-        ledger.configure(3)
-        assert ledger.total == 3
-
-
-class TestNegotiateWorkers:
-    def test_unmanaged_passthrough(self):
-        assert negotiate_workers(None) is None
-        assert negotiate_workers(5) == 5
-        assert active_core_share() is None
-
-    def test_active_lease_grants(self):
-        ledger = core_ledger()
-        ledger.configure(6)
-        lease = ledger.acquire("t")
-        other = ledger.acquire("peer")
-        with activate_lease(lease):
-            assert current_lease() is lease
-            assert negotiate_workers(None) == 3
-            assert negotiate_workers(64) == 3
-            assert negotiate_workers(1) == 1
-            assert active_core_share() == 3
-        assert current_lease() is None
-        lease.release()
-        other.release()
-
-    def test_lease_is_thread_local(self):
-        ledger = core_ledger()
-        ledger.configure(4)
-        lease = ledger.acquire("t")
-        seen = {}
-
-        def peer():
-            seen["lease"] = current_lease()
-            seen["negotiated"] = negotiate_workers(2)
-
-        with activate_lease(lease):
-            worker = threading.Thread(target=peer)
-            worker.start()
-            worker.join()
-        assert seen["lease"] is None  # not inherited across threads
-        assert seen["negotiated"] == 2  # unmanaged passthrough
-        lease.release()
-
-    def test_static_share_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_CORE_SHARE", "3")
-        assert install_core_share_from_env() == 3
-        assert negotiate_workers(None) == 3
-        assert negotiate_workers(8) == 3
-        assert negotiate_workers(2) == 2
-        assert active_core_share() == 3
-
-    def test_resolve_workers_consults_ledger(self, monkeypatch):
-        from repro.netlist.vsim import resolve_workers
-
-        assert resolve_workers() == 1  # unmanaged default unchanged
-        ledger = core_ledger()
-        ledger.configure(6)
-        lease = ledger.acquire("t")
-        with activate_lease(lease):
-            assert resolve_workers() == 6  # lone task claims everything
-            assert resolve_workers(64) == 6
-            monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
-            assert resolve_workers() == 2  # explicit env capped, not raised
-        lease.release()
-
-    def test_resolve_workers_still_rejects_zero(self):
-        from repro.netlist.vsim import resolve_workers
-
-        with pytest.raises(ValueError, match="workers"):
-            resolve_workers(0)
-
-
-# ----------------------------------------------------------------------
 # Fingerprints ignore performance knobs
 # ----------------------------------------------------------------------
 
 class TestPerfParamFingerprints:
-    def test_workers_and_exec_mode_not_fingerprinted(self):
-        base = TaskSpec("t", "sum", {"value": 1})
-        tuned = TaskSpec(
-            "t", "sum", {"value": 1, "workers": 8, "exec_mode": "process"}
-        )
-        assert fingerprint_task(base, {}) == fingerprint_task(tuned, {})
-
     def test_result_params_still_fingerprinted(self):
         a = TaskSpec("t", "sum", {"value": 1})
         b = TaskSpec("t", "sum", {"value": 2})
@@ -378,17 +228,6 @@ class TestConcurrentExecution:
         assert elapsed < 30.0
         assert report["runtime_warnings"]["RUN-THREAD-ABANDONED"] == 1
 
-    def test_deadline_scope_active_per_concurrent_task(self, tmp_path):
-        root = str(tmp_path / "runs")
-        campaign = CampaignSpec(run_id="deadline", tasks=[
-            TaskSpec("p1", "probe_deadline", timeout=30.0),
-            TaskSpec("p2", "probe_deadline"),
-        ], meta={"kind": "synthetic"})
-        report = Runner(campaign, root=root, jobs=2).execute()
-        assert report["results"]["p1"]["remaining"] is not None
-        assert 0 < report["results"]["p1"]["remaining"] <= 30.0
-        assert report["results"]["p2"]["remaining"] is None
-
     def test_scheduler_section_present_and_volatile(self, tmp_path):
         root = str(tmp_path / "runs")
         serial = Runner(fan_campaign("s1"), root=root, jobs=1).execute()
@@ -402,45 +241,6 @@ class TestConcurrentExecution:
         for span in sched["spans"].values():
             assert span["queued"] >= 0.0 and span["run"] >= 0.0
         assert "scheduler" not in normalize_report(conc)
-
-    def test_tasks_run_under_a_core_lease(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_CORES", "8")
-        root = str(tmp_path / "runs")
-        seen = {}
-        from repro.runner import registry
-
-        @registry.task("probe_share")
-        def probe_share(params, ctx):
-            return {"share": active_core_share()}
-
-        try:
-            campaign = CampaignSpec(run_id="lease", tasks=[
-                TaskSpec("p1", "probe_share"),
-                TaskSpec("p2", "probe_share"),
-            ], meta={"kind": "synthetic"})
-            report = Runner(campaign, root=root, jobs=2).execute()
-            shares = {report["results"][t]["share"] for t in ("p1", "p2")}
-            # Managed: every share granted, between fair split and full.
-            assert shares <= {4, 8}
-        finally:
-            registry._TASKS.pop("probe_share", None)
-
-    def test_serial_path_takes_no_lease(self, tmp_path):
-        root = str(tmp_path / "runs")
-        from repro.runner import registry
-
-        @registry.task("probe_unmanaged")
-        def probe_unmanaged(params, ctx):
-            return {"share": active_core_share()}
-
-        try:
-            campaign = CampaignSpec(run_id="noledger", tasks=[
-                TaskSpec("p", "probe_unmanaged"),
-            ], meta={"kind": "synthetic"})
-            report = Runner(campaign, root=root, jobs=1).execute()
-            assert report["results"]["p"]["share"] is None
-        finally:
-            registry._TASKS.pop("probe_unmanaged", None)
 
 
 # ----------------------------------------------------------------------

@@ -94,7 +94,7 @@ class TestSimulate:
 
 
 class TestGoodCacheThreadSafety:
-    """The per-plan good-value LRU is shared by speculation threads."""
+    """The per-plan good-value LRU is shared by concurrent inline tasks."""
 
     def test_concurrent_good_values(self, adder4, cells):
         import threading

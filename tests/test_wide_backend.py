@@ -70,26 +70,6 @@ class TestCones:
                 assert po == idx or po in outputs
                 assert plan.is_po[po]
 
-    def test_cone_sizes_tiny(self, tiny_circuit, cells):
-        """The load-balancing estimate counts each net's downstream gates."""
-        plan = CompiledCircuit.get(tiny_circuit, cells)
-        cone = plan.cone_sizes()
-        # a feeds NAND feeds NOT: itself + 2 gates, capped at the gate
-        # count (2) — the estimate is a partitioning cost, not a count.
-        assert cone[plan.net_index["a"]] == 2
-        assert cone[plan.net_index["y"]] == 2
-        assert cone[plan.net_index["z"]] == 1
-        # Memoized.
-        assert plan.cone_sizes() is cone
-
-    def test_cone_sizes_bounded_by_gate_count(self, cells):
-        """Reconvergence overestimates are capped at the gate count."""
-        circuit = random_mapped_circuit(cells, seed=10)
-        plan = CompiledCircuit.get(circuit, cells)
-        n_gates = len(plan.gate_out)
-        for size in plan.cone_sizes():
-            assert 1 <= size <= n_gates
-
 
 # ----------------------------------------------------------------------
 # Packing and batch geometry
