@@ -4,8 +4,8 @@ The bundled ``mul32`` array multiplier (ISCAS ``.bench``, ~6k mapped
 gates) is ingested end to end — parse, link-check, technology-map,
 lint — and then pushed through the two heavy engines:
 
-* wide-backend fault simulation at full batch width, recording its
-  fault-pattern throughput;
+* fault simulation of one large pattern batch (4096 pairs by default)
+  in a single pass, recording its fault-pattern throughput;
 * ``run_atpg`` on a fault sample.
 
 A trajectory point lands in ``benchmarks/results/BENCH_ingest.json``.
@@ -83,13 +83,13 @@ def test_ingested_benchmark_throughput():
         f"{n_gates} gates"
     )
 
-    # --- wide fault simulation -------------------------------------
+    # --- fault simulation, one pass over the whole batch ------------
     faults = _fault_sample(circuit, library, N_FAULTS)
     batch = PatternBatch.random(circuit, N_PATTERNS, seed=7)
 
     _clear_good_cache(circuit, cells)
     t0 = time.perf_counter()
-    fault_simulate(circuit, cells, faults, batch, backend="wide")
+    fault_simulate(circuit, cells, faults, batch)
     t_serial = time.perf_counter() - t0
     fp = len(faults) * batch.n
 
@@ -100,7 +100,7 @@ def test_ingested_benchmark_throughput():
     t0 = time.perf_counter()
     serial_res = run_atpg(
         circuit, cells, atpg_faults, seed=3, random_rounds=4,
-        backend="wide", budget=budget,
+        budget=budget,
     )
     t_atpg = time.perf_counter() - t0
 
@@ -113,7 +113,7 @@ def test_ingested_benchmark_throughput():
         "outputs": len(circuit.outputs),
         "ingest_seconds": round(t_ingest, 4),
         "ingest_gates_per_second": round(n_gates / t_ingest),
-        "widesim": {
+        "fsim": {
             "faults": len(faults),
             "patterns": batch.n,
             "serial_seconds": round(t_serial, 4),
@@ -147,9 +147,9 @@ def test_ingested_benchmark_throughput():
         f"{os.path.basename(path)})",
         f"  ingest (parse+link+map+lint): {t_ingest:.3f}s "
         f"({point['ingest_gates_per_second']} gates/s)",
-        f"  wide fault sim ({len(faults)} faults x {batch.n} patterns): "
+        f"  fault sim ({len(faults)} faults x {batch.n} patterns): "
         f"{t_serial:.3f}s "
-        f"({point['widesim']['serial_fault_patterns_per_second']} "
+        f"({point['fsim']['serial_fault_patterns_per_second']} "
         f"fault-patterns/s)",
         f"  run_atpg ({len(atpg_faults)} faults): {t_atpg:.3f}s, "
         f"{len(serial_res.detected)} det / "

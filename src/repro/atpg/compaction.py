@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.faults.fsim import PatternBatch, fault_simulate
+from repro.faults.fsim import BATCH_PAIRS, PatternBatch, fault_simulate
 from repro.faults.model import Fault
 from repro.library.cell import StandardCell
 from repro.netlist.circuit import Circuit
-from repro.netlist.vsim import batch_capacity
 from repro.utils.observability import EngineStats
 
 TestPair = Tuple[Dict[str, int], Dict[str, int]]
@@ -28,26 +27,17 @@ def compact_tests(
     tests: Sequence[TestPair],
     *,
     stats: Optional[EngineStats] = None,
-    backend: Optional[str] = None,
 ) -> List[TestPair]:
-    """Reverse-order compaction of *tests* against *faults*.
-
-    The detection matrix is backend-independent, so the kept subset is
-    identical for any *backend*; the wide backend just builds it in
-    fewer, larger fault-simulation batches.
-    """
+    """Reverse-order compaction of *tests* against *faults*."""
     if not tests:
         return []
     n = len(tests)
-    word = batch_capacity(backend)
     # detect_matrix[fault index] = bit vector over test indices.
     detect: List[int] = [0] * len(faults)
-    for start in range(0, n, word):
-        chunk = tests[start:start + word]
+    for start in range(0, n, BATCH_PAIRS):
+        chunk = tests[start:start + BATCH_PAIRS]
         batch = PatternBatch.from_pairs(circuit, chunk)
-        words = fault_simulate(
-            circuit, cells, faults, batch, stats=stats, backend=backend,
-        )
+        words = fault_simulate(circuit, cells, faults, batch, stats=stats)
         for fi, w in enumerate(words):
             detect[fi] |= w << start
     uncovered = [fi for fi, w in enumerate(detect) if w]

@@ -37,11 +37,10 @@ from repro.atpg.budget import ABORTED, DETECTED, UNDETECTABLE, AtpgBudget
 from repro.atpg.compaction import TestPair, compact_tests
 from repro.atpg.incremental import IncrementalAtpg
 from repro.faults.collapse import behaviour_key, collapse_faults
-from repro.faults.fsim import PatternBatch, fault_simulate
+from repro.faults.fsim import BATCH_PAIRS, PatternBatch, fault_simulate
 from repro.faults.model import Fault
 from repro.library.cell import StandardCell
 from repro.netlist.circuit import Circuit
-from repro.netlist.vsim import BACKEND_EVENT, batch_capacity, resolve_backend
 from repro.utils.observability import EngineStats
 from repro.utils.rng import make_rng
 
@@ -114,14 +113,13 @@ def run_atpg(
     faults: Sequence[Fault],
     seed: int = 0,
     random_rounds: int = 8,
-    batch_size: Optional[int] = None,
+    batch_size: int = BATCH_PAIRS,
     compaction: bool = True,
     initial_tests: Optional[Sequence[TestPair]] = None,
     assume_undetectable: Optional[AbstractSet] = None,
     assume_detected: Optional[AbstractSet] = None,
     stats: Optional[EngineStats] = None,
     budget: Optional[AtpgBudget] = None,
-    backend: Optional[str] = None,
 ) -> AtpgResult:
     """Classify *faults* on *circuit* and build a test set.
 
@@ -130,20 +128,10 @@ def run_atpg(
     whose decision runs out land in ``result.aborted`` with the
     conservative semantics described in the module docstring.
 
-    *backend* selects the fault-simulation engine for every batch the
-    driver runs (``"event"``/``"wide"``; default: the
-    ``REPRO_SIM_BACKEND`` environment variable, falling back to the
-    event backend).  *batch_size* is the number of random pattern pairs
-    simulated per round and the chunk size for initial-test replay.  It
-    defaults to the full capacity of the active backend — 64 patterns
-    (one machine word) for the event backend, ``64 * REPRO_SIM_WORDS``
-    (4096 by default) for the wide backend — and must stay within that
-    capacity: a batch cannot pack more patterns than the backend's word
-    width holds, so an oversized value raises :class:`ValueError` here
-    rather than producing silent truncation deep in the simulator.  The
-    classification is backend-independent; the generated test *set* is
-    too for equal *batch_size*, since both backends see identical
-    batches and produce bit-identical detection words.
+    *batch_size* is the number of random pattern pairs simulated per
+    round and the chunk size for initial-test replay: 1 to
+    :data:`~repro.faults.fsim.BATCH_PAIRS` (the default); any other
+    value raises :class:`ValueError`.
 
     Strategy: seeded random pattern pairs with bit-parallel fault
     simulation drop the easy faults; each remaining behaviour class gets
@@ -169,25 +157,10 @@ def run_atpg(
     instance instead).
     """
     start = time.perf_counter()
-    # Resolve the backend once so a mid-run environment change cannot
-    # split the run across backends, then validate batch_size against
-    # the resolved backend's pattern capacity (explicit validation
-    # instead of silent truncation).
-    backend = resolve_backend(backend)
-    capacity = batch_capacity(backend)
-    if batch_size is None:
-        batch_size = capacity if backend != BACKEND_EVENT else 64
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    if batch_size > capacity:
+    if not 1 <= batch_size <= BATCH_PAIRS:
         raise ValueError(
-            f"batch_size {batch_size} exceeds the {backend!r} backend's "
-            f"capacity of {capacity} patterns per batch"
-            + (
-                " (raise REPRO_SIM_WORDS to widen the wide backend)"
-                if backend != BACKEND_EVENT
-                else " (use backend='wide' for larger batches)"
-            )
+            f"batch_size must be between 1 and {BATCH_PAIRS} pattern "
+            f"pairs, got {batch_size}"
         )
     if budget is None:
         budget = AtpgBudget.from_env()
@@ -226,8 +199,7 @@ def run_atpg(
                 chunk = list(initial_tests[start_i:start_i + batch_size])
                 batch = PatternBatch.from_pairs(circuit, chunk)
                 words = fault_simulate(
-                    circuit, cells, remaining, batch,
-                    stats=stats, backend=backend,
+                    circuit, cells, remaining, batch, stats=stats,
                 )
                 used: Dict[int, TestPair] = {}
                 still: List[Fault] = []
@@ -251,8 +223,7 @@ def run_atpg(
                 circuit, batch_size, seed=rng.getrandbits(32)
             )
             words = fault_simulate(
-                circuit, cells, remaining, batch,
-                stats=stats, backend=backend,
+                circuit, cells, remaining, batch, stats=stats,
             )
             new_pairs: Dict[int, TestPair] = {}
             still: List[Fault] = []
@@ -327,8 +298,7 @@ def run_atpg(
             if todo:
                 batch = PatternBatch.from_pairs(circuit, pending_drop)
                 words = fault_simulate(
-                    circuit, cells, todo, batch,
-                    stats=stats, backend=backend,
+                    circuit, cells, todo, batch, stats=stats,
                 )
                 for f, w in zip(todo, words):
                     if w:
@@ -402,8 +372,7 @@ def run_atpg(
         ]
         with stats.phase("atpg.compaction"):
             tests = compact_tests(
-                circuit, cells, detected_rep_faults, tests,
-                stats=stats, backend=backend,
+                circuit, cells, detected_rep_faults, tests, stats=stats,
             )
     result.tests = tests
     result.runtime = time.perf_counter() - start

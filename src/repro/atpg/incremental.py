@@ -158,18 +158,18 @@ class IncrementalAtpg:
         if net in self._cones:
             return self._cones[net]
         circuit = self.circuit
-        cone_gates: Set[str] = set()
+        in_cone: Set[str] = set()
         stack = [g for g, _p in circuit.loads(net)]
         while stack:
             g = stack.pop()
-            if g in cone_gates:
+            if g in in_cone:
                 continue
-            cone_gates.add(g)
+            in_cone.add(g)
             stack.extend(circuit.gate_fanout_gates(g))
         pos = [
             po for po in circuit.outputs
             if po == net
-            or ((drv := circuit.driver(po)) is not None and drv in cone_gates)
+            or ((drv := circuit.driver(po)) is not None and drv in in_cone)
         ]
         if not pos:
             self._cones[net] = None
@@ -179,7 +179,7 @@ class IncrementalAtpg:
         var_start = solver.num_vars
         site_var = solver.new_var()
         fvars: Dict[str, int] = {net: site_var}
-        for g in sorted(cone_gates, key=lambda g: self._topo_index[g]):
+        for g in sorted(in_cone, key=lambda g: self._topo_index[g]):
             gate = circuit.gates[g]
             cell = self.cells[gate.cell]
             slots = [

@@ -20,7 +20,6 @@ from repro.faults.model import (
 from repro.faults.sites import FaultSet, enumerate_internal_faults
 from repro.faults.collapse import collapse_faults
 from repro.faults.fsim import fault_simulate, detected_by_patterns
-from repro.faults.vfsim import wide_fault_simulate
 
 __all__ = [
     "BridgingFault",
@@ -36,5 +35,4 @@ __all__ = [
     "collapse_faults",
     "fault_simulate",
     "detected_by_patterns",
-    "wide_fault_simulate",
 ]

@@ -23,12 +23,6 @@ resolution, load lists) is hoisted into a cached
 as dense integer indices, and good-machine values are served from a
 per-plan LRU so re-simulating a previously seen pattern batch skips the
 good simulation entirely.
-
-:func:`fault_simulate` is also the dispatch point for the *wide* numpy
-backend (:mod:`repro.faults.vfsim`): pass ``backend="wide"`` or set
-``REPRO_SIM_BACKEND=wide`` to simulate thousands of pattern pairs per
-pass with vectorized word arrays; detect words are bit-identical across
-backends for the same batch.
 """
 
 from __future__ import annotations
@@ -48,26 +42,24 @@ from repro.library.cell import StandardCell
 from repro.library.defects import CellDefect
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulator import CompiledCircuit
-from repro.netlist.vsim import (
-    BACKEND_WIDE,
-    batch_capacity,
-    resolve_backend,
-    words_for,
-)
 from repro.utils.observability import EngineStats
 from repro.utils.rng import make_rng
+
+# Pattern pairs per fault-simulation batch: the random-phase batch size
+# of :func:`repro.atpg.engine.run_atpg` and its upper bound, and the
+# chunk size wherever a pair list is graded (compaction,
+# :func:`detected_by_patterns`).  Widening it changes which pairs ATPG
+# draws and keeps, and so Table II's T column.
+BATCH_PAIRS = 64
 
 
 @dataclass
 class PatternBatch:
-    """A width-agnostic batch of test pairs, PI values packed as bit vectors.
+    """A batch of test pairs, PI values packed as bit vectors.
 
     ``frame1[pi]`` / ``frame2[pi]`` hold bit *i* of primary input *pi*
-    under pair *i* as arbitrary-precision Python ints, so one batch can
-    carry anything from a single pair up to the wide backend's
-    ``64 * REPRO_SIM_WORDS`` patterns; the event backend consumes the
-    ints directly, the wide backend packs them into numpy uint64 word
-    arrays (:func:`repro.netlist.vsim.pack_word`).
+    under pair *i* as arbitrary-precision Python ints, so a batch may
+    carry any number of pairs.
     """
 
     n: int
@@ -78,11 +70,6 @@ class PatternBatch:
     def mask(self) -> int:
         return (1 << self.n) - 1
 
-    @property
-    def words(self) -> int:
-        """64-bit words needed to hold this batch's patterns."""
-        return words_for(self.n)
-
     @staticmethod
     def from_pairs(
         circuit: Circuit,
@@ -91,9 +78,7 @@ class PatternBatch:
         # Accumulate each PI's word in a local int over one pass of the
         # pairs: two dict reads per (pair, PI) and a single store per PI,
         # instead of the per-set-bit read-modify-write dict updates the
-        # naive packing pays.  The packed ints are exactly what the wide
-        # backend's array packing consumes, so the result is reused
-        # as-is by both backends.
+        # naive packing pays.
         f1: Dict[str, int] = {}
         f2: Dict[str, int] = {}
         for pi in circuit.inputs:
@@ -230,11 +215,7 @@ def _make_context(
 ) -> _SimContext:
     """Context for one batch, with plan and good-value caching."""
     plan = CompiledCircuit.get(circuit, cells, stats=stats)
-    # The key leads with the backend tag (and the wide keys additionally
-    # carry their word count), so event and wide entries for the same
-    # frames can coexist in the shared per-plan LRU without colliding.
     key = (
-        "event",
         batch.n,
         tuple(batch.frame1.get(pi, 0) for pi in plan.pi_order),
         tuple(batch.frame2.get(pi, 0) for pi in plan.pi_order),
@@ -384,29 +365,13 @@ def fault_simulate(
     batch: PatternBatch,
     *,
     stats: Optional[EngineStats] = None,
-    backend: Optional[str] = None,
 ) -> List[int]:
     """Per-fault detect words (bit i set = pair i detects the fault).
-
-    *backend* selects the simulation engine: ``"event"`` (bit-parallel
-    Python-int words with event-driven propagation — the default) or
-    ``"wide"`` (numpy uint64 word arrays with dense cone-scoped
-    propagation, thousands of patterns per pass — see
-    :mod:`repro.faults.vfsim`).  ``None`` defers to the
-    ``REPRO_SIM_BACKEND`` environment variable, so existing call sites
-    pick the wide backend up without changes.  Both backends return
-    bit-identical detect words for the same batch.
 
     Counters accumulate in a private per-call instance that is merged
     into *stats* in one atomic step at the end, so an EngineStats shared
     between threads never loses increments.
     """
-    if resolve_backend(backend) == BACKEND_WIDE:
-        from repro.faults.vfsim import wide_fault_simulate
-
-        return wide_fault_simulate(
-            circuit, cells, faults, batch, stats=stats
-        )
     local = EngineStats()
     ctx = _make_context(circuit, cells, batch, stats=local)
     local.batches += 1
@@ -425,24 +390,19 @@ def detected_by_patterns(
     pairs: Sequence[Tuple[Mapping[str, int], Mapping[str, int]]],
     *,
     stats: Optional[EngineStats] = None,
-    backend: Optional[str] = None,
 ) -> List[bool]:
     """Convenience wrapper: which faults do these test pairs detect?
 
-    Pairs are chunked at the active backend's batch capacity: 64 per
-    pass for the event backend, ``64 * REPRO_SIM_WORDS`` for the wide
-    backend (so a long test list rides a handful of wide passes).
+    Pairs are simulated in chunks of :data:`BATCH_PAIRS`.
     """
     if not pairs:
         return [False] * len(faults)
-    backend = resolve_backend(backend)
     flags = [False] * len(faults)
-    word = batch_capacity(backend)
-    for start in range(0, len(pairs), word):
-        batch = PatternBatch.from_pairs(circuit, pairs[start:start + word])
-        words = fault_simulate(
-            circuit, cells, faults, batch, stats=stats, backend=backend,
+    for start in range(0, len(pairs), BATCH_PAIRS):
+        batch = PatternBatch.from_pairs(
+            circuit, pairs[start:start + BATCH_PAIRS]
         )
+        words = fault_simulate(circuit, cells, faults, batch, stats=stats)
         for i, w in enumerate(words):
             if w:
                 flags[i] = True

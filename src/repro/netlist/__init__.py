@@ -24,14 +24,6 @@ from repro.netlist.simulator import (
     simulate,
     simulate_patterns,
 )
-from repro.netlist.vsim import (
-    BACKEND_EVENT,
-    BACKEND_WIDE,
-    batch_capacity,
-    resolve_backend,
-    resolve_words,
-    simulate_wide,
-)
 from repro.netlist.io import parse_file, parse_netlist, write_netlist
 from repro.netlist.validate import (
     Diagnostic,
@@ -55,12 +47,6 @@ __all__ = [
     "set_cache_integrity",
     "simulate",
     "simulate_patterns",
-    "BACKEND_EVENT",
-    "BACKEND_WIDE",
-    "batch_capacity",
-    "resolve_backend",
-    "resolve_words",
-    "simulate_wide",
     "parse_file",
     "parse_netlist",
     "write_netlist",

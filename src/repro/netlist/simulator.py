@@ -52,17 +52,6 @@ def set_cache_integrity(enabled: bool) -> bool:
     return old
 
 
-def cache_integrity_enabled() -> bool:
-    """Current state of good-cache checksum verification.
-
-    The wide backend (:mod:`repro.netlist.vsim`) shares the per-plan
-    good-value LRU but verifies its array entries with its own checksum,
-    so it needs to observe this flag without importing the private
-    global.
-    """
-    return _CACHE_INTEGRITY
-
-
 def _good_checksum(result: Tuple[List[int], ...]) -> Tuple[int, ...]:
     """Order-sensitive checksum of a cached good-value entry.
 
@@ -76,9 +65,9 @@ def _good_checksum(result: Tuple[List[int], ...]) -> Tuple[int, ...]:
 # Bound of the global (n_inputs, truth_table) -> evaluator cache.  Real
 # libraries have a few dozen distinct cell functions, so the bound only
 # matters for adversarial workloads (e.g. fuzzing over random truth
-# tables) where an unbounded cache is a slow leak.  Tunable via the
-# environment for such runs; hit/miss counts surface on EngineStats.
-EVAL_CACHE_SIZE = int(os.environ.get("REPRO_EVAL_CACHE_SIZE", "1024"))
+# tables) where an unbounded cache is a slow leak; hit/miss counts
+# surface on EngineStats.
+EVAL_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=EVAL_CACHE_SIZE)
@@ -90,13 +79,9 @@ def compile_cell_eval(n_inputs: int, tt: int) -> Evaluator:
     bit vector (already masked).
     """
     if n_inputs == 0:
-        # `mask` / `mask & 0` instead of `-1 & mask`: these forms are
-        # valid for Python-int masks *and* for the numpy uint64 arrays
-        # the wide backend passes through the same evaluators (numpy
-        # rejects the out-of-range literal -1 in uint64 arithmetic).
         if tt & 1:
             return lambda mask: mask
-        return lambda mask: mask & 0
+        return lambda mask: 0
     size = 1 << n_inputs
     if tt >= (1 << size) or tt < 0:
         raise ValueError(f"truth table 0x{tt:x} out of range for {n_inputs} inputs")
@@ -160,17 +145,15 @@ class CompiledCircuit:
     """
 
     # Per-plan LRU bound for good-machine value vectors.  A class
-    # attribute on purpose: it is a tunable — assign to it (or set
-    # REPRO_GOOD_CACHE_SIZE) to trade memory for good-simulation reuse;
-    # instances may also override it individually.
-    GOOD_CACHE_SIZE = int(os.environ.get("REPRO_GOOD_CACHE_SIZE", "32"))
+    # attribute on purpose: assign to it to trade memory for
+    # good-simulation reuse; instances may also override it individually.
+    GOOD_CACHE_SIZE = 32
 
     __slots__ = (
         "circuit", "cells", "pi_order", "net_index", "n_nets",
         "gate_names", "gate_index", "gate_fn", "gate_in", "gate_out",
         "gate_eval", "loads_of", "is_po", "po_index", "eval_compiles",
-        "good_cache", "good_sums", "_good_lock",
-        "_cone_gates", "_topo_ref", "__weakref__",
+        "good_cache", "good_sums", "_good_lock", "_topo_ref", "__weakref__",
     )
 
     def __init__(self, circuit: Circuit, cells: Mapping[str, CellDef]):
@@ -245,10 +228,6 @@ class CompiledCircuit:
         # interleave, so every cache touch happens under this lock.  The
         # good simulation itself runs outside the lock.
         self._good_lock = threading.Lock()
-        # Lazily computed forward cones: net index -> (gate indices in
-        # topological order, PO net indices reachable from the net).
-        # Used by the wide backend's dense cone-scoped propagation.
-        self._cone_gates: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     def valid_for(self, circuit: Circuit, cells: Mapping[str, CellDef]) -> bool:
@@ -373,42 +352,6 @@ class CompiledCircuit:
             while len(self.good_cache) > self.GOOD_CACHE_SIZE:
                 evicted, _ = self.good_cache.popitem(last=False)
                 self.good_sums.pop(evicted, None)
-        return result
-
-    def cone_gates(
-        self, net_idx: int
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Forward cone of a net: affected gates and observable POs.
-
-        Returns ``(gates, pos)`` where *gates* are the indices of every
-        gate whose output can be influenced by *net_idx*, sorted in
-        topological order (gate indices are assigned in topo order, so a
-        plain sort suffices), and *pos* are the PO net indices among
-        ``{net_idx} ∪ {outputs of gates}``.  Memoized per plan — fault
-        sites repeat across batches, so the wide backend's dense
-        propagation pays the traversal once per site.
-        """
-        cached = self._cone_gates.get(net_idx)
-        if cached is not None:
-            return cached
-        seen_gates = set()
-        frontier = [net_idx]
-        while frontier:
-            idx = frontier.pop()
-            for gi in self.loads_of[idx]:
-                if gi not in seen_gates:
-                    seen_gates.add(gi)
-                    frontier.append(self.gate_out[gi])
-        gates = tuple(sorted(seen_gates))
-        pos = []
-        if self.is_po[net_idx]:
-            pos.append(net_idx)
-        for gi in gates:
-            out = self.gate_out[gi]
-            if self.is_po[out]:
-                pos.append(out)
-        result = (gates, tuple(pos))
-        self._cone_gates[net_idx] = result
         return result
 
 

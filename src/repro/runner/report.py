@@ -58,9 +58,10 @@ VOLATILE_KEYS = frozenset({
 }) | frozenset({
     # Keys only reports of earlier revisions carry: the intra-task
     # parallel layers' counters and coded warnings, the speculation
-    # counters, and the campaign's worker settings.  Dropping them keeps
-    # those reports diffable against current ones, and lets a resumed
-    # run mix their cached payloads with fresh ones.
+    # counters, the campaign's worker settings, and the counters of the
+    # removed vectorized fault simulator.  Dropping them keeps those
+    # reports diffable against current ones, and lets a resumed run mix
+    # their cached payloads with fresh ones.
     "parallel_chunks",
     "proc_shards",
     "proc_workers",
@@ -80,6 +81,9 @@ VOLATILE_KEYS = frozenset({
     "candidates_wasted",
     "workers",
     "exec_mode",
+    "wide_batches",
+    "words_per_batch",
+    "vector_ops",
 })
 
 

@@ -167,15 +167,8 @@ class ChaosInjector:
         # Replace the entry with a bit-flipped *copy*: references handed
         # out on earlier hits must stay pristine (the corruption models
         # rot inside the cache, not retroactive damage to past results).
-        first = cached[0]
-        if hasattr(first, "dtype"):
-            # Wide entry: tuple of (n_nets, words) uint64 arrays.
-            rotten = tuple(frame.copy() for frame in cached)
-            rotten[0][len(rotten[0]) // 2, rotten[0].shape[1] // 2] ^= 1
-        else:
-            # Event entry: tuple of per-net Python-int lists.
-            rotten = tuple(list(vec) for vec in cached)
-            rotten[0][len(rotten[0]) // 2] ^= 1
+        rotten = tuple(list(vec) for vec in cached)
+        rotten[0][len(rotten[0]) // 2] ^= 1
         plan.good_cache[batch_key] = rotten  # type: ignore[attr-defined]
         self.counters.corruptions_injected += 1
 

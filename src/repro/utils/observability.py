@@ -34,13 +34,12 @@ _MERGE_LOCK = threading.Lock()
 # as ``field(metadata={MERGE: rule})``.
 MERGE = "merge"
 SUM = "sum"  # counters: add
-MAX = "max"  # high-water marks: keep the larger
 DICT_SUM = "dict-sum"  # per-key counters / seconds: add key by key
 EXTEND = "extend"  # record lists: append the other's records
 
 
-def _counter(rule: str = SUM):
-    return field(default=0, metadata={MERGE: rule})
+def _counter():
+    return field(default=0, metadata={MERGE: SUM})
 
 
 def _per_key():
@@ -56,7 +55,7 @@ class EngineStats:
     """Counters for one fault-analysis run (all additive / mergeable).
 
     Each field declares how :meth:`merge` folds it (``MERGE`` metadata:
-    sum, max, dict-sum or extend); :meth:`merge` and :meth:`as_dict` are
+    sum, dict-sum or extend); :meth:`merge` and :meth:`as_dict` are
     driven by those declarations.
 
     * ``faults_simulated`` — fault/batch simulations performed (one count
@@ -80,15 +79,6 @@ class EngineStats:
       clusters carried over unchanged by the incremental union-find
       update vs. re-derived after a local circuit change;
     * ``batches`` — pattern batches fault-simulated;
-    * ``wide_batches`` — batches simulated by the wide numpy backend
-      (a subset of ``batches``);
-    * ``words_per_batch`` — widest wide batch seen, in 64-bit words
-      (merged by max, not sum: it is a high-water mark, so the counter
-      of a merged run equals the widest of its parts);
-    * ``vector_ops`` — vectorized array operations the wide backend
-      issued: one per gate evaluated during wide good simulation and
-      dense cone propagation (the wide analogue of
-      ``events_propagated``, which only the event backend records);
     * ``sat_calls`` / ``sat_conflicts`` / ``sat_propagations`` — exact
       ATPG solver effort;
     * ``sat_learned`` / ``sat_restarts`` — clauses the CDCL solver
@@ -129,9 +119,6 @@ class EngineStats:
     clusters_reused: int = _counter()
     clusters_recomputed: int = _counter()
     batches: int = _counter()
-    wide_batches: int = _counter()
-    words_per_batch: int = _counter(MAX)
-    vector_ops: int = _counter()
     sat_calls: int = _counter()
     sat_conflicts: int = _counter()
     sat_propagations: int = _counter()
@@ -166,8 +153,6 @@ class EngineStats:
                 theirs = getattr(other, name)
                 if rule == SUM:
                     setattr(self, name, mine + theirs)
-                elif rule == MAX:
-                    setattr(self, name, max(mine, theirs))
                 elif rule == DICT_SUM:
                     for key, value in theirs.items():
                         mine[key] = mine.get(key, 0) + value

@@ -22,11 +22,12 @@ import pytest
 
 from repro.atpg import run_atpg
 from repro.core import analyze_design
+from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.netlist.simulator import CompiledCircuit, set_cache_integrity
 from repro.testing import ChaosConfig, ChaosError, ChaosInjector, chaos
 from repro.utils import seams
 from repro.utils.observability import EngineStats
-from tests.conftest import mixed_fault_list
+from tests.conftest import mixed_fault_list, random_mapped_circuit
 
 
 class TestChaosConfig:
@@ -131,6 +132,24 @@ class TestCacheCorruption:
             set_cache_integrity(previous)
             plan.good_cache.clear()
             plan.good_sums.clear()
+
+    def test_fault_simulate_bit_identical_under_cache_chaos(
+        self, cells, library
+    ):
+        """Corrupted good-value entries served to fault simulation are
+        caught and repaired: the detect words equal a clean run's."""
+        circuit = random_mapped_circuit(cells, seed=17)
+        faults = mixed_fault_list(circuit, library, seed=17)
+        batch = PatternBatch.random(circuit, 48, seed=17)
+        clean = fault_simulate(circuit, cells, faults, batch)
+        with chaos(ChaosConfig(corrupt_good_cache_every=1)) as injector:
+            stats = EngineStats()
+            under_chaos = fault_simulate(
+                circuit, cells, faults, batch, stats=stats
+            )
+        assert under_chaos == clean
+        assert injector.counters.corruptions_injected >= 1
+        assert stats.cache_integrity_failures >= 1
 
     def test_atpg_bit_identical_under_cache_chaos(self, adder4, cells, library):
         faults = mixed_fault_list(adder4, library, seed=2, per_kind=5)

@@ -21,7 +21,6 @@ from repro.faults.sites import enumerate_internal_faults
 from repro.utils.observability import (
     DICT_SUM,
     EXTEND,
-    MAX,
     MERGE,
     SUM,
     EngineStats,
@@ -118,7 +117,7 @@ def _populated(offset):
     for i, f in enumerate(fields(EngineStats)):
         rule = f.metadata[MERGE]
         n = offset + i + 1
-        if rule in (SUM, MAX):
+        if rule == SUM:
             values[f.name] = n
         elif rule == DICT_SUM:
             values[f.name] = {"shared": n, f"only{offset}": 1}
@@ -141,10 +140,14 @@ def test_stats_merge_and_as_dict():
     assert d["faults_simulated"] == 7
     assert d["phase_seconds"]["y"] == 1.0
 
-    # Every field declares a merge rule, and merging two fully populated
-    # instances applies it, in either direction.
+    # Every field declares a merge rule, every rule has a field, and
+    # merging two fully populated instances applies it, in either
+    # direction.
     for f in fields(EngineStats):
-        assert f.metadata.get(MERGE) in (SUM, MAX, DICT_SUM, EXTEND), f.name
+        assert f.metadata.get(MERGE) in (SUM, DICT_SUM, EXTEND), f.name
+    assert {f.metadata[MERGE] for f in fields(EngineStats)} == {
+        SUM, DICT_SUM, EXTEND,
+    }
     for lo, hi in ((0, 100), (100, 0)):
         merged = _populated(lo)
         merged.merge(_populated(hi))
@@ -155,8 +158,6 @@ def test_stats_merge_and_as_dict():
             rule = f.metadata[MERGE]
             if rule == SUM:
                 want = mine + theirs
-            elif rule == MAX:
-                want = max(mine, theirs)
             elif rule == DICT_SUM:
                 want = {"shared": mine["shared"] + theirs["shared"],
                         f"only{lo}": 1, f"only{hi}": 1}
@@ -174,8 +175,7 @@ def test_stats_merge_and_as_dict():
         "eval_compiles", "eval_cache_hits", "eval_cache_misses",
         "verdicts_inherited", "verdicts_proved", "faults_carried",
         "faults_extracted", "clusters_reused", "clusters_recomputed",
-        "batches", "wide_batches", "words_per_batch", "vector_ops",
-        "sat_calls", "sat_conflicts", "sat_propagations", "sat_learned",
+        "batches", "sat_calls", "sat_conflicts", "sat_propagations", "sat_learned",
         "sat_restarts", "sat_lemmas_reused", "sat_aborts",
         "sat_abort_reasons", "verdicts_aborted",
         "cache_integrity_failures", "degradations", "phase_seconds",

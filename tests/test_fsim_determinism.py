@@ -48,17 +48,16 @@ def test_fault_simulate_workers_bit_identical(cells, library, seed):
 
 
 def test_parallel_events_match_serial(cells, library):
-    """Concurrent callers each count exactly their own events (an
-    event-backend counter, so the backend is pinned)."""
+    """Concurrent callers each count exactly their own events."""
     circuit = random_mapped_circuit(cells, seed=60)
     faults = mixed_fault_list(circuit, library=library, seed=6)
     batch = PatternBatch.random(circuit, 32, seed=6)
     s1 = EngineStats()
-    fault_simulate(circuit, cells, faults, batch, stats=s1, backend="event")
+    fault_simulate(circuit, cells, faults, batch, stats=s1)
     views = [EngineStats() for _ in range(WORKERS)]
     _on_workers(
         lambda i: fault_simulate(circuit, cells, faults, batch,
-                                 stats=views[i], backend="event")
+                                 stats=views[i])
     )
     assert s1.events_propagated > 0
     for view in views:
@@ -131,7 +130,7 @@ def test_all_stats_counters_identical_serial_vs_parallel(cells, library):
         # counters drift.
         volatile |= {
             "good_simulations", "good_cache_hits",
-            "cache_integrity_failures", "degradations", "vector_ops",
+            "cache_integrity_failures", "degradations",
         }
     for out, parallel in _on_workers(run):
         assert out == out1

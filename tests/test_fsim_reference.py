@@ -180,3 +180,26 @@ def test_all_models_mixed_matches_reference(cells, library, seed):
     faults = mixed_fault_list(circuit, library=library, seed=seed)
     words = _check(circuit, cells, faults, seed=seed)
     assert any(words)
+
+
+def test_from_pairs_matches_naive_packing(cells):
+    """The one-pass packing equals bit-by-bit dict accumulation."""
+    circuit = random_mapped_circuit(cells, seed=12)
+    gen = PatternBatch.random(circuit, 150, seed=13)
+    pairs = [
+        (
+            {pi: (gen.frame1[pi] >> i) & 1 for pi in circuit.inputs},
+            {pi: (gen.frame2[pi] >> i) & 1 for pi in circuit.inputs},
+        )
+        for i in range(150)
+    ]
+    batch = PatternBatch.from_pairs(circuit, pairs)
+    naive1 = {pi: 0 for pi in circuit.inputs}
+    naive2 = {pi: 0 for pi in circuit.inputs}
+    for i, (v1, v2) in enumerate(pairs):
+        for pi in circuit.inputs:
+            naive1[pi] |= v1[pi] << i
+            naive2[pi] |= v2[pi] << i
+    assert batch.n == 150
+    assert batch.frame1 == naive1 == gen.frame1
+    assert batch.frame2 == naive2 == gen.frame2

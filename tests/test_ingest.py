@@ -5,8 +5,9 @@ Covers the front-end parsers (:mod:`repro.netlist.ingest.bench`,
 :class:`NetGraph` link checks, technology mapping under full and
 deliberately starved cell libraries (:mod:`repro.netlist.ingest.lower`),
 the strict/recovering entry points, the bundled benchmark set, the
-``repro.runner ingest`` CLI, Hypothesis fuzzing of both parsers, and an
-event-vs-wide backend differential on an ingested circuit.
+``repro.runner ingest`` CLI, Hypothesis fuzzing of both parsers, and a
+fault-simulation differential against the reference oracle on an
+ingested circuit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.fsim import PatternBatch, fault_simulate
+from repro.faults.reference import reference_fault_simulate
 from repro.netlist import Circuit, parse_file, parse_netlist
 from repro.netlist.ingest import (
     BUNDLED,
@@ -590,16 +592,16 @@ class TestFuzz:
 
 class TestBackendDifferential:
     def test_ingested_circuit_identical_under_both_backends(
-        self, cells, library, monkeypatch
+        self, cells, library
     ):
-        """REPRO_SIM_BACKEND=event and =wide agree bit-for-bit on an
-        ingested benchmark (good sim + fault sim detect words)."""
+        """The event-driven fault simulator and the scalar reference
+        oracle agree bit-for-bit on an ingested benchmark (good sim +
+        fault sim detect words)."""
         circuit = load_file(bundled_path("ecc64"), cells=cells)
         faults = mixed_fault_list(circuit, library, seed=11)
         batch = PatternBatch.random(circuit, 96, seed=11)
-        detect = {}
-        for backend in ("event", "wide"):
-            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-            detect[backend] = fault_simulate(circuit, cells, faults, batch)
-        assert detect["event"] == detect["wide"]
-        assert any(detect["event"])  # the check is not vacuous
+        detect = fault_simulate(circuit, cells, faults, batch)
+        assert detect == reference_fault_simulate(
+            circuit, cells, faults, batch
+        )
+        assert any(detect)  # the check is not vacuous

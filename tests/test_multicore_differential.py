@@ -4,9 +4,9 @@ The project's one parallel layer is the campaign runner's ``--jobs``;
 with ``--isolation process`` every task runs in a fresh interpreter —
 its own imports, cold caches and its own hash seed — and its Table I/II
 numbers must equal an inline run's bit for bit.  This suite locks that
-in at the engine level, for both simulation backends, by computing in a
-child interpreter (:func:`tests.conftest.call_in_fresh_process`) and
-comparing against the in-process serial path:
+in at the engine level by computing in a child interpreter
+(:func:`tests.conftest.call_in_fresh_process`) and comparing against the
+in-process serial path:
 
 * detect-word bit-identity on every bundled benchmark circuit for seeds
   {0, 1, 2};
@@ -41,8 +41,10 @@ from tests.conftest import (
     random_mapped_circuit,
 )
 
-BACKENDS = ["event", "wide"]
 SEEDS = [0, 1, 2]
+
+# The fault-simulation engine under test, carried in every test ID.
+ENGINES = ["event"]
 
 # Benchmark circuits are expensive to synthesize; build each once for
 # the whole module run (on either side of the process boundary).
@@ -70,7 +72,7 @@ if os.environ.get("REPRO_CHAOS"):
     # drift.
     _VOLATILE |= {
         "good_simulations", "good_cache_hits",
-        "cache_integrity_failures", "degradations", "vector_ops",
+        "cache_integrity_failures", "degradations",
     }
 
 
@@ -85,31 +87,27 @@ def _bench_workload(name, seed, library):
     return circuit, faults, batch
 
 
-def _atpg_partition(cells, library, seed, backend):
+def _atpg_partition(cells, library, seed):
     circuit = random_mapped_circuit(cells, seed=seed)
     faults = mixed_fault_list(circuit, library, seed=seed)
-    result = run_atpg(
-        circuit, cells, faults, seed=seed, batch_size=64, backend=backend,
-    )
+    result = run_atpg(circuit, cells, faults, seed=seed)
     return (
         result.detected, result.undetectable, result.aborted,
         result.tests, result.coverage,
     )
 
 
-def _stats_run(cells, library, backend):
+def _stats_run(cells, library):
     # A freshly built circuit: per-plan caches start cold on each side.
     circuit = random_mapped_circuit(cells, seed=21)
     faults = mixed_fault_list(circuit, library, seed=21)
     batch = PatternBatch.random(circuit, 128, seed=3)
     stats = EngineStats()
-    words = fault_simulate(
-        circuit, cells, faults, batch, backend=backend, stats=stats,
-    )
+    words = fault_simulate(circuit, cells, faults, batch, stats=stats)
     return words, stats.as_dict()
 
 
-def _pattern_flags(cells, library, backend):
+def _pattern_flags(cells, library):
     circuit = random_mapped_circuit(cells, seed=9)
     faults = mixed_fault_list(circuit, library, seed=9)
     gen = PatternBatch.random(circuit, 150, seed=13)
@@ -120,9 +118,7 @@ def _pattern_flags(cells, library, backend):
         )
         for i in range(150)
     ]
-    return detected_by_patterns(
-        circuit, cells, faults, pairs, backend=backend,
-    )
+    return detected_by_patterns(circuit, cells, faults, pairs)
 
 
 # ----------------------------------------------------------------------
@@ -133,35 +129,27 @@ def _child_bench_words(jobs):
     library = osu018_library()
     cells = _cells(library)
     out = []
-    for name, seed, backend in jobs:
+    for name, seed in jobs:
         circuit, faults, batch = _bench_workload(name, seed, library)
-        out.append(fault_simulate(
-            circuit, cells, faults, batch, backend=backend,
-        ))
+        out.append(fault_simulate(circuit, cells, faults, batch))
     return out
 
 
 def _child_small():
     library = osu018_library()
     cells = _cells(library)
-    out = {}
-    for backend in BACKENDS:
-        out["stats", backend] = _stats_run(cells, library, backend)
-        out["patterns", backend] = _pattern_flags(cells, library, backend)
-        for seed in (0, 1):
-            out["atpg", seed, backend] = _atpg_partition(
-                cells, library, seed, backend,
-            )
+    out = {
+        "stats": _stats_run(cells, library),
+        "patterns": _pattern_flags(cells, library),
+    }
+    for seed in (0, 1):
+        out["atpg", seed] = _atpg_partition(cells, library, seed)
     return out
 
 
 @pytest.fixture(scope="module")
 def child_bench_words():
-    jobs = [
-        (name, seed, backend)
-        for name in sorted(BENCHMARKS) for seed in SEEDS
-        for backend in BACKENDS
-    ]
+    jobs = [(name, seed) for name in sorted(BENCHMARKS) for seed in SEEDS]
     words = call_in_fresh_process(f"{__name__}:_child_bench_words", jobs)
     return dict(zip(jobs, words))
 
@@ -175,26 +163,26 @@ def child_small():
 # Tests
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_process_matches_serial_on_benchmarks(
-    cells, library, child_bench_words, name, seed, backend
+    cells, library, child_bench_words, name, seed, engine
 ):
     circuit, faults, batch = _bench_workload(name, seed, library)
-    serial = fault_simulate(circuit, cells, faults, batch, backend=backend)
+    serial = fault_simulate(circuit, cells, faults, batch)
     assert len(serial) == len(faults)
-    assert child_bench_words[name, seed, backend] == serial
+    assert child_bench_words[name, seed] == serial
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_run_atpg_process_bit_identity(
-    cells, library, child_small, seed, backend
+    cells, library, child_small, seed, engine
 ):
     """Same seed ⇒ the whole ATPG result matches across the boundary."""
-    serial = _atpg_partition(cells, library, seed, backend)
-    proc = child_small["atpg", seed, backend]
+    serial = _atpg_partition(cells, library, seed)
+    proc = child_small["atpg", seed]
     detected, undetectable, aborted, tests, coverage = serial
     assert proc[0] == detected
     assert proc[1] == undetectable
@@ -204,15 +192,15 @@ def test_run_atpg_process_bit_identity(
     assert detected  # non-degenerate run
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_all_stats_counters_identical_serial_vs_process(
-    cells, library, child_small, backend
+    cells, library, child_small, engine
 ):
     """A run in a fresh interpreter reports the test process's counters,
     counter by counter, apart from wall clock and the evaluator-cache
     hit/miss split (whose sum still matches)."""
-    serial_words, serial_stats = _stats_run(cells, library, backend)
-    proc_words, proc_stats = child_small["stats", backend]
+    serial_words, serial_stats = _stats_run(cells, library)
+    proc_words, proc_stats = child_small["stats"]
     assert serial_words == proc_words
     assert list(serial_stats) == list(proc_stats)
     assert (
@@ -227,8 +215,8 @@ def test_all_stats_counters_identical_serial_vs_process(
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_detected_by_patterns_process(cells, library, child_small, backend):
-    serial = _pattern_flags(cells, library, backend)
-    assert child_small["patterns", backend] == serial
+@pytest.mark.parametrize("engine", ENGINES)
+def test_detected_by_patterns_process(cells, library, child_small, engine):
+    serial = _pattern_flags(cells, library)
+    assert child_small["patterns"] == serial
     assert any(serial)

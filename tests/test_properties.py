@@ -157,7 +157,7 @@ class TestMulticoreInvariance:
         fault, batch): invariant to the order the faults are handed in,
         to how the list is cut into shards, and to how many workers
         simulate those shards concurrently on one shared circuit (the
-        inline ``--jobs`` situation), on either backend."""
+        inline ``--jobs`` situation)."""
         from tests.conftest import (
             mixed_fault_list,
             on_workers,
@@ -165,9 +165,6 @@ class TestMulticoreInvariance:
         )
 
         seed = data.draw(st.integers(0, 2 ** 16), label="circuit seed")
-        backend = data.draw(
-            st.sampled_from(["event", "wide"]), label="backend"
-        )
         workers = data.draw(st.integers(1, 4), label="workers")
         circuit = random_mapped_circuit(cells, n_gates=30, seed=seed)
         pool = mixed_fault_list(circuit, library, seed=seed, per_kind=4)
@@ -178,7 +175,7 @@ class TestMulticoreInvariance:
         )
         batch = PatternBatch.random(circuit, 96, seed=seed ^ 0x5A5A)
 
-        words = fault_simulate(circuit, cells, faults, batch, backend=backend)
+        words = fault_simulate(circuit, cells, faults, batch)
         baseline = {f.fault_id: w for f, w in zip(faults, words)}
 
         shuffled = list(faults)
@@ -193,9 +190,7 @@ class TestMulticoreInvariance:
         bounds = [0] + cuts + [len(shuffled)]
         shards = [shuffled[a:b] for a, b in zip(bounds, bounds[1:])]
         shard_words = on_workers(
-            lambda i: fault_simulate(
-                circuit, cells, shards[i], batch, backend=backend
-            ),
+            lambda i: fault_simulate(circuit, cells, shards[i], batch),
             workers,
         )
         merged = {}

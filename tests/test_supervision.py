@@ -58,16 +58,13 @@ def _fsim_hang_once(params, ctx):
     circuit, cells, faults, batch, events = _WORKLOADS[params["name"]]
     if ctx.attempt == 1:
         try:
-            fault_simulate(
-                circuit, cells, faults[: len(faults) // 2], batch,
-                backend="wide",
-            )
+            fault_simulate(circuit, cells, faults[: len(faults) // 2], batch)
             events["hung"].set()
             events["release"].wait(60.0)
             raise RuntimeError("hung attempt released")
         finally:
             events["done"].set()
-    words = fault_simulate(circuit, cells, faults, batch, backend="wide")
+    words = fault_simulate(circuit, cells, faults, batch)
     return {"words": words}
 
 
@@ -100,7 +97,7 @@ def test_hung_worker_reaped_and_retried_bit_identical(
 
     # The reference: a clean serial run on an independent build.
     reference = build_benchmark(name, library)
-    serial = fault_simulate(reference, cells, faults, batch, backend="wide")
+    serial = fault_simulate(reference, cells, faults, batch)
     assert events["hung"].is_set()
     assert report["status"] == "ok"
     assert report["results"]["sim"]["words"] == serial

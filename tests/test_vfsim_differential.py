@@ -1,34 +1,28 @@
-"""Differential tests: the wide numpy backend vs the event backend.
+"""Differential tests: one wide pattern batch vs ATPG-sized batches.
 
-The wide backend (:mod:`repro.faults.vfsim`) must be *bit-identical* to
-the event backend — not just same detected/undetected flags, but the
-same detect words: bit *i* of fault *f*'s word set by exactly the same
-pattern pairs.  Bit-identity is structural (both backends share the
-compiled plan's topological order, pin indices and evaluators), and this
-suite locks it in:
+Pattern words are arbitrary-precision ints, so :func:`fault_simulate`
+takes a batch of any width in one pass (the ingest benchmark grades 4096
+pairs at once), while ATPG and :func:`detected_by_patterns` grade pairs
+:data:`BATCH_PAIRS` at a time.  Detect words must not depend on the
+width: bit *i* of fault *f*'s word is set by exactly the same pattern
+pairs whether the batch is simulated in one pass, in ``BATCH_PAIRS``-pair
+chunks, or by the naive oracle :mod:`repro.faults.reference`.  This
+suite locks that in:
 
 * on random mapped circuits with faults of every model, across batch
-  widths from a single pair up to several 64-bit words;
-* on every bundled benchmark circuit for seeds {0, 1, 2};
-* end-to-end through ``run_atpg`` — same classification, same tests,
-  same coverage for equal ``batch_size``;
-* through the ``detected_by_patterns`` capacity-chunked wrapper and
-  the ``REPRO_SIM_BACKEND`` environment dispatch.
+  widths from a single pair up to several 64-bit words, against both the
+  chunked run and the oracle;
+* on every bundled benchmark circuit for seeds {0, 1, 2}, against the
+  chunked run.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.atpg.engine import run_atpg
 from repro.bench.circuits import BENCHMARKS, build_benchmark
-from repro.faults.fsim import (
-    PatternBatch,
-    detected_by_patterns,
-    fault_simulate,
-)
-from repro.faults.vfsim import wide_fault_simulate
-from repro.utils.observability import EngineStats
+from repro.faults.fsim import BATCH_PAIRS, PatternBatch, fault_simulate
+from repro.faults.reference import reference_fault_simulate
 from tests.conftest import mixed_fault_list, random_mapped_circuit
 
 # Batch widths spanning the interesting boundaries: a single pair, a
@@ -48,11 +42,26 @@ def _bench(name, library):
     return circuit
 
 
+def _chunked(circuit, cells, faults, batch):
+    """*batch* simulated ``BATCH_PAIRS`` pairs at a time, words stitched."""
+    words = [0] * len(faults)
+    for lo in range(0, batch.n, BATCH_PAIRS):
+        n = min(BATCH_PAIRS, batch.n - lo)
+        mask = (1 << n) - 1
+        chunk = PatternBatch(
+            n,
+            {pi: (w >> lo) & mask for pi, w in batch.frame1.items()},
+            {pi: (w >> lo) & mask for pi, w in batch.frame2.items()},
+        )
+        for k, word in enumerate(fault_simulate(circuit, cells, faults, chunk)):
+            words[k] |= word << lo
+    return words
+
+
 def _assert_identical(circuit, cells, faults, batch):
-    event = fault_simulate(circuit, cells, faults, batch, backend="event")
-    wide = fault_simulate(circuit, cells, faults, batch, backend="wide")
-    assert event == wide
-    return event
+    wide = fault_simulate(circuit, cells, faults, batch)
+    assert wide == _chunked(circuit, cells, faults, batch)
+    return wide
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -62,6 +71,7 @@ def test_wide_matches_event_all_models(cells, library, seed, width):
     faults = mixed_fault_list(circuit, library, seed=seed)
     batch = PatternBatch.random(circuit, width, seed=seed * 1000 + width)
     words = _assert_identical(circuit, cells, faults, batch)
+    assert words == reference_fault_simulate(circuit, cells, faults, batch)
     if width >= 64:
         assert any(words)  # the suite must exercise real detections
 
@@ -72,93 +82,5 @@ def test_wide_matches_event_on_benchmarks(cells, library, name, seed):
     circuit = _bench(name, library)
     faults = mixed_fault_list(circuit, library, seed=seed, per_kind=6)
     batch = PatternBatch.random(circuit, 200, seed=seed)
-    _assert_identical(circuit, cells, faults, batch)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_run_atpg_backend_bit_identity(cells, library, seed):
-    """Equal batch_size ⇒ the whole ATPG result matches across backends."""
-    circuit = random_mapped_circuit(cells, seed=seed)
-    faults = mixed_fault_list(circuit, library, seed=seed)
-    event = run_atpg(
-        circuit, cells, faults, seed=seed, batch_size=64, backend="event"
-    )
-    wide = run_atpg(
-        circuit, cells, faults, seed=seed, batch_size=64, backend="wide"
-    )
-    assert event.detected == wide.detected
-    assert event.undetectable == wide.undetectable
-    assert event.aborted == wide.aborted
-    assert event.tests == wide.tests
-    assert event.coverage == wide.coverage
-    assert wide.stats.wide_batches > 0
-    assert event.stats.wide_batches == 0
-
-
-def test_detected_by_patterns_chunks_at_wide_capacity(
-    cells, library, monkeypatch
-):
-    """A long pair list rides few wide passes, same flags as event."""
-    monkeypatch.setenv("REPRO_SIM_WORDS", "2")  # capacity 128
-    circuit = random_mapped_circuit(cells, seed=4)
-    faults = mixed_fault_list(circuit, library, seed=4)
-    gen = PatternBatch.random(circuit, 300, seed=11)
-    pairs = [
-        (
-            {pi: (gen.frame1[pi] >> i) & 1 for pi in circuit.inputs},
-            {pi: (gen.frame2[pi] >> i) & 1 for pi in circuit.inputs},
-        )
-        for i in range(300)
-    ]
-    event = detected_by_patterns(circuit, cells, faults, pairs, backend="event")
-    stats = EngineStats()
-    wide = detected_by_patterns(
-        circuit, cells, faults, pairs, backend="wide", stats=stats
-    )
-    assert event == wide
-    assert stats.wide_batches == 3  # ceil(300 / 128)
-    assert stats.words_per_batch == 2
-
-
-def test_env_dispatch_selects_wide_backend(cells, library, monkeypatch):
-    """REPRO_SIM_BACKEND=wide reroutes fault_simulate without call changes."""
-    circuit = random_mapped_circuit(cells, seed=5)
-    faults = mixed_fault_list(circuit, library, seed=5)
-    batch = PatternBatch.random(circuit, 64, seed=5)
-    baseline = fault_simulate(circuit, cells, faults, batch)
-
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "wide")
-    stats = EngineStats()
-    rerouted = fault_simulate(circuit, cells, faults, batch, stats=stats)
-    assert rerouted == baseline
-    assert stats.wide_batches == 1
-
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "sideways")
-    with pytest.raises(ValueError, match="unknown simulation backend"):
-        fault_simulate(circuit, cells, faults, batch)
-
-
-def test_wide_word_sizing_and_validation(cells, library):
-    circuit = random_mapped_circuit(cells, seed=6)
-    faults = mixed_fault_list(circuit, library, seed=6)
-    batch = PatternBatch.random(circuit, 100, seed=6)
-    # Explicit oversizing is allowed (extra words are masked out) ...
-    narrow = wide_fault_simulate(circuit, cells, faults, batch, words=2)
-    padded = wide_fault_simulate(circuit, cells, faults, batch, words=5)
-    assert narrow == padded
-    # ... but undersizing is an explicit error, not silent truncation.
-    with pytest.raises(ValueError, match="100"):
-        wide_fault_simulate(circuit, cells, faults, batch, words=1)
-
-
-@pytest.mark.parametrize(
-    "batch_size,backend",
-    [(0, "event"), (-3, "wide"), (65, "event"), (4097, "wide")],
-)
-def test_run_atpg_rejects_bad_batch_size(cells, library, batch_size, backend):
-    circuit = random_mapped_circuit(cells, seed=7)
-    faults = mixed_fault_list(circuit, library, seed=7, per_kind=2)
-    with pytest.raises(ValueError, match="batch_size"):
-        run_atpg(
-            circuit, cells, faults, batch_size=batch_size, backend=backend
-        )
+    words = _assert_identical(circuit, cells, faults, batch)
+    assert len(words) == len(faults)
