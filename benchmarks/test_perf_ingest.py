@@ -63,7 +63,6 @@ def _fault_sample(circuit, library, n: int, seed: int = 2026) -> List:
 def _clear_good_cache(circuit, cells) -> None:
     plan = CompiledCircuit.get(circuit, cells)
     plan.good_cache.clear()
-    plan.good_sums.clear()
 
 
 def test_ingested_benchmark_throughput():

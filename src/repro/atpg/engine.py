@@ -56,9 +56,8 @@ class AtpgResult:
     # detected nor proved undetectable.  Empty unless a budget was set.
     aborted: Set[str] = field(default_factory=set)
     # Which budget tripped each aborted fault's decision — fault id to
-    # "deadline" / "conflicts" / "decisions" (or "injected" under the
-    # chaos seam).  Keyed per member fault like ``aborted``; surfaced in
-    # the report's DEGRADATIONS section.
+    # "deadline" / "conflicts" / "decisions".  Keyed per member fault
+    # like ``aborted``; surfaced in the report's DEGRADATIONS section.
     abort_reasons: Dict[str, str] = field(default_factory=dict)
     # True when the aborted fraction exceeded the budget's global
     # tolerance: the run completed, but its U/Cov numbers are bounds,

@@ -29,10 +29,9 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.atpg.budget import AtpgBudget
+from repro.atpg.budget import UNLIMITED, AtpgBudget
 from repro.atpg.cnf import _gate_clauses
 from repro.atpg.sat import Solver, UNKNOWN
-from repro.utils import seams
 from repro.faults.model import (
     BridgingFault,
     CellAwareFault,
@@ -104,7 +103,7 @@ class IncrementalAtpg:
         self.solver = solver if solver is not None else Solver()
         self.lemmas_reused = 0
         # Why the most recent decide() aborted ("deadline", "conflicts",
-        # "decisions", "injected"); None after a decided query.
+        # "decisions"): the solver's reason; None after a decided query.
         self.last_abort_reason: Optional[str] = None
         self._var: Dict[Tuple[str, str], int] = {}
         self._topo = circuit.topo_order()
@@ -265,17 +264,18 @@ class IncrementalAtpg:
     # Per-fault decision
     # ------------------------------------------------------------------
     def decide(
-        self, fault: Fault, budget: Optional[AtpgBudget] = None
+        self, fault: Fault, budget: AtpgBudget = UNLIMITED
     ) -> Tuple[Optional[bool], Optional[TestPair]]:
         """Detection decision; returns (detectable, test pair).
 
         *detectable* is three-valued: True (a test exists, returned as
         the pair), False (proved undetectable), or None — the per-fault
-        resource *budget* ran out (or a chaos seam forced an abort)
-        before a proof.  With no budget the decision is exact and the
-        answer is the classic boolean.  An aborted fault's clauses are
-        retired exactly like a decided one's, so the shared solver stays
-        sound and compact either way.
+        resource *budget* ran out before a proof, and
+        :attr:`last_abort_reason` names the limit that tripped.  Under
+        the default unlimited budget every limit is None, so the decision
+        is exact and the answer is the classic boolean.  An aborted
+        fault's clauses are retired exactly like a decided one's, so the
+        shared solver stays sound and compact either way.
         """
         # Shared structures (frame 1, site cone) must exist before the
         # watermarks so the post-decision cleanup never touches them.
@@ -302,26 +302,18 @@ class IncrementalAtpg:
         test: Optional[TestPair] = None
         self.last_abort_reason = None
         if built:
-            if seams.active and seams.fire("atpg.decide", fault=fault) == "abort":
-                result = UNKNOWN
-                self.last_abort_reason = "injected"
-            elif budget is None or budget.unlimited:
-                result = solver.solve([act])
-            else:
-                deadline = (
-                    time.perf_counter() + budget.deadline_ms / 1000.0
-                    if budget.deadline_ms is not None else None
-                )
-                result = solver.solve(
-                    [act],
-                    conflict_budget=budget.conflict_budget,
-                    decision_budget=budget.decision_budget,
-                    deadline=deadline,
-                )
-                if result is UNKNOWN:
-                    self.last_abort_reason = (
-                        solver.last_abort_reason or "unknown"
-                    )
+            deadline = (
+                time.perf_counter() + budget.deadline_ms / 1000.0
+                if budget.deadline_ms is not None else None
+            )
+            result = solver.solve(
+                [act],
+                conflict_budget=budget.conflict_budget,
+                decision_budget=budget.decision_budget,
+                deadline=deadline,
+            )
+            if result is UNKNOWN:
+                self.last_abort_reason = solver.last_abort_reason or "unknown"
             if result:
                 v2 = {
                     pi: solver.value_of(self.var(pi, "g")) or 0

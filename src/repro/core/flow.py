@@ -35,7 +35,6 @@ from repro.netlist.circuit import Circuit
 from repro.physical.floorplan import Floorplan
 from repro.physical.pdesign import PhysicalDesign, pdesign
 from repro.physical.placement import PlacementError
-from repro.utils import seams
 from repro.utils.observability import EngineStats
 
 
@@ -245,12 +244,6 @@ def analyze_design(
         stats=stats,
     )
     timings["fault_extraction"] = time.perf_counter() - t0
-    if seams.active:
-        # Chaos seam: a harness may raise here to model a crash in the
-        # middle of an analysis; the exception propagates to the caller
-        # (and, under the runner, into an explicit task failure) — a
-        # half-analyzed state is never returned.
-        seams.fire("flow.analyze", circuit=circuit)
 
     if internal_atpg is not None:
         from repro.faults.collapse import behaviour_key

@@ -119,8 +119,8 @@ class _SimContext:
         self,
         plan: CompiledCircuit,
         mask: int,
-        good1: List[int],
-        good2: List[int],
+        good1: Sequence[int],
+        good2: Sequence[int],
     ):
         self.plan = plan
         self.mask = mask

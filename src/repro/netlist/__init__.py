@@ -20,7 +20,6 @@ from repro.netlist.simulator import (
     CompiledCircuit,
     clear_compiled_cache,
     compile_cell_eval,
-    set_cache_integrity,
     simulate,
     simulate_patterns,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "extract_subcircuit",
     "replace_subcircuit",
     "compile_cell_eval",
-    "set_cache_integrity",
     "simulate",
     "simulate_patterns",
     "parse_file",

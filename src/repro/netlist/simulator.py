@@ -20,7 +20,6 @@ resynthesis loop — pays the compile cost once.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -28,39 +27,9 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.netlist.circuit import CONST0, CONST1, CellDef, Circuit, NetlistError
-from repro.utils import seams
 from repro.utils.observability import EngineStats
 
 Evaluator = Callable[..., int]
-
-# Good-value cache integrity checking.  Checksums are always *recorded*
-# at store time (a tuple of per-frame value sums — O(n_nets) additions,
-# negligible next to the simulation that produced the entry); they are
-# only *verified* on hits when this flag is on, so the default hot path
-# pays nothing.  A mismatch (bit-rot, a buggy in-process mutation, or a
-# chaos-injected corruption) is repaired by dropping the entry and
-# re-simulating — results stay bit-identical to an uncached run — and
-# counted on ``EngineStats.cache_integrity_failures``.
-_CACHE_INTEGRITY = os.environ.get("REPRO_CACHE_INTEGRITY", "") not in ("", "0")
-
-
-def set_cache_integrity(enabled: bool) -> bool:
-    """Enable/disable good-cache checksum verification; returns the old value."""
-    global _CACHE_INTEGRITY
-    old = _CACHE_INTEGRITY
-    _CACHE_INTEGRITY = bool(enabled)
-    return old
-
-
-def _good_checksum(result: Tuple[List[int], ...]) -> Tuple[int, ...]:
-    """Order-sensitive checksum of a cached good-value entry.
-
-    One position-weighted sum per frame: any single-value corruption
-    (and any swap of two distinct net values) changes the sum.
-    """
-    return tuple(
-        sum((j + 1) * v for j, v in enumerate(vec)) for vec in result
-    )
 
 # Bound of the global (n_inputs, truth_table) -> evaluator cache.  Real
 # libraries have a few dozen distinct cell functions, so the bound only
@@ -136,7 +105,7 @@ class CompiledCircuit:
     Nets are assigned dense indices (``CONST0`` = 0, ``CONST1`` = 1, then
     primary inputs, then gate outputs in topological order), and per-gate
     evaluators/pin indices are resolved once.  ``good_cache`` is an LRU of
-    good-machine value vectors keyed by packed input frames — fault
+    immutable good-machine value tuples keyed by packed input frames — fault
     simulation consults it so re-simulating the same pattern batch (test
     re-grading, compaction, resynthesis re-analysis) is free.
 
@@ -153,7 +122,7 @@ class CompiledCircuit:
         "circuit", "cells", "pi_order", "net_index", "n_nets",
         "gate_names", "gate_index", "gate_fn", "gate_in", "gate_out",
         "gate_eval", "loads_of", "is_po", "po_index", "eval_compiles",
-        "good_cache", "good_sums", "_good_lock", "_topo_ref", "__weakref__",
+        "good_cache", "_good_lock", "_topo_ref", "__weakref__",
     )
 
     def __init__(self, circuit: Circuit, cells: Mapping[str, CellDef]):
@@ -219,10 +188,6 @@ class CompiledCircuit:
             po_index.append(idx)
         self.po_index = po_index
         self.good_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        # Checksums of good_cache entries, maintained in lockstep (same
-        # keys).  Kept out of good_cache itself so cached values remain
-        # plain frame tuples for every existing consumer.
-        self.good_sums: Dict[tuple, Tuple[int, ...]] = {}
         # Inline campaign tasks run on scheduler threads and may share
         # one plan; OrderedDict get/move_to_end/popitem are not safe to
         # interleave, so every cache touch happens under this lock.  The
@@ -303,8 +268,13 @@ class CompiledCircuit:
         frames: Sequence[Mapping[str, int]],
         mask: int,
         stats: Optional[EngineStats] = None,
-    ) -> Tuple[List[int], ...]:
+    ) -> Tuple[Tuple[int, ...], ...]:
         """LRU-cached good-machine simulation of packed input *frames*.
+
+        One net-value tuple per frame.  Entries are immutable, so a hit
+        serves the stored tuples themselves: a consumer that tried to
+        write into one would raise ``TypeError`` rather than corrupt the
+        entry for later hits.
 
         Thread-safe: lookups, recency updates and eviction are guarded
         by the plan's lock; a racing miss may simulate the same frames
@@ -313,31 +283,12 @@ class CompiledCircuit:
         """
         with self._good_lock:
             cached = self.good_cache.get(batch_key)
-            if cached is not None and seams.active:
-                # Chaos seam: a harness may corrupt (or drop) this entry
-                # in place before it is served, to prove the integrity
-                # check catches it.  Re-read after firing.
-                seams.fire(
-                    "fsim.good_cache_hit", plan=self, batch_key=batch_key
-                )
-                cached = self.good_cache.get(batch_key)
-            if cached is not None and _CACHE_INTEGRITY:
-                expect = self.good_sums.get(batch_key)
-                if expect is not None and _good_checksum(cached) != expect:
-                    # Corrupted entry: discard it and fall through to a
-                    # fresh simulation — callers still get bit-exact
-                    # values; only the counter records the repair.
-                    del self.good_cache[batch_key]
-                    self.good_sums.pop(batch_key, None)
-                    if stats is not None:
-                        stats.cache_integrity_failures += 1
-                    cached = None
             if cached is not None:
                 self.good_cache.move_to_end(batch_key)
                 if stats is not None:
                     stats.good_cache_hits += len(cached)
                 return cached
-        result = tuple(self.simulate_values(f, mask) for f in frames)
+        result = tuple(tuple(self.simulate_values(f, mask)) for f in frames)
         if stats is not None:
             stats.good_simulations += len(result)
         with self._good_lock:
@@ -348,10 +299,8 @@ class CompiledCircuit:
                 self.good_cache.move_to_end(batch_key)
                 return winner
             self.good_cache[batch_key] = result
-            self.good_sums[batch_key] = _good_checksum(result)
             while len(self.good_cache) > self.GOOD_CACHE_SIZE:
-                evicted, _ = self.good_cache.popitem(last=False)
-                self.good_sums.pop(evicted, None)
+                self.good_cache.popitem(last=False)
         return result
 
 

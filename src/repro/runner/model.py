@@ -27,19 +27,25 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 # Environment knobs that change what experiment tasks compute.  They are
 # folded into every fingerprint so a resume under different knobs
-# re-executes instead of serving stale cached results.
-ENV_KNOBS = ("REPRO_SCALE", "REPRO_QMAX", "REPRO_MAX_ITER")
+# re-executes instead of serving stale cached results.  The ATPG budget
+# knobs decide which faults abort, and so the U, Cov and approximate
+# flag of every analysis.
+ENV_KNOBS = (
+    "REPRO_SCALE",
+    "REPRO_QMAX",
+    "REPRO_MAX_ITER",
+    "REPRO_ATPG_DEADLINE_MS",
+    "REPRO_ATPG_CONFLICT_BUDGET",
+    "REPRO_ATPG_DECISION_BUDGET",
+    "REPRO_ATPG_ABORT_FRACTION",
+)
 
 # Knobs that change *how* tasks execute but never their results
-# (scheduler width, journal durability, chaos injection).  They are
-# journaled on run_start for diagnosability but kept out of
-# fingerprints on purpose: a resume on a machine with different
-# settings must reuse completed work, not redo it.
-OBSERVED_ENV_KNOBS = (
-    "REPRO_RUN_JOBS",
-    "REPRO_JOURNAL_FSYNC",
-    "REPRO_CHAOS",
-)
+# (scheduler width, journal durability).  They are journaled on
+# run_start for diagnosability but kept out of fingerprints on purpose:
+# a resume on a machine with different settings must reuse completed
+# work, not redo it.
+OBSERVED_ENV_KNOBS = ("REPRO_RUN_JOBS", "REPRO_JOURNAL_FSYNC")
 
 
 class CampaignError(ValueError):

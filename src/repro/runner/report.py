@@ -40,10 +40,6 @@ VOLATILE_KEYS = frozenset({
     "eval_compiles",
     "plan_builds",
     "plan_cache_hits",
-    # A corrupted cache entry is only *noticed* on a hit, so the repair
-    # count depends on cache temperature, like the counters above.  The
-    # repaired results themselves are bit-identical either way.
-    "cache_integrity_failures",
     # Process history: whether an inline thread was abandoned, and which
     # budget happened to trip first on an abort, are wall-clock facts —
     # the verdicts and tables they annotate are not.
@@ -58,10 +54,11 @@ VOLATILE_KEYS = frozenset({
 }) | frozenset({
     # Keys only reports of earlier revisions carry: the intra-task
     # parallel layers' counters and coded warnings, the speculation
-    # counters, the campaign's worker settings, and the counters of the
-    # removed vectorized fault simulator.  Dropping them keeps those
-    # reports diffable against current ones, and lets a resumed run mix
-    # their cached payloads with fresh ones.
+    # counters, the campaign's worker settings, the counters of the
+    # removed vectorized fault simulator, and the removed good-value
+    # cache checksum's repair count.  Dropping them keeps those reports
+    # diffable against current ones, and lets a resumed run mix their
+    # cached payloads with fresh ones.
     "parallel_chunks",
     "proc_shards",
     "proc_workers",
@@ -84,6 +81,7 @@ VOLATILE_KEYS = frozenset({
     "wide_batches",
     "words_per_batch",
     "vector_ops",
+    "cache_integrity_failures",
 })
 
 

@@ -90,16 +90,14 @@ class EngineStats:
     * ``sat_aborts`` — per-fault SAT decisions that ran out of their
       resource budget (deadline / conflict / decision limits);
     * ``sat_abort_reasons`` — occurrences per tripped budget
-      (``deadline`` / ``conflicts`` / ``decisions`` / ``injected``),
-      summing to ``sat_aborts`` when every abort recorded a reason;
+      (``deadline`` / ``conflicts`` / ``decisions``), summing to
+      ``sat_aborts``;
     * ``verdicts_aborted`` — behaviour classes left unclassified by an
       aborted decision (never counted as undetectable);
-    * ``cache_integrity_failures`` — corrupted good-value cache entries
-      detected by the checksum verification and recomputed;
     * ``degradations`` — human-readable records of every graceful
       degradation taken during the run (aborted faults, approximate
-      mode, repaired cache corruption).  Deterministic given the same
-      inputs and budget, so normalized-report comparisons still work;
+      mode).  Deterministic given the same inputs and budget, so
+      normalized-report comparisons still work;
     * ``phase_seconds`` — wall-clock per engine phase.
     """
 
@@ -128,7 +126,6 @@ class EngineStats:
     sat_aborts: int = _counter()
     sat_abort_reasons: Dict[str, int] = _per_key()
     verdicts_aborted: int = _counter()
-    cache_integrity_failures: int = _counter()
     degradations: List[str] = _records()
     phase_seconds: Dict[str, float] = _per_key()
 

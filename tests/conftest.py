@@ -1,4 +1,5 @@
-"""Shared fixtures: the library, cell maps, and small reference circuits."""
+"""Shared fixtures: the library, cell maps, small reference circuits, and
+the helpers tests use to inject SAT aborts and analysis crashes."""
 
 from __future__ import annotations
 
@@ -10,9 +11,13 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 
+from repro.atpg.sat import UNKNOWN, Solver
 from repro.bench.builder import NetBuilder
 from repro.faults.model import (
     FALL,
@@ -24,26 +29,6 @@ from repro.faults.model import (
 from repro.faults.sites import enumerate_internal_faults
 from repro.library import osu018_library
 from repro.netlist import Circuit
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _chaos_from_env():
-    """Run the whole suite under a chaos pattern when REPRO_CHAOS is set.
-
-    The CI chaos job exports e.g. ``REPRO_CHAOS=seed=7,
-    corrupt_good_cache_every=5`` and re-runs the tier-1 suite: every
-    test must still pass, because each injected failure is either
-    repaired bit-exactly (cache corruption) or surfaced as an explicit
-    degradation.  Unset (the normal case), this is a no-op.  Tests that
-    install their own injector temporarily displace this one — the CI
-    job excludes those files from the chaos pass (they run separately).
-    """
-    from repro.testing import install_from_env
-
-    injector = install_from_env()
-    yield injector
-    if injector is not None:
-        injector.uninstall()
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +126,71 @@ def random_mapped_circuit(cells, n_pi=8, n_gates=60, n_po=8, seed=0):
     c.set_outputs(rng.sample(nets[n_pi:], min(n_po, n_gates)))
     c.validate()
     return c
+
+
+@dataclass
+class Injections:
+    """What a failure-injection helper saw and did."""
+
+    calls: int = 0
+    injected: int = 0
+
+
+@contextmanager
+def injected_sat_aborts(calls=frozenset(), rate=0.0, seed=0):
+    """Abort chosen SAT calls inside the block, as a spent budget would.
+
+    Patches :meth:`repro.atpg.sat.Solver.solve`.  Calls are numbered
+    from 0 in the order they are made; a call whose index is in *calls*,
+    or that a draw from ``random.Random(seed)`` puts under *rate*,
+    skips the solve and returns UNKNOWN with ``last_abort_reason`` set
+    to ``"injected"``.  Every other call solves normally.  Within
+    ``run_atpg`` only ``IncrementalAtpg.decide`` calls the solver, once
+    per fault it builds, so the indices count per-fault decisions.
+    """
+    rng = random.Random(seed)
+    seen = Injections()
+    real_solve = Solver.solve
+
+    def solve(self, assumptions=(), **limits):
+        index = seen.calls
+        seen.calls += 1
+        if index in calls or (rate > 0.0 and rng.random() < rate):
+            seen.injected += 1
+            self.last_abort_reason = "injected"
+            return UNKNOWN
+        return real_solve(self, assumptions, **limits)
+
+    with mock.patch.object(Solver, "solve", solve):
+        yield seen
+
+
+class InjectedFailure(RuntimeError):
+    """The crash :func:`fail_analysis_once` injects."""
+
+
+def fail_analysis_once(monkeypatch):
+    """Make the next ``analyze_design`` crash part-way through.
+
+    Monkeypatches ``repro.core.flow.build_fault_set``, the fault
+    extraction that runs between physical design and ATPG, with a
+    raiser that fires on its first call only and delegates to the real
+    function afterwards, like a transient crash.
+    """
+    import repro.core.flow as flow
+
+    real = flow.build_fault_set
+    seen = Injections()
+
+    def build_fault_set(*args, **kwargs):
+        seen.calls += 1
+        if seen.calls == 1:
+            seen.injected += 1
+            raise InjectedFailure("injected failure in fault extraction")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "build_fault_set", build_fault_set)
+    return seen
 
 
 def on_workers(fn, n):

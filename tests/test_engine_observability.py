@@ -177,8 +177,8 @@ def test_stats_merge_and_as_dict():
         "faults_extracted", "clusters_reused", "clusters_recomputed",
         "batches", "sat_calls", "sat_conflicts", "sat_propagations", "sat_learned",
         "sat_restarts", "sat_lemmas_reused", "sat_aborts",
-        "sat_abort_reasons", "verdicts_aborted",
-        "cache_integrity_failures", "degradations", "phase_seconds",
+        "sat_abort_reasons", "verdicts_aborted", "degradations",
+        "phase_seconds",
     ]
     for f in fields(EngineStats):
         assert snap[f.name] == getattr(full, f.name)

@@ -22,8 +22,6 @@ module run, so the suite pays one interpreter start-up per group.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.atpg.engine import run_atpg
@@ -64,16 +62,6 @@ def _bench(name, library):
 # hits and misses (cold in the child, warm in the test process; their
 # sum is asserted separately).
 _VOLATILE = {"phase_seconds", "eval_cache_hits", "eval_cache_misses"}
-if os.environ.get("REPRO_CHAOS"):
-    # Under an environment-installed chaos injector the corruption
-    # pattern is positional (every Nth cache hit *globally*) and only
-    # the test process has it installed, so repairs happen at different
-    # points; results stay bit-identical but cache-temperature counters
-    # drift.
-    _VOLATILE |= {
-        "good_simulations", "good_cache_hits",
-        "cache_integrity_failures", "degradations",
-    }
 
 
 def _cells(library):

@@ -127,6 +127,15 @@ class TestFingerprints:
         f1 = fingerprint_task(spec, {}, env={})
         f2 = fingerprint_task(spec, {}, env={"REPRO_SCALE": "2"})
         assert f1 != f2
+        # The ATPG budget decides which faults abort, so each of its
+        # knobs changes what an analysis reports.
+        for knob in (
+            "REPRO_ATPG_DEADLINE_MS",
+            "REPRO_ATPG_CONFLICT_BUDGET",
+            "REPRO_ATPG_DECISION_BUDGET",
+            "REPRO_ATPG_ABORT_FRACTION",
+        ):
+            assert fingerprint_task(spec, {}, env={knob: "2"}) != f1, knob
 
     def test_dep_fingerprint_chains(self):
         spec = TaskSpec("b", "sum", {"value": 2}, deps=("a",))
@@ -331,6 +340,31 @@ class TestResume:
         for task in ("a", "b", "c"):
             assert len(starts_of(events, task)) == 2
         # Re-execution after a fingerprint change is legitimate.
+        assert verify_resume_discipline(events) == []
+
+    def test_atpg_budget_change_reexecutes_task(self, tmp_path, monkeypatch):
+        """A row computed under an ATPG budget is not served once the
+        budget is gone: the aborts it carries belong to that budget."""
+        from repro.runner.tasks import paper_campaign
+
+        root = str(tmp_path)
+        task_id = "analyze:full:sparc_tlu"
+        for knob in ("REPRO_ATPG_DEADLINE_MS", "REPRO_ATPG_DECISION_BUDGET",
+                     "REPRO_ATPG_ABORT_FRACTION"):
+            monkeypatch.delenv(knob, raising=False)
+        monkeypatch.setenv("REPRO_ATPG_CONFLICT_BUDGET", "2")
+        budgeted = Runner(
+            paper_campaign(["sparc_tlu"], "budget", tables=(1,)), root=root,
+        ).execute()
+        assert budgeted["results"][task_id]["row"]["Aborted"] > 0
+        monkeypatch.delenv("REPRO_ATPG_CONFLICT_BUDGET")
+        report = resume("budget", root=root)
+        assert report["status"] == "ok"
+        events = events_of(root, "budget")
+        assert not [e for e in events if e["event"] == "task_cached"]
+        assert len(starts_of(events, task_id)) == 2
+        assert report["results"][task_id]["row"]["Aborted"] == 0
+        assert "degradation" not in report["results"][task_id]
         assert verify_resume_discipline(events) == []
 
     def test_truncated_tail_is_tolerated(self, tmp_path):

@@ -93,6 +93,34 @@ class TestSimulate:
         assert simulate_patterns(adder4, cells, []) == []
 
 
+class TestGoodCacheEntries:
+    def test_served_entries_are_immutable(self, adder4, cells):
+        """A consumer cannot corrupt a cached entry for later hits."""
+        from repro.netlist.simulator import CompiledCircuit
+        from repro.utils.observability import EngineStats
+
+        plan = CompiledCircuit.get(adder4, cells)
+        plan.good_cache.clear()
+        rng = random.Random(5)
+        mask = (1 << 16) - 1
+        frames = [
+            {pi: rng.getrandbits(16) for pi in adder4.inputs}
+            for _ in range(2)
+        ]
+        expected = tuple(
+            tuple(plan.simulate_values(f, mask)) for f in frames
+        )
+        stats = EngineStats()
+        served = plan.good_values(("frozen",), frames, mask, stats)
+        assert isinstance(served, tuple)
+        assert all(isinstance(vec, tuple) for vec in served)
+        with pytest.raises(TypeError):
+            served[1][2] ^= 1
+        again = plan.good_values(("frozen",), frames, mask, stats)
+        assert stats.good_cache_hits == len(frames)
+        assert again == served == expected
+
+
 class TestGoodCacheThreadSafety:
     """The per-plan good-value LRU is shared by concurrent inline tasks."""
 
@@ -116,7 +144,7 @@ class TestGoodCacheThreadSafety:
             for i in range(n_keys)
         }
         expected = {
-            key: tuple(plan.simulate_values(f, mask) for f in frames)
+            key: tuple(tuple(plan.simulate_values(f, mask)) for f in frames)
             for key, frames in frames_by_key.items()
         }
         plan.good_cache.clear()

@@ -10,12 +10,9 @@ without dying — from wedging a campaign or silently skewing its numbers:
   task whose first attempt hangs mid-simulation — after it has built the
   circuit's plan and filled its shared caches — is retried, and the
   retry's detect words are bit-identical to a clean serial run's;
-* the per-fault SAT budget: every abort carries its reason (deadline /
-  conflicts / decisions / injected) through ``AtpgResult.abort_reasons``
+* the per-fault SAT budget: every abort carries the solver's reason
+  (deadline / conflicts / decisions) through ``AtpgResult.abort_reasons``
   into the degradation records and the rendered report.
-
-Some of these tests install their own chaos injectors, so the CI chaos
-job excludes this file from its environment-injector pass.
 """
 
 from __future__ import annotations
@@ -31,8 +28,11 @@ from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.runner import CampaignSpec, Runner, TaskSpec, read_journal
 from repro.runner.executor import CODE_THREAD_ABANDONED
 from repro.runner.registry import task
-from repro.testing.chaos import ChaosConfig, chaos
-from tests.conftest import mixed_fault_list, random_mapped_circuit
+from tests.conftest import (
+    injected_sat_aborts,
+    mixed_fault_list,
+    random_mapped_circuit,
+)
 
 # ----------------------------------------------------------------------
 # End-to-end: hang, give up at the timeout, retry — bit-identical on
@@ -149,7 +149,7 @@ class TestAbortReasons:
 
     def test_injected_reason(self, cells, library):
         circuit, faults = _abort_scenario(cells, library)
-        with chaos(ChaosConfig(sat_abort_calls=frozenset(range(64)))):
+        with injected_sat_aborts(calls=frozenset(range(64))):
             result = run_atpg(
                 circuit, cells, list(faults), seed=5, random_rounds=2,
             )

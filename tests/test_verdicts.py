@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.atpg import AtpgBudget, run_atpg
 from repro.atpg.budget import (
@@ -28,8 +28,11 @@ from repro.atpg.budget import (
     verdict_name,
 )
 from repro.library import osu018_library
-from repro.testing import ChaosConfig, chaos
-from tests.conftest import mixed_fault_list, random_mapped_circuit
+from tests.conftest import (
+    injected_sat_aborts,
+    mixed_fault_list,
+    random_mapped_circuit,
+)
 
 
 @lru_cache(maxsize=None)
@@ -175,10 +178,11 @@ class TestAbortPatternProperty:
     @given(pattern=st.frozensets(
         st.integers(min_value=0, max_value=63), max_size=16,
     ))
+    @example(pattern=frozenset(range(64)))
     @settings(max_examples=15, deadline=None)
     def test_any_abort_pattern_is_conservative(self, pattern):
         circuit, cells, faults, clean = _scenario()
-        with chaos(ChaosConfig(sat_abort_calls=pattern)) as injector:
+        with injected_sat_aborts(calls=pattern) as seen:
             result = run_atpg(
                 circuit, cells, list(faults), seed=5, random_rounds=2,
             )
@@ -188,9 +192,11 @@ class TestAbortPatternProperty:
         # element-wise, not just by count.
         assert result.undetectable <= clean.undetectable
         assert len(result.undetectable) <= len(clean.undetectable)
-        # Every injected abort is accounted for: either upgraded to
-        # detected by a later test or surfaced in the abort bucket.
-        if injector.counters.aborts_injected == 0:
+        # Every injected abort reached the engine as an abort, none as
+        # a proof; each is then either upgraded to detected by a later
+        # test or surfaced in the abort bucket.
+        assert result.stats.sat_aborts == seen.injected
+        if seen.injected == 0:
             assert result.aborted == set()
             assert result.undetectable == clean.undetectable
             assert result.detected == clean.detected
