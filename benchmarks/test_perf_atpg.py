@@ -74,7 +74,10 @@ class _BaselineSolver(Solver):
     rebuild the heap, length-only learnt retention, full-trail heap
     re-push on backtrack, and eager O(num_vars) model extraction.  The
     only deviation is mechanical: ``.model`` is a property now, so the
-    old model build assigns the private fields instead.
+    old model build assigns the private fields instead.  ``_analyze``,
+    once inherited, is frozen at its body from before the inner-loop
+    tuning (a ``seen`` array per conflict, a pushing ``_bump`` call per
+    variable), so that tuning does not leak into the baseline.
     """
 
     def _attach_clause(self, idx: int, clause: List[int]) -> None:
@@ -170,6 +173,44 @@ class _BaselineSolver(Solver):
                     return UNKNOWN
             self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
+
+    def _analyze(self, conflict_idx: int):
+        learnt: List[int] = [0]
+        seen = bytearray(self.num_vars + 1)
+        level = len(self._trail_lim)
+        levels = self._level
+        counter = 0
+        elit = None
+        clause = self.clauses[conflict_idx]
+        index = len(self._trail)
+        while True:
+            for q in clause:
+                if elit is not None and q == elit:
+                    continue
+                var = q >> 1
+                if not seen[var] and levels[var] > 0:
+                    seen[var] = 1
+                    self._bump(var)
+                    if levels[var] >= level:
+                        counter += 1
+                    else:
+                        learnt.append(q)
+            while True:
+                index -= 1
+                elit = self._trail[index]
+                if seen[elit >> 1]:
+                    break
+            counter -= 1
+            seen[elit >> 1] = 0
+            if counter == 0:
+                learnt[0] = elit ^ 1
+                break
+            clause = self.clauses[self._reason[elit >> 1]]
+        if len(learnt) == 1:
+            back = 0
+        else:
+            back = max(levels[q >> 1] for q in learnt[1:])
+        return learnt, back
 
     def _bump(self, var: int) -> None:
         act = self._activity[var] + self._var_inc

@@ -236,15 +236,6 @@ class IncrementalAtpg:
             if solver._val[v << 1] == 2:  # unassigned
                 solver.add_clause([-v])
 
-    def solver_effort(self) -> Tuple[int, int]:
-        """(conflicts, propagations) spent by the shared solver so far.
-
-        Sampled by the ATPG driver into its
-        :class:`~repro.utils.observability.EngineStats` after the
-        deterministic phase.
-        """
-        return self.solver.conflicts, self.solver.propagations
-
     def effort(self) -> Dict[str, int]:
         """Full solver-effort snapshot as a counter dict.
 

@@ -12,6 +12,14 @@ shallow proofs) — undetectable faults produce genuine UNSAT results.
 The public API uses DIMACS-style signed literals (variable ``v`` has
 positive literal ``v``, negative ``-v``); internally literals are encoded
 unsigned as ``2*v`` / ``2*v + 1`` so the hot paths avoid sign handling.
+
+Propagation compacts each watch list in place; conflict analysis reuses
+one mark array.  A VSIDS bump (always of an assigned variable) pushes no
+heap entry: backtracking pushes one when the variable is unassigned, so
+every unassigned variable owns exactly one heap entry equal to its
+activity and the decisions match an eager push.  (Kept as it was: an
+abort on the decision budget or deadline leaves the just-popped decision
+variable without an entry until it is next assigned and unassigned.)
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ class Solver:
         # the heap traffic drops from O(trail) to O(decisions + bumps).
         self._hflag = bytearray([0])
         self._phase = bytearray([0])
+        self._seen = bytearray([0])  # _analyze marks; zero between calls
         self._ok = True
         # Model state: a bytes snapshot of the assignment at the moment
         # of SAT (O(1) value_of lookups, C-speed copy) plus a lazily
@@ -100,6 +109,7 @@ class Solver:
         self._activity.append(0.0)
         self._phase.append(0)
         self._hflag.append(1)
+        self._seen.append(0)
         heapq.heappush(self._heap, (0.0, self.num_vars))
         return self.num_vars
 
@@ -419,12 +429,10 @@ class Solver:
         reason = self._reason
         phase = self._phase
         cur_level = len(self._trail_lim)
-        qhead = self._qhead
-        props = 0
+        qhead = start = self._qhead
         while qhead < len(trail):
             elit = trail[qhead]
             qhead += 1
-            props += 1
             falsified = elit ^ 1
             # Binary implications first: no clause objects, no watch
             # juggling — just (implied literal, reason index) pairs.
@@ -434,7 +442,7 @@ class Solver:
                     continue
                 if v == 0:
                     self._qhead = qhead
-                    self.propagations += props
+                    self.propagations += qhead - start
                     return ci
                 val[q] = 1
                 val[q ^ 1] = 0
@@ -446,40 +454,48 @@ class Solver:
             watching = watches[falsified]
             if not watching:
                 continue
-            keep: List[int] = []
-            n = len(watching)
-            i = 0
-            while i < n:
-                ci = watching[i]
-                i += 1
+            # Compact in place: watching[:j] keeps watching *falsified*
+            # (no watch moves onto it, so the list cannot grow here).
+            j = 0
+            unvisited = iter(watching)
+            for ci in unvisited:
                 clause = clauses[ci]
                 if clause is None:
                     continue  # deleted learned clause: drop the watch
-                if clause[0] == falsified:
-                    clause[0] = clause[1]
-                    clause[1] = falsified
                 first = clause[0]
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
                 if val[first] == 1:
-                    keep.append(ci)
+                    watching[j] = ci
+                    j += 1
                     continue
-                moved = False
-                for k in range(2, len(clause)):
-                    ck = clause[k]
-                    if val[ck] != 0:
-                        clause[1] = ck
-                        clause[k] = falsified
-                        watches[ck].append(ci)
-                        moved = True
-                        break
-                if moved:
+                # Watched clauses have >= 3 literals, mostly exactly 3.
+                ck = clause[2]
+                if val[ck] != 0:
+                    clause[1] = ck
+                    clause[2] = falsified
+                    watches[ck].append(ci)
                     continue
-                keep.append(ci)
+                if len(clause) > 3:
+                    moved = False
+                    for k in range(3, len(clause)):
+                        ck = clause[k]
+                        if val[ck] != 0:
+                            clause[1] = ck
+                            clause[k] = falsified
+                            watches[ck].append(ci)
+                            moved = True
+                            break
+                    if moved:
+                        continue
+                watching[j] = ci
+                j += 1
                 # Unit or conflicting.
                 if val[first] == 0:
-                    keep.extend(watching[i:])
-                    watches[falsified] = keep
+                    watching[j:] = list(unvisited)  # copy the tail down
                     self._qhead = qhead
-                    self.propagations += props
+                    self.propagations += qhead - start
                     return ci
                 # Implied literal: _enqueue inlined (val[first] is
                 # known-unassigned here, and this is the hottest site
@@ -491,35 +507,50 @@ class Solver:
                 reason[fvar] = ci
                 phase[fvar] = 1 - (first & 1)
                 trail.append(first)
-            watches[falsified] = keep
+            del watching[j:]
         self._qhead = qhead
-        self.propagations += props
+        self.propagations += qhead - start
         return None
 
     def _analyze(self, conflict_idx: int):
         learnt: List[int] = [0]
-        seen = bytearray(self.num_vars + 1)
-        level = len(self._trail_lim)
+        seen = self._seen
+        trail = self._trail
+        clauses = self.clauses
+        reason = self._reason
         levels = self._level
+        activity = self._activity
+        hflag = self._hflag
+        var_inc = self._var_inc
+        level = len(self._trail_lim)
         counter = 0
-        elit = None
-        clause = self.clauses[conflict_idx]
-        index = len(self._trail)
+        elit = -1  # no literal: the conflict clause skips none of its own
+        clause = clauses[conflict_idx]
+        index = len(trail)
         while True:
             for q in clause:
-                if elit is not None and q == elit:
+                if q == elit:
                     continue
                 var = q >> 1
                 if not seen[var] and levels[var] > 0:
                     seen[var] = 1
-                    self._bump(var)
+                    # _bump inlined: var is assigned (as is every literal
+                    # of a conflict or reason clause), so no heap push.
+                    act = activity[var] + var_inc
+                    if act > 1e100:
+                        self._bump(var)  # rescales; replaces _hflag
+                        hflag = self._hflag
+                        var_inc = self._var_inc
+                    else:
+                        activity[var] = act
+                        hflag[var] = 0
                     if levels[var] >= level:
                         counter += 1
                     else:
                         learnt.append(q)
             while True:
                 index -= 1
-                elit = self._trail[index]
+                elit = trail[index]
                 if seen[elit >> 1]:
                     break
             counter -= 1
@@ -527,7 +558,11 @@ class Solver:
             if counter == 0:
                 learnt[0] = elit ^ 1
                 break
-            clause = self.clauses[self._reason[elit >> 1]]
+            clause = clauses[reason[elit >> 1]]
+        # The trail walk cleared every current-level mark; the tail's
+        # lower-level marks are the only ones left.
+        for q in learnt:
+            seen[q >> 1] = 0
         if len(learnt) == 1:
             back = 0
         else:
@@ -569,8 +604,8 @@ class Solver:
             var = elit >> 1
             reason[var] = None
             # Only variables whose heap entry was consumed (popped as a
-            # decision, or dropped in a rescale) need a fresh entry;
-            # propagated variables' entries are still sitting in the heap.
+            # decision, dropped in a rescale, or outdated by a bump) need
+            # a fresh entry; the others' entries are still in the heap.
             if not hflag[var]:
                 heapq.heappush(heap, (-activity[var], var))
                 hflag[var] = 1
@@ -579,8 +614,14 @@ class Solver:
         self._qhead = len(self._trail)
 
     def _bump(self, var: int) -> None:
+        """Bump assigned *var*; :meth:`_backtrack` re-pushes its entry.
+
+        Past 1e100 every activity is rescaled and the heap rebuilt;
+        :meth:`_analyze` inlines the common case and calls this only then.
+        """
         act = self._activity[var] + self._var_inc
         self._activity[var] = act
+        self._hflag[var] = 0
         if act > 1e100:
             scale = 1e-100
             activity = self._activity
@@ -601,9 +642,6 @@ class Solver:
             heapq.heapify(heap)
             self._heap = heap
             self._hflag = hflag
-        else:
-            heapq.heappush(self._heap, (-act, var))
-            self._hflag[var] = 1
 
     def _decide(self) -> Optional[int]:
         val = self._val

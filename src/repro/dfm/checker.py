@@ -5,12 +5,18 @@ window) the checker computes the relevant metric once and reports a
 violation of the **most specific** guideline of the matching family —
 the same way sign-off decks report the worst matching recommendation —
 so one physical site yields at most one violation per family.
+
+Each family is sorted once per call, most specific first (a stable
+sort, so ties keep deck order), and a site takes the first guideline
+whose predicate holds.  Via neighbour counts are box queries on a 2-D
+prefix-sum table of the via grid, built once per call.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dfm.guidelines import Guideline, all_guidelines
 from repro.physical.layout import Layout, M2, RouteSegment, Via
@@ -18,6 +24,9 @@ from repro.physical.routing import subtrack
 
 OPEN = "open"
 BRIDGE = "bridge"
+
+#: A segment within its channel: (lo, hi, net, length) along the channel.
+Span = Tuple[int, int, str, int]
 
 
 @dataclass(frozen=True)
@@ -41,266 +50,251 @@ def check_layout(
     for g in deck:
         by_rule.setdefault(g.rule, []).append(g)
 
-    violations: List[LayoutViolation] = []
-    h_by_row: Dict[int, List[RouteSegment]] = {}
-    v_by_col: Dict[int, List[RouteSegment]] = {}
-    for seg in layout.segments:
-        if seg.horizontal:
-            h_by_row.setdefault(seg.y1, []).append(seg)
-        else:
-            v_by_col.setdefault(seg.x1, []).append(seg)
-    via_grid: Dict[Tuple[int, int], int] = {}
-    for via in layout.vias:
-        via_grid[(via.x, via.y)] = via_grid.get((via.x, via.y), 0) + 1
+    def family(rule, key=lambda g: g.params["t"], smallest=False):
+        """*rule*'s guidelines, most specific first (ties in deck order)."""
+        return sorted(by_rule.get(rule, []), key=key, reverse=not smallest)
 
-    def neighbours(via: Via, r: int) -> int:
-        count = 0
-        for dx in range(-r, r + 1):
-            for dy in range(-r, r + 1):
-                count += via_grid.get((via.x + dx, via.y + dy), 0)
-        return count - 1  # exclude the via itself
+    violations: List[LayoutViolation] = []
+    segments = [(seg, seg.horizontal, seg.length) for seg in layout.segments]
+    h_by_row: Dict[int, List[Span]] = {}
+    v_by_col: Dict[int, List[Span]] = {}
+    for seg, horizontal, length in segments:
+        if horizontal:
+            h_by_row.setdefault(seg.y1, []).append(
+                (seg.x1, seg.x2, seg.net, length)
+            )
+        else:
+            v_by_col.setdefault(seg.x1, []).append(
+                (seg.y1, seg.y2, seg.net, length)
+            )
 
     # ---- via rules -----------------------------------------------------
-    iso = by_rule.get("isolated_via", [])
-    crowd = by_rule.get("crowded_via", [])
-    near = by_rule.get("via_near_metal", [])
+    iso = family(
+        "isolated_via", lambda g: (g.params["t"], g.params["r"]), True
+    )
+    crowd = family("crowded_via")
+    near = family("via_near_metal")
+    radii = {g.params["r"] for g in iso + crowd}
+    neighbours = _via_counter(layout.vias, max(radii, default=0))
     for via in layout.vias:
-        ncache: Dict[int, int] = {}
-
-        def ncnt(r: int) -> int:
-            if r not in ncache:
-                ncache[r] = neighbours(via, r)
-            return ncache[r]
-
-        hit = _strictest(
-            iso, key=lambda g: (g.params["t"], g.params["r"]),
-            pred=lambda g: ncnt(g.params["r"]) <= g.params["t"],
-            prefer_smallest=True,
-        )
-        if hit:
-            violations.append(LayoutViolation(
-                hit.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
-            ))
-        hit = _strictest(
-            crowd, key=lambda g: g.params["t"],
-            pred=lambda g: ncnt(g.params["r"]) >= g.params["t"],
-            prefer_smallest=False,
-        )
-        if hit:
-            violations.append(LayoutViolation(
-                hit.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
-            ))
-        if near:
-            foreign_len, foreign_net = _foreign_metal(
-                via, h_by_row, v_by_col
-            )
-            hit = _strictest(
-                near, key=lambda g: g.params["t"],
-                pred=lambda g: foreign_len >= g.params["t"],
-                prefer_smallest=False,
-            )
-            if hit and foreign_net is not None:
+        ncnt = {r: neighbours(via.x, via.y, r) for r in radii}
+        for g in iso:
+            if ncnt[g.params["r"]] <= g.params["t"]:
                 violations.append(LayoutViolation(
-                    hit.gid, BRIDGE, via.net, foreign_net,
-                    (via.x, via.y), None,
+                    g.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
                 ))
+                break
+        for g in crowd:
+            if ncnt[g.params["r"]] >= g.params["t"]:
+                violations.append(LayoutViolation(
+                    g.gid, OPEN, via.net, None, (via.x, via.y), via.owner,
+                ))
+                break
+        if not near:
+            continue
+        foreign_len, foreign_net = _foreign_metal(via, h_by_row, v_by_col)
+        if foreign_net is None:
+            continue
+        for g in near:
+            if foreign_len >= g.params["t"]:
+                violations.append(LayoutViolation(
+                    g.gid, BRIDGE, via.net, foreign_net, (via.x, via.y),
+                    None,
+                ))
+                break
 
     # ---- metal rules ---------------------------------------------------
-    prun = by_rule.get("parallel_run", [])
+    prun = family("parallel_run")
     if prun:
         for pair, overlap, loc in _parallel_pairs(h_by_row, v_by_col):
-            hit = _strictest(
-                prun, key=lambda g: g.params["t"],
-                pred=lambda g: overlap >= g.params["t"],
-                prefer_smallest=False,
-            )
-            if hit:
+            for g in prun:
+                if overlap >= g.params["t"]:
+                    violations.append(LayoutViolation(
+                        g.gid, BRIDGE, pair[0], pair[1], loc, None,
+                    ))
+                    break
+    lwire = family("long_wire")
+    xings = family("many_crossings")
+    orthogonal = {True: (v_by_col, sorted(v_by_col)),
+                  False: (h_by_row, sorted(h_by_row))}
+    for seg, horizontal, length in segments:
+        for g in lwire:
+            if length >= g.params["t"]:
                 violations.append(LayoutViolation(
-                    hit.gid, BRIDGE, pair[0], pair[1], loc, None,
+                    g.gid, OPEN, seg.net, None, (seg.x1, seg.y1), None,
                 ))
-    lwire = by_rule.get("long_wire", [])
-    xings = by_rule.get("many_crossings", [])
-    for seg in layout.segments:
-        hit = _strictest(
-            lwire, key=lambda g: g.params["t"],
-            pred=lambda g: seg.length >= g.params["t"],
-            prefer_smallest=False,
-        )
-        if hit:
-            violations.append(LayoutViolation(
-                hit.gid, OPEN, seg.net, None, (seg.x1, seg.y1), None,
-            ))
-        if xings:
-            n_cross = _crossings(seg, h_by_row, v_by_col)
-            hit = _strictest(
-                xings, key=lambda g: g.params["t"],
-                pred=lambda g: n_cross >= g.params["t"],
-                prefer_smallest=False,
-            )
-            if hit:
+                break
+        if not xings:
+            continue
+        n_cross = _crossings(seg, horizontal, *orthogonal[horizontal])
+        for g in xings:
+            if n_cross >= g.params["t"]:
                 violations.append(LayoutViolation(
-                    hit.gid, OPEN, seg.net, None, (seg.x1, seg.y1), None,
+                    g.gid, OPEN, seg.net, None, (seg.x1, seg.y1), None,
                 ))
+                break
 
     # ---- density rules ---------------------------------------------------
     dlow = by_rule.get("density_low", [])
     dhigh = by_rule.get("density_high", [])
     for w in sorted({g.params["w"] for g in dlow + dhigh}):
-        for (wx, wy), length_by_net in _windows(layout, w).items():
+        low = sorted((g for g in dlow if g.params["w"] == w),
+                     key=lambda g: g.params["lo"])
+        high = sorted((g for g in dhigh if g.params["w"] == w),
+                      key=lambda g: g.params["hi"], reverse=True)
+        for (wx, wy), length_by_net in _windows(segments, w).items():
             total = sum(length_by_net.values())
             density = total / float(w * w)
             nets = sorted(
                 length_by_net, key=lambda n: (-length_by_net[n], n)
             )
-            hit = _strictest(
-                [g for g in dlow if g.params["w"] == w],
-                key=lambda g: g.params["lo"],
-                pred=lambda g: density * 100.0 < g.params["lo"],
-                prefer_smallest=True,
-            )
-            if hit and nets:
-                for net in nets[:2]:
+            for g in low:
+                if density * 100.0 < g.params["lo"]:
+                    for net in nets[:2]:
+                        violations.append(LayoutViolation(
+                            g.gid, OPEN, net, None, (wx, wy), None,
+                        ))
+                    break
+            if len(nets) < 2:
+                continue
+            for g in high:
+                if density * 100.0 > g.params["hi"]:
                     violations.append(LayoutViolation(
-                        hit.gid, OPEN, net, None, (wx, wy), None,
+                        g.gid, BRIDGE, nets[0], nets[1], (wx, wy), None,
                     ))
-            hit = _strictest(
-                [g for g in dhigh if g.params["w"] == w],
-                key=lambda g: g.params["hi"],
-                pred=lambda g: density * 100.0 > g.params["hi"],
-                prefer_smallest=False,
-            )
-            if hit and len(nets) >= 2:
-                violations.append(LayoutViolation(
-                    hit.gid, BRIDGE, nets[0], nets[1], (wx, wy), None,
-                ))
+                    break
     return violations
 
 
-def _strictest(guidelines, key, pred, prefer_smallest):
-    """The most specific guideline whose predicate holds, or None."""
-    best = None
-    for g in guidelines:
-        if not pred(g):
-            continue
-        if best is None:
-            best = g
-        elif prefer_smallest and key(g) < key(best):
-            best = g
-        elif not prefer_smallest and key(g) > key(best):
-            best = g
-    return best
+def _via_counter(
+    vias: Sequence[Via], reach: int
+) -> Callable[[int, int, int], int]:
+    """``neighbours(x, y, r)``: vias within Chebyshev radius *r* <= *reach*
+    of the via at (x, y), itself excluded, as one box query on a 2-D
+    prefix-sum table of the via grid.  The grid is padded by *reach* on
+    every side, so no query needs clipping."""
+    x0 = min((v.x for v in vias), default=0) - reach
+    y0 = min((v.y for v in vias), default=0) - reach
+    width = max((v.x for v in vias), default=0) + reach - x0 + 1
+    stride = max((v.y for v in vias), default=0) + reach - y0 + 2
+    # table[i * stride + j]: vias with x - x0 < i and y - y0 < j.
+    table = [0] * ((width + 1) * stride)
+    for v in vias:
+        table[(v.x - x0 + 1) * stride + v.y - y0 + 1] += 1
+    for row in range(stride, len(table), stride):
+        run = 0
+        for k in range(row + 1, row + stride):
+            run += table[k]
+            table[k] = table[k - stride] + run
+
+    def neighbours(x: int, y: int, r: int) -> int:
+        i0 = (x - x0 - r) * stride
+        i1 = (x - x0 + r + 1) * stride
+        j0 = y - y0 - r
+        j1 = y - y0 + r + 1
+        return (table[i1 + j1] - table[i0 + j1] - table[i1 + j0]
+                + table[i0 + j0] - 1)
+
+    return neighbours
 
 
 def _foreign_metal(
     via: Via,
-    h_by_row: Dict[int, List[RouteSegment]],
-    v_by_col: Dict[int, List[RouteSegment]],
+    h_by_row: Dict[int, List[Span]],
+    v_by_col: Dict[int, List[Span]],
 ) -> Tuple[int, Optional[str]]:
     """Longest other-net segment on the via's upper layer within 1 track."""
-    best_len, best_net = 0, None
     if via.upper == M2:
-        for y in (via.y - 1, via.y, via.y + 1):
-            for seg in h_by_row.get(y, ()):
-                if seg.net == via.net:
-                    continue
-                if seg.x1 - 1 <= via.x <= seg.x2 + 1 and seg.length > best_len:
-                    best_len, best_net = seg.length, seg.net
+        lines, along, across = h_by_row, via.x, via.y
     else:
-        for x in (via.x - 1, via.x, via.x + 1):
-            for seg in v_by_col.get(x, ()):
-                if seg.net == via.net:
-                    continue
-                if seg.y1 - 1 <= via.y <= seg.y2 + 1 and seg.length > best_len:
-                    best_len, best_net = seg.length, seg.net
+        lines, along, across = v_by_col, via.y, via.x
+    best_len, best_net = 0, None
+    for k in (across - 1, across, across + 1):
+        for lo, hi, net, length in lines.get(k, ()):
+            if net == via.net:
+                continue
+            if lo - 1 <= along <= hi + 1 and length > best_len:
+                best_len, best_net = length, net
     return best_len, best_net
 
 
 def _parallel_pairs(
-    h_by_row: Dict[int, List[RouteSegment]],
-    v_by_col: Dict[int, List[RouteSegment]],
+    h_by_row: Dict[int, List[Span]],
+    v_by_col: Dict[int, List[Span]],
 ):
     """Yield ((netA, netB), overlap, location) for adjacent-track runs.
 
     Each unordered net pair is reported once per channel with its maximum
     overlap; sub-tracks within a channel must differ by at most 1 for the
-    nets to be adjacent.
+    nets to be adjacent.  Horizontal channels come first.
     """
-    for y, segs in sorted(h_by_row.items()):
-        best: Dict[Tuple[str, str], Tuple[int, Tuple[int, int]]] = {}
-        ordered = sorted(segs, key=lambda s: (s.x1, s.x2, s.net))
-        for i, a in enumerate(ordered):
-            sa = subtrack(a.net, True)
-            for b in ordered[i + 1:]:
-                if b.x1 > a.x2:
-                    break
-                if b.net == a.net:
-                    continue
-                if abs(subtrack(b.net, True) - sa) > 1:
-                    continue
-                overlap = min(a.x2, b.x2) - b.x1
-                if overlap <= 0:
-                    continue
-                key = tuple(sorted((a.net, b.net)))
-                if key not in best or overlap > best[key][0]:
-                    best[key] = (overlap, (b.x1, y))
-        for (na, nb), (overlap, loc) in sorted(best.items()):
-            yield (na, nb), overlap, loc
-    for x, segs in sorted(v_by_col.items()):
-        best = {}
-        ordered = sorted(segs, key=lambda s: (s.y1, s.y2, s.net))
-        for i, a in enumerate(ordered):
-            sa = subtrack(a.net, False)
-            for b in ordered[i + 1:]:
-                if b.y1 > a.y2:
-                    break
-                if b.net == a.net:
-                    continue
-                if abs(subtrack(b.net, False) - sa) > 1:
-                    continue
-                overlap = min(a.y2, b.y2) - b.y1
-                if overlap <= 0:
-                    continue
-                key = tuple(sorted((a.net, b.net)))
-                if key not in best or overlap > best[key][0]:
-                    best[key] = (overlap, (x, b.y1))
-        for (na, nb), (overlap, loc) in sorted(best.items()):
-            yield (na, nb), overlap, loc
+    for horizontal, channels in ((True, h_by_row), (False, v_by_col)):
+        nets = {span[2] for spans in channels.values() for span in spans}
+        track = {net: subtrack(net, horizontal) for net in nets}
+        for c, spans in sorted(channels.items()):
+            best: Dict[Tuple[str, str], Tuple[int, Tuple[int, int]]] = {}
+            ordered = sorted(spans)
+            for i, (_lo, hi_a, net_a, _len) in enumerate(ordered):
+                for j in range(i + 1, len(ordered)):
+                    lo_b, hi_b, net_b, _len = ordered[j]
+                    if lo_b > hi_a:
+                        break
+                    if net_b == net_a or abs(track[net_b] - track[net_a]) > 1:
+                        continue
+                    overlap = min(hi_a, hi_b) - lo_b
+                    if overlap <= 0:
+                        continue
+                    key = (net_a, net_b) if net_a < net_b else (net_b, net_a)
+                    if key not in best or overlap > best[key][0]:
+                        loc = (lo_b, c) if horizontal else (c, lo_b)
+                        best[key] = (overlap, loc)
+            for (na, nb), (overlap, loc) in sorted(best.items()):
+                yield (na, nb), overlap, loc
 
 
 def _crossings(
     seg: RouteSegment,
-    h_by_row: Dict[int, List[RouteSegment]],
-    v_by_col: Dict[int, List[RouteSegment]],
+    horizontal: bool,
+    lines: Dict[int, List[Span]],
+    keys: List[int],
 ) -> int:
-    """Number of foreign orthogonal segments crossing *seg*."""
-    count = 0
-    if seg.horizontal:
-        for x in range(seg.x1, seg.x2 + 1):
-            for other in v_by_col.get(x, ()):
-                if other.net != seg.net and other.y1 <= seg.y1 <= other.y2:
-                    count += 1
+    """Number of foreign orthogonal segments crossing *seg*.
+
+    *lines* holds the orthogonal layer's spans by channel and *keys* its
+    sorted channels: only occupied channels within *seg* are visited.
+    """
+    if horizontal:
+        lo, hi, at = seg.x1, seg.x2, seg.y1
     else:
-        for y in range(seg.y1, seg.y2 + 1):
-            for other in h_by_row.get(y, ()):
-                if other.net != seg.net and other.x1 <= seg.x1 <= other.x2:
-                    count += 1
+        lo, hi, at = seg.y1, seg.y2, seg.x1
+    own = seg.net
+    count = 0
+    for k in keys[bisect_left(keys, lo):bisect_right(keys, hi)]:
+        for a, b, net, _len in lines[k]:
+            if net != own and a <= at <= b:
+                count += 1
     return count
 
 
-def _windows(layout: Layout, w: int) -> Dict[Tuple[int, int], Dict[str, int]]:
-    """Per-window wirelength by net, tiling the die with w x w windows."""
+def _windows(
+    segments: List[Tuple[RouteSegment, bool, int]], w: int
+) -> Dict[Tuple[int, int], Dict[str, int]]:
+    """Per-window wirelength by net, tiling the die with w x w windows.
+
+    A segment adds its run through each window in one step, in the
+    window and net order of a track-by-track walk.
+    """
     out: Dict[Tuple[int, int], Dict[str, int]] = {}
-    for seg in layout.segments:
-        if seg.horizontal:
-            y = seg.y1
-            for x in range(seg.x1, seg.x2 + 1):
-                key = (x // w, y // w)
-                bucket = out.setdefault(key, {})
-                bucket[seg.net] = bucket.get(seg.net, 0) + 1
+    for seg, horizontal, _len in segments:
+        if horizontal:
+            lo, hi, across = seg.x1, seg.x2, seg.y1 // w
         else:
-            x = seg.x1
-            for y in range(seg.y1, seg.y2 + 1):
-                key = (x // w, y // w)
-                bucket = out.setdefault(key, {})
-                bucket[seg.net] = bucket.get(seg.net, 0) + 1
+            lo, hi, across = seg.y1, seg.y2, seg.x1 // w
+        while lo <= hi:
+            c = lo // w
+            end = min(hi, c * w + w - 1)
+            key = (c, across) if horizontal else (across, c)
+            bucket = out.setdefault(key, {})
+            bucket[seg.net] = bucket.get(seg.net, 0) + end - lo + 1
+            lo = end + 1
     return out
