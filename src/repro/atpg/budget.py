@@ -34,6 +34,17 @@ ABORTED = "aborted"
 #: approximate (see :attr:`AtpgBudget.abort_fraction`).
 DEFAULT_ABORT_FRACTION = 0.05
 
+#: The variables :meth:`AtpgBudget.from_env` reads, in field order.  They
+#: are the only environment inputs of the package, and the runner folds
+#: them into every task fingerprint (``repro.runner.model.ENV_KNOBS``):
+#: the budget decides which faults abort, and so what a task reports.
+ENV_VARS = (
+    "REPRO_ATPG_DEADLINE_MS",
+    "REPRO_ATPG_CONFLICT_BUDGET",
+    "REPRO_ATPG_DECISION_BUDGET",
+    "REPRO_ATPG_ABORT_FRACTION",
+)
+
 
 def verdict_name(flag: Optional[bool]) -> str:
     """Map a three-valued solve result to its verdict constant.
@@ -76,24 +87,18 @@ class AtpgBudget:
     def from_env(
         cls, environ: Optional[Mapping[str, str]] = None
     ) -> "AtpgBudget":
-        """Budget from ``REPRO_ATPG_*`` variables (unlimited when unset)."""
+        """Budget from the :data:`ENV_VARS` (unlimited when unset)."""
         env = os.environ if environ is None else environ
-
-        def _float(name: str) -> Optional[float]:
-            raw = env.get(name, "").strip()
-            return float(raw) if raw else None
-
-        def _int(name: str) -> Optional[int]:
-            raw = env.get(name, "").strip()
-            return int(raw) if raw else None
-
-        fraction = _float("REPRO_ATPG_ABORT_FRACTION")
+        deadline, conflicts, decisions, fraction = (
+            env.get(name, "").strip() or None for name in ENV_VARS
+        )
         return cls(
-            deadline_ms=_float("REPRO_ATPG_DEADLINE_MS"),
-            conflict_budget=_int("REPRO_ATPG_CONFLICT_BUDGET"),
-            decision_budget=_int("REPRO_ATPG_DECISION_BUDGET"),
+            deadline_ms=None if deadline is None else float(deadline),
+            conflict_budget=None if conflicts is None else int(conflicts),
+            decision_budget=None if decisions is None else int(decisions),
             abort_fraction=(
-                DEFAULT_ABORT_FRACTION if fraction is None else fraction
+                DEFAULT_ABORT_FRACTION if fraction is None
+                else float(fraction)
             ),
         )
 

@@ -17,9 +17,7 @@ Propagation compacts each watch list in place; conflict analysis reuses
 one mark array.  A VSIDS bump (always of an assigned variable) pushes no
 heap entry: backtracking pushes one when the variable is unassigned, so
 every unassigned variable owns exactly one heap entry equal to its
-activity and the decisions match an eager push.  (Kept as it was: an
-abort on the decision budget or deadline leaves the just-popped decision
-variable without an entry until it is next assigned and unassigned.)
+activity and the decisions match an eager push.
 """
 
 from __future__ import annotations
@@ -275,13 +273,17 @@ class Solver:
                     and spent_decisions > decision_budget
                 ):
                     self.last_abort_reason = "decisions"
-                    self._backtrack(0)
-                    return UNKNOWN
-                if (
+                elif (
                     deadline is not None
                     and time.perf_counter() > deadline
                 ):
                     self.last_abort_reason = "deadline"
+                if self.last_abort_reason is not None:
+                    # _decide consumed the variable's heap entry, but the
+                    # variable stays unassigned: give the entry back.
+                    var = lit >> 1
+                    heapq.heappush(self._heap, (-self._activity[var], var))
+                    self._hflag[var] = 1
                     self._backtrack(0)
                     return UNKNOWN
             self._trail_lim.append(len(self._trail))

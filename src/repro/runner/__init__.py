@@ -10,7 +10,7 @@ append-only JSONL file under ``benchmarks/results/runs/<run_id>/``, so
 a crash, hang or OOM in the middle of a sweep loses at most the task
 that was running: :func:`resume` replays the journal and re-executes
 only tasks that are missing, failed, or whose input fingerprint
-(circuit hash + config + code-relevant env knobs + dependency
+(circuit hash + config + ATPG budget env knobs + dependency
 fingerprints) changed.
 
 Command line: ``python -m repro.runner {run,resume,report,check,diff}``

@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="concurrent campaign tasks (default: REPRO_RUN_JOBS, "
-             "falling back to the CPU count; 1 = serial)",
+        help="concurrent campaign tasks (default: the CPU count; "
+             "1 = serial)",
     )
     run.add_argument(
         "--variants", type=_csv, default=("full",),
@@ -119,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(res)
     res.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="concurrent campaign tasks (default: REPRO_RUN_JOBS, "
-             "falling back to the CPU count; 1 = serial)",
+        help="concurrent campaign tasks (default: the CPU count; "
+             "1 = serial)",
     )
     res.add_argument(
         "--kill-at", default=None, metavar="TASK[:ATTEMPT]",

@@ -2,14 +2,16 @@
 
 :class:`Runner` executes a :class:`~repro.runner.model.CampaignSpec`
 either serially in deterministic topological order (``jobs=1``) or with
-a **ready-set scheduler** (``jobs>1`` / ``REPRO_RUN_JOBS``, default =
-CPU count): tasks whose dependencies are all settled dispatch
-concurrently onto a bounded thread pool.  This is the one parallel
-layer: each task itself runs serially.  Around every task it journals
-``task_start`` / ``task_end`` events (fsync'd before proceeding), so the
-run directory always reflects exactly what has finished — a SIGKILL,
-OOM, or power cut mid-campaign loses at most the tasks that were
-running.
+a **ready-set scheduler** (``jobs>1``; ``None`` means the CPU count):
+tasks whose dependencies are all settled dispatch concurrently onto a
+bounded thread pool.  This is the one parallel layer, and ``jobs`` the
+one execution setting: each task itself runs serially.  Around every
+task it journals ``task_start`` / ``task_end`` events (each fsync'd
+before proceeding), so the run directory always reflects exactly what
+has finished — a SIGKILL, OOM, or power cut mid-campaign loses at most
+the tasks that were running.  ``campaign.json`` is written whenever the
+campaign changes: at start, and each time :meth:`Runner.execute_spec`
+appends a task.
 
 Concurrency changes *when* tasks run, never *what* they compute: journal
 events are task-keyed so replay / ``diff`` / resume are insensitive to
@@ -58,7 +60,6 @@ from repro.runner.model import (
     TaskSpec,
     env_knobs,
     fingerprint_task,
-    observed_env_knobs,
 )
 from repro.runner.registry import TaskContext, fingerprint_extra, get_task
 from repro.runner.report import build_report, write_report
@@ -67,14 +68,12 @@ DEFAULT_RUNS_ROOT = os.path.join("benchmarks", "results", "runs")
 
 
 def resolve_run_jobs(jobs: Optional[int] = None) -> int:
-    """Scheduler width; ``None`` falls back to ``REPRO_RUN_JOBS`` (CPUs).
+    """Scheduler width; ``None`` means the CPU count.
 
-    ``--jobs`` / an explicit argument wins over the environment; the
-    default saturates the machine with one in-flight task per core.
+    The default saturates the machine with one in-flight task per core.
     """
     if jobs is None:
-        raw = os.environ.get("REPRO_RUN_JOBS", "").strip()
-        jobs = int(raw) if raw else (os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
     return max(1, int(jobs))
 
 # Coded warning: an inline task hit its timeout and its worker thread
@@ -129,13 +128,9 @@ class Runner:
     # the orchestrator mid-task).
     on_task_start: Optional[Callable[[str, int], None]] = None
     sleep: Callable[[float], None] = time.sleep
-    # Scheduler width: None resolves via REPRO_RUN_JOBS / CPU count at
-    # execute() time; 1 is the historical serial path, bit-for-bit.
+    # Scheduler width: None resolves to the CPU count at execute() time;
+    # 1 is the historical serial path, bit-for-bit.
     jobs: Optional[int] = None
-    # Minimum seconds between campaign.json rewrites for lazily-added
-    # tasks (the incremental execute_spec API); finalize and dispatch
-    # waves always flush, so a crash loses at most this window.
-    campaign_save_interval: float = 1.0
 
     outcomes: "OrderedDict[str, TaskOutcome]" = field(
         default_factory=OrderedDict
@@ -151,8 +146,6 @@ class Runner:
         # (abandoned threads, ...); folded into the final report.
         self.runtime_warnings: Dict[str, int] = {}
         self._warn_lock = threading.Lock()
-        self._campaign_dirty = False
-        self._campaign_saved_at = 0.0
         # Scheduler observability for the report's UTILIZATION section
         # (populated only by the concurrent path).
         self.scheduler_info: Optional[dict] = None
@@ -176,8 +169,6 @@ class Runner:
         )
         self.ledger = replay(prior)
         self.campaign.save(self.campaign_path)
-        self._campaign_dirty = False
-        self._campaign_saved_at = time.monotonic()
         self.journal = Journal(self.journal_path)
         if not prior:
             self.journal.append({
@@ -185,7 +176,6 @@ class Runner:
                 "run_id": self.campaign.run_id,
                 "n_tasks": len(self.campaign.tasks),
                 "env": env_knobs(),
-                "env_observed": observed_env_knobs(),
                 "meta": dict(self.campaign.meta),
             })
         else:
@@ -193,26 +183,6 @@ class Runner:
                 "event": "run_resume",
                 "run_id": self.campaign.run_id,
             })
-
-    def _save_campaign(self, force: bool = False) -> None:
-        """Debounced campaign.json rewrite (satellite of the scheduler PR).
-
-        The incremental :meth:`execute_spec` API used to rewrite the
-        whole campaign file per lazily-added task — O(n²) bytes over a
-        benchmark harness.  A dirty flag plus a minimum save interval
-        makes the cost time-bound; finalize and every dispatch wave
-        flush unconditionally so resumability windows stay small.
-        """
-        if not self._campaign_dirty:
-            return
-        now = time.monotonic()
-        if not force and (
-            now - self._campaign_saved_at < self.campaign_save_interval
-        ):
-            return
-        self.campaign.save(self.campaign_path)
-        self._campaign_dirty = False
-        self._campaign_saved_at = now
 
     # ------------------------------------------------------------------
     def execute(self) -> dict:
@@ -236,23 +206,20 @@ class Runner:
         """Incremental API: append *spec* to the campaign and run it.
 
         Used by the pytest benchmark harness, which discovers its tasks
-        lazily; the campaign file is rewritten (debounced) so the run
-        stays resumable.
+        lazily; the campaign file is rewritten on every append so the
+        run stays resumable.
         """
         if spec.task_id not in self._known:
             self.campaign.tasks.append(spec)
             self._known.add(spec.task_id)
-            self._ensure_started()
-            self._campaign_dirty = True
-            self._save_campaign()
-        else:
-            self._ensure_started()
+            if self.journal is not None:  # else _ensure_started saves it
+                self.campaign.save(self.campaign_path)
+        self._ensure_started()
         return self._execute_spec(spec)
 
     def finalize(self) -> dict:
         """Journal the aggregated report and the run_end event."""
         self._ensure_started()
-        self._save_campaign(force=True)
         # Report determinism under concurrency: outcomes settle in
         # completion order, which interleaving makes nondeterministic;
         # the report always presents them in campaign topological order.
@@ -399,7 +366,6 @@ class Runner:
                             # have become ready — rescan this wave.
                             progressed = True
                             continue
-                        self._save_campaign(force=True)
                         fut = pool.submit(
                             self._run_timed,
                             spec,
@@ -408,9 +374,6 @@ class Runner:
                         )
                         in_flight[fut] = task_id
                 peak_in_flight = max(peak_in_flight, len(in_flight))
-                # Group-commit any batched journal writes before
-                # blocking: everything dispatched so far is durable.
-                self.journal.commit()
                 if not in_flight:
                     if pending:  # unreachable after topo validation
                         raise RuntimeError(
@@ -426,7 +389,6 @@ class Runner:
                     outcome, span = fut.result()
                     self.outcomes[task_id] = outcome
                     spans[task_id] = span
-        self.journal.commit()
         makespan = time.perf_counter() - started
         busy = sum(span["run"] for span in spans.values())
         self.scheduler_info = {
@@ -655,9 +617,9 @@ def resume(
 
     Replays ``<root>/<run_id>/journal.jsonl``, reuses every completed
     task whose fingerprint still matches, and executes the rest —
-    concurrently when *jobs* (or ``REPRO_RUN_JOBS``) says so; resume
-    and scheduling compose because cached settling happens on the
-    scheduler thread before anything dispatches.
+    concurrently unless *jobs* is 1; resume and scheduling compose
+    because cached settling happens on the scheduler thread before
+    anything dispatches.
     """
     campaign_path = os.path.join(root, run_id, "campaign.json")
     campaign = CampaignSpec.load(campaign_path)

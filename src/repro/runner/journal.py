@@ -7,22 +7,13 @@ at most the line being written.  The reader tolerates exactly that
 failure mode — a truncated *final* line is ignored — while corruption
 anywhere else raises :class:`JournalError`.
 
-``REPRO_JOURNAL_FSYNC`` selects the durability mode (read once per
-:class:`Journal`): ``event`` (default) fsyncs after every append —
-the historical at-most-one-lost-line guarantee; ``batch`` flushes the
-OS buffer per append but defers the fsync to a group
-:meth:`Journal.commit` at scheduler wave boundaries and on close.
-Batch mode can lose the *tail since the last commit* on power cut, but
-a plain SIGKILL loses nothing (the data is in the page cache), and
-resume replays the journal either way — at worst a lost tail re-runs
-tasks whose completion record vanished, which the fingerprint check
-makes safe.  The writer is thread-safe: scheduler threads of one run
-share one journal under a lock, and events stay whole-line atomic.
+The writer is thread-safe: scheduler threads of one run share one
+journal under a lock, and events stay whole-line atomic.
 
 Event schema (all events carry ``event`` and ``ts`` = epoch seconds):
 
-* ``run_start``  — ``run_id``, ``n_tasks``, ``env`` (fingerprinted
-  knobs), ``meta`` (campaign metadata);
+* ``run_start``  — ``run_id``, ``n_tasks``, ``env`` (the fingerprinted
+  ATPG budget knobs that are set), ``meta`` (campaign metadata);
 * ``run_resume`` — ``run_id``; appended every time a journal is resumed;
 * ``task_start`` — ``task``, ``kind``, ``attempt`` (1-based),
   ``fingerprint``;
@@ -48,39 +39,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-FSYNC_EVENT = "event"
-FSYNC_BATCH = "batch"
-_FSYNC_MODES = (FSYNC_EVENT, FSYNC_BATCH)
-
 
 class JournalError(RuntimeError):
     """Malformed journal (corruption before the final line)."""
 
 
-def resolve_fsync_mode(mode: Optional[str] = None) -> str:
-    """Durability mode; ``None`` falls back to ``REPRO_JOURNAL_FSYNC``."""
-    if mode is None:
-        mode = (
-            os.environ.get("REPRO_JOURNAL_FSYNC", "").strip() or FSYNC_EVENT
-        )
-    if mode not in _FSYNC_MODES:
-        raise ValueError(
-            f"unknown journal fsync mode {mode!r}; "
-            f"expected one of {_FSYNC_MODES}"
-        )
-    return mode
-
-
 class Journal:
-    """Append-only JSONL writer with per-event or group-commit durability."""
+    """Append-only JSONL writer; every append is flushed and fsync'd."""
 
-    def __init__(self, path: str, fsync_mode: Optional[str] = None):
+    def __init__(self, path: str):
         self.path = path
-        self.fsync_mode = resolve_fsync_mode(fsync_mode)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self._fh = open(path, "a", encoding="utf-8")
-        self._lock = threading.RLock()
-        self._dirty = False
+        self._lock = threading.Lock()
 
     def append(self, event: Dict[str, object]) -> None:
         record = dict(event)
@@ -91,28 +62,11 @@ class Journal:
         with self._lock:
             self._fh.write(line + "\n")
             self._fh.flush()
-            if self.fsync_mode == FSYNC_EVENT:
-                os.fsync(self._fh.fileno())
-            else:
-                self._dirty = True
-
-    def commit(self) -> None:
-        """Group-commit: fsync everything appended since the last commit.
-
-        A no-op in ``event`` mode (every append already synced) and when
-        nothing was appended, so callers commit unconditionally at wave
-        boundaries.
-        """
-        with self._lock:
-            if self._fh is not None and self._dirty:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._dirty = False
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         with self._lock:
             if self._fh is not None:
-                self.commit()
                 self._fh.close()
                 self._fh = None
 

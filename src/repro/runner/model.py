@@ -10,11 +10,12 @@ the run directory, and is what ``resume`` reloads after a crash.
 Fingerprints implement the same content-keying discipline as the
 resynthesis evaluation cache: a task's fingerprint hashes its kind,
 parameters, kind-specific input digest (for circuit tasks: a structural
-hash of the built benchmark netlist and the library variant),
-code-relevant environment knobs, and — Merkle-style — the fingerprints
-of its dependencies.  On resume, a journaled ``ok`` result is reused
-only when its recorded fingerprint still matches; any config, circuit,
-env, or upstream change re-executes exactly the affected cone.
+hash of the built benchmark netlist and the library variant), the ATPG
+budget's environment knobs (the only environment input that changes a
+result), and — Merkle-style — the fingerprints of its dependencies.  On
+resume, a journaled ``ok`` result is reused only when its recorded
+fingerprint still matches; any config, circuit, budget, or upstream
+change re-executes exactly the affected cone, and nothing else does.
 """
 
 from __future__ import annotations
@@ -25,27 +26,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-# Environment knobs that change what experiment tasks compute.  They are
-# folded into every fingerprint so a resume under different knobs
-# re-executes instead of serving stale cached results.  The ATPG budget
-# knobs decide which faults abort, and so the U, Cov and approximate
-# flag of every analysis.
-ENV_KNOBS = (
-    "REPRO_SCALE",
-    "REPRO_QMAX",
-    "REPRO_MAX_ITER",
-    "REPRO_ATPG_DEADLINE_MS",
-    "REPRO_ATPG_CONFLICT_BUDGET",
-    "REPRO_ATPG_DECISION_BUDGET",
-    "REPRO_ATPG_ABORT_FRACTION",
-)
-
-# Knobs that change *how* tasks execute but never their results
-# (scheduler width, journal durability).  They are journaled on
-# run_start for diagnosability but kept out of fingerprints on purpose:
-# a resume on a machine with different settings must reuse completed
-# work, not redo it.
-OBSERVED_ENV_KNOBS = ("REPRO_RUN_JOBS", "REPRO_JOURNAL_FSYNC")
+# The environment inputs that change what tasks compute: the ATPG
+# budget, which decides which faults abort, and so the U, Cov and
+# approximate flag of every analysis.  They are folded into every
+# fingerprint, so a resume under a different budget re-executes instead
+# of serving rows computed under the old one.
+from repro.atpg.budget import ENV_VARS as ENV_KNOBS
 
 
 class CampaignError(ValueError):
@@ -182,17 +168,9 @@ def _canonical(data: object) -> str:
 
 
 def env_knobs(env: Optional[Mapping[str, str]] = None) -> Dict[str, str]:
-    """The code-relevant environment knobs folded into fingerprints."""
+    """The ATPG budget knobs set in *env*, folded into fingerprints."""
     src = os.environ if env is None else env
     return {k: src[k] for k in ENV_KNOBS if k in src}
-
-
-def observed_env_knobs(
-    env: Optional[Mapping[str, str]] = None,
-) -> Dict[str, str]:
-    """Execution-only knobs recorded in the journal, not fingerprinted."""
-    src = os.environ if env is None else env
-    return {k: src[k] for k in OBSERVED_ENV_KNOBS if k in src}
 
 
 def fingerprint_task(

@@ -125,8 +125,9 @@ class TestFingerprints:
     def test_env_knob_changes_fingerprint(self):
         spec = TaskSpec("a", "sum", {"value": 1})
         f1 = fingerprint_task(spec, {}, env={})
-        f2 = fingerprint_task(spec, {}, env={"REPRO_SCALE": "2"})
-        assert f1 != f2
+        # No task reads REPRO_SCALE (the benchmark harness turns it into
+        # a task param), so it leaves the fingerprint alone.
+        assert fingerprint_task(spec, {}, env={"REPRO_SCALE": "2"}) == f1
         # The ATPG budget decides which faults abort, so each of its
         # knobs changes what an analysis reports.
         for knob in (
@@ -327,12 +328,12 @@ class TestResume:
 
     def test_fingerprint_change_reexecutes_cone(self, tmp_path, monkeypatch):
         root = str(tmp_path)
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_ATPG_ABORT_FRACTION", raising=False)
         run_campaign(sum_campaign("fp"), root=root)
         # An env knob changed between runs: every task's fingerprint
         # (and, Merkle-style, its dependents') changes, so resume
         # re-executes instead of serving stale results.
-        monkeypatch.setenv("REPRO_SCALE", "3")
+        monkeypatch.setenv("REPRO_ATPG_ABORT_FRACTION", "0.5")
         report = resume("fp", root=root)
         assert report["status"] == "ok"
         events = events_of(root, "fp")
@@ -341,6 +342,26 @@ class TestResume:
             assert len(starts_of(events, task)) == 2
         # Re-execution after a fingerprint change is legitimate.
         assert verify_resume_discipline(events) == []
+
+    def test_unread_env_reuses_every_task(self, tmp_path, monkeypatch):
+        """Variables the package does not read change no fingerprint, so
+        a resume under them re-executes nothing."""
+        root = str(tmp_path)
+        unread = {
+            "REPRO_SCALE": "3", "REPRO_QMAX": "5", "REPRO_MAX_ITER": "9",
+            "REPRO_RUN_JOBS": "1", "REPRO_JOURNAL_FSYNC": "batch",
+        }
+        for knob in unread:
+            monkeypatch.delenv(knob, raising=False)
+        run_campaign(sum_campaign("unread"), root=root)
+        before = len(events_of(root, "unread"))
+        for knob, value in unread.items():
+            monkeypatch.setenv(knob, value)
+        report = resume("unread", root=root)
+        assert report["status"] == "ok"
+        events = events_of(root, "unread")[before:]
+        assert sum(e["event"] == "task_cached" for e in events) == 3
+        assert not [e for e in events if e["event"] == "task_start"]
 
     def test_atpg_budget_change_reexecutes_task(self, tmp_path, monkeypatch):
         """A row computed under an ATPG budget is not served once the

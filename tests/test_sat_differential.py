@@ -9,9 +9,8 @@ watch positions decide later lemmas) and return the same answers and
 models on every call of a sequence that mixes assumptions, conflict and
 decision budgets, learnt reduction and clause deletion.  After each
 call every unassigned variable must own exactly one heap entry equal to
-its activity (one older exception is described at
-``_assert_heap_invariant``): that invariant is what keeps ``_decide``
-returning the same variable.
+its activity: that invariant is what keeps ``_decide`` returning the
+same variable.
 """
 
 from __future__ import annotations
@@ -81,24 +80,14 @@ def _entries(solver):
     return count
 
 
-def _assert_heap_invariant(live, ref, decision_aborted):
+def _assert_heap_invariant(live, ref):
     """Every unassigned variable owns exactly one entry equal to its
-    activity, in the live heap as in the reference's.
-
-    The one exception predates the rewrite and is kept bit for bit: an
-    abort on the decision budget comes after ``_decide`` popped the
-    decision variable's entry and before the variable is assigned, so
-    that variable stays without an entry until it is next assigned and
-    unassigned (or the linear fallback finds it).
-    """
+    activity, in the live heap as in the reference's."""
     entries = _entries(live)
     assert entries == _entries(ref)
     unassigned = [v for v in range(1, live.num_vars + 1)
                   if live._val[v << 1] == 2]
-    if decision_aborted:
-        assert all(entries.get(v, 0) <= 1 for v in unassigned)
-    else:
-        assert all(entries.get(v) == 1 for v in unassigned), entries
+    assert all(entries.get(v) == 1 for v in unassigned), entries
 
 
 def _state(solver, answer):
@@ -126,7 +115,6 @@ def _run_in_lockstep(n, clauses, calls, var_inc=None):
             solver._var_inc = var_inc
     for clause in clauses:
         assert live.add_clause(clause) == ref.add_clause(clause)
-    decision_aborted = False
     for (assumptions, conflict_budget, decision_budget, maintenance,
          reduce_args, delete_seed) in calls:
         answers = [
@@ -138,8 +126,7 @@ def _run_in_lockstep(n, clauses, calls, var_inc=None):
             for solver in (live, ref)
         ]
         assert _state(live, answers[0]) == _state(ref, answers[1])
-        decision_aborted |= live.last_abort_reason == "decisions"
-        _assert_heap_invariant(live, ref, decision_aborted)
+        _assert_heap_invariant(live, ref)
         assert not any(live._seen), "analysis marks left set"
         if maintenance == "reduce":
             assert live.reduce_learnts(*reduce_args) == \
@@ -169,6 +156,17 @@ def test_identical_across_activity_rescale(data):
     calls = data.draw(call_sequences(n))
     # A few bumps from the 1e100 cap: any conflict rescales mid-analysis.
     _run_in_lockstep(n, clauses, calls, var_inc=9.9e99)
+
+
+def test_decision_abort_gives_back_its_heap_entry():
+    """Decision budget 0: the first decision aborts right after
+    ``_decide`` popped its variable's entry.  The entry comes back, so
+    every unassigned variable still owns exactly one (checked here
+    whether or not Hypothesis happens to draw a decision abort)."""
+    calls = [([], None, 0, "none", (3, 2, None), 0)]
+    live = _run_in_lockstep(4, [[1, 2], [-1, 3], [2, -3, 4]], calls)
+    assert live.last_abort_reason == "decisions"
+    assert _entries(live) == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_rescale_is_exercised_and_identical():

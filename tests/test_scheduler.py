@@ -28,30 +28,14 @@ from repro.runner import (
     replay,
 )
 from repro.runner.executor import resolve_run_jobs
-from repro.runner.journal import (
-    FSYNC_BATCH,
-    FSYNC_EVENT,
-    Journal,
-    resolve_fsync_mode,
-    verify_resume_discipline,
-)
-from repro.runner.model import (
-    fingerprint_task,
-    observed_env_knobs,
-)
+from repro.runner.journal import Journal, verify_resume_discipline
+from repro.runner.model import fingerprint_task
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 posix_only = pytest.mark.skipif(
     os.name != "posix", reason="SIGKILL semantics are POSIX-only"
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    """Every test starts with no scheduler or journal knobs set."""
-    for knob in ("REPRO_RUN_JOBS", "REPRO_JOURNAL_FSYNC"):
-        monkeypatch.delenv(knob, raising=False)
 
 
 def events_of(root, run_id):
@@ -103,10 +87,6 @@ class TestResolveRunJobs:
         monkeypatch.setenv("REPRO_RUN_JOBS", "7")
         assert resolve_run_jobs(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_JOBS", "5")
-        assert resolve_run_jobs() == 5
-
     def test_default_is_cpu_count(self):
         assert resolve_run_jobs() == max(1, os.cpu_count() or 1)
 
@@ -126,11 +106,10 @@ class TestPerfParamFingerprints:
         assert fingerprint_task(a, {}) != fingerprint_task(b, {})
 
     def test_scheduler_knobs_are_observed_not_fingerprinted(self, monkeypatch):
+        # The package reads neither name: setting them leaves every
+        # fingerprint as it was.
         monkeypatch.setenv("REPRO_RUN_JOBS", "4")
         monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "batch")
-        observed = observed_env_knobs()
-        assert observed["REPRO_RUN_JOBS"] == "4"
-        assert observed["REPRO_JOURNAL_FSYNC"] == "batch"
         spec = TaskSpec("t", "sum", {"value": 1})
         with_knobs = fingerprint_task(spec, {})
         monkeypatch.delenv("REPRO_RUN_JOBS")
@@ -244,19 +223,11 @@ class TestConcurrentExecution:
 
 
 # ----------------------------------------------------------------------
-# Journal: batching, replay order-insensitivity
+# Journal: durability, replay order-insensitivity
 # ----------------------------------------------------------------------
 
 class TestJournalBatching:
-    def test_resolve_fsync_mode(self, monkeypatch):
-        assert resolve_fsync_mode() == FSYNC_EVENT
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "batch")
-        assert resolve_fsync_mode() == FSYNC_BATCH
-        assert resolve_fsync_mode("event") == FSYNC_EVENT
-        with pytest.raises(ValueError, match="fsync"):
-            resolve_fsync_mode("sometimes")
-
-    def _count_fsyncs(self, monkeypatch):
+    def test_event_mode_syncs_per_append(self, tmp_path, monkeypatch):
         calls = {"n": 0}
         real = os.fsync
 
@@ -265,43 +236,12 @@ class TestJournalBatching:
             return real(fd)
 
         monkeypatch.setattr(os, "fsync", counting)
-        return calls
-
-    def test_event_mode_syncs_per_append(self, tmp_path, monkeypatch):
-        calls = self._count_fsyncs(monkeypatch)
         journal = Journal(str(tmp_path / "j.jsonl"))
         for i in range(5):
             journal.append({"event": "task_start", "task": f"t{i}"})
         assert calls["n"] == 5
-        journal.commit()  # no-op: nothing pending
-        assert calls["n"] == 5
         journal.close()
-
-    def test_batch_mode_group_commits(self, tmp_path, monkeypatch):
-        calls = self._count_fsyncs(monkeypatch)
-        journal = Journal(str(tmp_path / "j.jsonl"), fsync_mode="batch")
-        for i in range(5):
-            journal.append({"event": "task_start", "task": f"t{i}"})
-        assert calls["n"] == 0
-        journal.commit()
-        assert calls["n"] == 1
-        journal.commit()  # clean: still one
-        assert calls["n"] == 1
-        journal.append({"event": "run_end"})
-        journal.close()  # close commits the tail
-        assert calls["n"] == 2
-        events = read_journal(str(tmp_path / "j.jsonl"))
-        assert len(events) == 6
-
-    def test_batch_mode_env_applies_to_run(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "batch")
-        root = str(tmp_path / "runs")
-        report = Runner(fan_campaign("batched"), root=root, jobs=4).execute()
-        assert report["status"] == "ok"
-        events = events_of(root, "batched")
-        start = next(e for e in events if e["event"] == "run_start")
-        assert start["env_observed"]["REPRO_JOURNAL_FSYNC"] == "batch"
-        assert verify_resume_discipline(events) == []
+        assert calls["n"] == 5
 
     def test_replay_is_order_insensitive_across_tasks(self, tmp_path):
         # Two interleavings of the same per-task event streams replay to
@@ -326,37 +266,29 @@ class TestJournalBatching:
 
 
 # ----------------------------------------------------------------------
-# Campaign save debounce
+# Campaign saves of lazily-added tasks
 # ----------------------------------------------------------------------
 
 class TestCampaignSaveDebounce:
-    def test_lazy_tasks_do_not_rewrite_per_task(self, tmp_path, monkeypatch):
+    def test_lazy_tasks_saved_as_added(self, tmp_path):
+        # A crash right after any execute_spec loses no task: the
+        # campaign file already holds it.
         root = str(tmp_path / "runs")
         campaign = CampaignSpec(run_id="lazy", meta={"kind": "synthetic"})
-        runner = Runner(campaign, root=root, campaign_save_interval=3600.0)
-        saves = {"n": 0}
-        real = CampaignSpec.save
-
-        def counting(self, path):
-            saves["n"] += 1
-            return real(self, path)
-
-        monkeypatch.setattr(CampaignSpec, "save", counting)
-        for i in range(25):
+        runner = Runner(campaign, root=root)
+        path = os.path.join(root, "lazy", "campaign.json")
+        for i in range(5):
             runner.execute_spec(TaskSpec(f"t{i}", "sum", {"value": i}))
-        mid_saves = saves["n"]
-        assert mid_saves <= 2  # the initial save, not one per task
-        report = runner.finalize()
-        assert saves["n"] == mid_saves + 1  # finalize flushes the dirty file
-        assert report["status"] == "ok"
-        # The flushed campaign file holds every lazily-added task.
-        loaded = CampaignSpec.load(os.path.join(root, "lazy", "campaign.json"))
-        assert len(loaded.tasks) == 25
+            loaded = CampaignSpec.load(path)
+            assert [t.task_id for t in loaded.tasks] == [
+                f"t{k}" for k in range(i + 1)
+            ]
+        assert runner.finalize()["status"] == "ok"
 
     def test_interval_elapsed_saves_again(self, tmp_path):
         root = str(tmp_path / "runs")
         campaign = CampaignSpec(run_id="ticking", meta={"kind": "synthetic"})
-        runner = Runner(campaign, root=root, campaign_save_interval=0.0)
+        runner = Runner(campaign, root=root)
         runner.execute_spec(TaskSpec("t0", "sum", {"value": 1}))
         loaded = CampaignSpec.load(
             os.path.join(root, "ticking", "campaign.json")
