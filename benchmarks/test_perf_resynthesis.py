@@ -322,9 +322,7 @@ def test_resynthesis_speedup_and_identical_trace():
     )
     t_base = time.perf_counter() - t0
 
-    cfg = ResynthesisConfig(
-        q_max=Q_MAX, max_iterations_per_phase=MAX_ITER, incremental=True,
-    )
+    cfg = ResynthesisConfig(q_max=Q_MAX, max_iterations_per_phase=MAX_ITER)
     t0 = time.perf_counter()
     opt = resynthesize_for_coverage(circuit, library, cfg)
     t_opt = time.perf_counter() - t0
@@ -388,8 +386,7 @@ def test_resynthesis_speedup_and_identical_trace():
         f"{opt.stats.candidate_cache_hits} cache hits",
         f"  verdicts: {eng.verdicts_inherited} inherited, "
         f"{eng.verdicts_proved} proved; "
-        f"faults: {eng.faults_carried} carried, "
-        f"{eng.faults_extracted} extracted; "
+        f"faults: {eng.faults_extracted} extracted; "
         f"clusters: {eng.clusters_reused} reused, "
         f"{eng.clusters_recomputed} recomputed",
     ]

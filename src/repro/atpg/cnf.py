@@ -105,9 +105,6 @@ class _Instance:
                 self.solver.add_clause([got])
         return got
 
-    def has_var(self, net: str, copy: str) -> bool:
-        return (net, copy) in self._net_var
-
     def encode_gate(self, gate_name: str, in_copy_of, out_copy: str) -> None:
         """Encode one gate; *in_copy_of(net) -> copy tag* selects shared
         vs. private input variables."""

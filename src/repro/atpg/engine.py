@@ -102,9 +102,6 @@ class AtpgResult:
             return ABORTED
         return None
 
-    def is_undetectable(self, fault: Fault) -> bool:
-        return fault.fault_id in self.undetectable
-
 
 def run_atpg(
     circuit: Circuit,

@@ -40,11 +40,6 @@ def _enc(lit: int) -> int:
     return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
 
 
-def _dec(elit: int) -> int:
-    var = elit >> 1
-    return -var if elit & 1 else var
-
-
 class Solver:
     """CDCL SAT solver; construct, :meth:`add_clause`, :meth:`solve`."""
 

@@ -101,12 +101,6 @@ class NetBuilder:
             return self.not_(a)
         return self._gate("XOR2X1", {"A": a, "B": b})
 
-    def nand_(self, a: str, b: str) -> str:
-        return self.not_(self.and_(a, b))
-
-    def nor_(self, a: str, b: str) -> str:
-        return self.not_(self.or_(a, b))
-
     def xnor_(self, a: str, b: str) -> str:
         return self.not_(self.xor_(a, b))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.atpg.budget import AtpgBudget
 from repro.atpg.compaction import TestPair
@@ -28,6 +28,7 @@ from repro.core.clustering import (
 )
 from repro.dfm.guidelines import Guideline
 from repro.dfm.translate import build_fault_set
+from repro.faults.collapse import behaviour_key
 from repro.faults.model import Fault
 from repro.faults.sites import FaultSet, enumerate_internal_faults
 from repro.library.osu018 import Library
@@ -50,6 +51,12 @@ class DesignState:
     # Wall-clock per analysis stage (pdesign / fault extraction / ATPG /
     # clustering), filled by :func:`analyze_design`.
     timings: Dict[str, float] = field(default_factory=dict)
+    # (undetectable, detected) behaviour keys, built on first use.  A
+    # state's fault set and verdicts never change after construction,
+    # so the memo cannot go stale.
+    _keys: Optional[Tuple[FrozenSet, FrozenSet]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def stats(self) -> EngineStats:
@@ -122,8 +129,23 @@ class DesignState:
     def tests(self) -> List[TestPair]:
         return self.atpg.tests
 
-    def undetectable_behaviour_keys(self) -> set:
-        """Behaviour keys of the undetectable faults.
+    def _behaviour_keys(self) -> Tuple[FrozenSet, FrozenSet]:
+        if self._keys is None:
+            undetectable, detected = self.atpg.undetectable, self.atpg.detected
+            self._keys = (
+                frozenset(
+                    behaviour_key(f) for f in self.fault_set
+                    if f.fault_id in undetectable
+                ),
+                frozenset(
+                    behaviour_key(f) for f in self.fault_set
+                    if f.fault_id in detected
+                ),
+            )
+        return self._keys
+
+    def undetectable_behaviour_keys(self) -> FrozenSet:
+        """Behaviour keys of the undetectable faults (computed once).
 
         Detection is a functional property, so these verdicts remain
         valid on any functionally-equivalent revision of the circuit in
@@ -132,12 +154,10 @@ class DesignState:
         sound status-inheritance used to make resynthesis iterations
         cheap.
         """
-        from repro.faults.collapse import behaviour_key
+        return self._behaviour_keys()[0]
 
-        return {behaviour_key(f) for f in self.undetectable_faults}
-
-    def detected_behaviour_keys(self) -> set:
-        """Behaviour keys of the detected faults.
+    def detected_behaviour_keys(self) -> FrozenSet:
+        """Behaviour keys of the detected faults (computed once).
 
         Same soundness argument as
         :meth:`undetectable_behaviour_keys`: the replacement region and
@@ -146,13 +166,7 @@ class DesignState:
         values on every surviving net under any input — its detected
         verdict (and undetectable alike) carries over.
         """
-        from repro.faults.collapse import behaviour_key
-
-        return {
-            behaviour_key(f)
-            for f in self.fault_set
-            if f.fault_id in self.atpg.detected
-        }
+        return self._behaviour_keys()[1]
 
     @property
     def delay(self) -> float:
@@ -172,8 +186,8 @@ def analyze_design(
     guidelines: Optional[Sequence[Guideline]] = None,
     initial_tests: Optional[Sequence[TestPair]] = None,
     atpg_seed: int = 0,
-    assume_undetectable: Optional[set] = None,
-    assume_detected: Optional[set] = None,
+    assume_undetectable: Optional[AbstractSet] = None,
+    assume_detected: Optional[AbstractSet] = None,
     physical: Optional[PhysicalDesign] = None,
     prev: Optional[DesignState] = None,
     internal_atpg: Optional[AtpgResult] = None,
@@ -195,14 +209,16 @@ def analyze_design(
     *physical* design (e.g. from an early constraint check) is reused
     instead of placing and routing again.
 
-    *prev* enables the full cone-scoped incremental path after a local
-    replacement (``replace_subcircuit`` of a functionally-equivalent
-    region): both verdict sets and the test set are inherited from
-    *prev* (unless given explicitly), internal faults of untouched gates
-    are carried over instead of re-enumerated, and the undetectable
-    clusters are updated via union-find deltas instead of re-clustered.
-    Only faults in the replaced region's cone are re-proved.  The
-    resulting state is identical to a from-scratch analysis.
+    *prev* is how a candidate is re-analyzed after a local replacement
+    (``replace_subcircuit`` of a functionally-equivalent region): it
+    inherits *prev*'s detected and undetectable verdicts (by behaviour
+    key) and its test set, unless given explicitly, and nothing else.
+    Only faults whose keys name the replaced region are re-proved, and
+    the undetectable clusters are updated via union-find deltas instead
+    of re-clustered.  U, the verdicts and the clusters equal those of a
+    from-scratch analysis of the same circuit and layout; the test set
+    T does not, because ATPG starts from the inherited tests and
+    compacts them.
 
     *internal_atpg* is the candidate's own pre-PDesign internal
     classification (see :func:`classify_internal`); its verdicts seed
@@ -226,8 +242,8 @@ def analyze_design(
         )
     timings["pdesign"] = time.perf_counter() - t0
 
-    assume_undet = set(assume_undetectable) if assume_undetectable else None
-    assume_det = set(assume_detected) if assume_detected else None
+    assume_undet = assume_undetectable or None
+    assume_det = assume_detected or None
     if prev is not None:
         if assume_undet is None:
             assume_undet = prev.undetectable_behaviour_keys()
@@ -238,18 +254,15 @@ def analyze_design(
 
     t0 = time.perf_counter()
     fault_set = build_fault_set(
-        circuit, library, physical.layout, guidelines,
-        prev_fault_set=prev.fault_set if prev is not None else None,
-        prev_circuit=prev.circuit if prev is not None else None,
-        stats=stats,
+        circuit, library, physical.layout, guidelines, stats=stats,
     )
     timings["fault_extraction"] = time.perf_counter() - t0
 
     if internal_atpg is not None:
-        from repro.faults.collapse import behaviour_key
-
-        assume_undet = set() if assume_undet is None else assume_undet
-        assume_det = set() if assume_det is None else assume_det
+        # Copies: the given (or inherited, memoized) key sets stay as
+        # they are.
+        assume_undet = set(assume_undet or ())
+        assume_det = set(assume_det or ())
         for f in fault_set.internal:
             if f.fault_id in internal_atpg.undetectable:
                 assume_undet.add(behaviour_key(f))
@@ -294,8 +307,8 @@ def classify_internal(
     library: Library,
     initial_tests: Optional[Sequence[TestPair]] = None,
     atpg_seed: int = 0,
-    assume_undetectable: Optional[set] = None,
-    assume_detected: Optional[set] = None,
+    assume_undetectable: Optional[AbstractSet] = None,
+    assume_detected: Optional[AbstractSet] = None,
     stats: Optional[EngineStats] = None,
     budget: Optional[AtpgBudget] = None,
 ) -> AtpgResult:
@@ -324,8 +337,8 @@ def count_undetectable_internal(
     library: Library,
     initial_tests: Optional[Sequence[TestPair]] = None,
     atpg_seed: int = 0,
-    assume_undetectable: Optional[set] = None,
-    assume_detected: Optional[set] = None,
+    assume_undetectable: Optional[AbstractSet] = None,
+    assume_detected: Optional[AbstractSet] = None,
 ) -> int:
     """Number of undetectable internal faults of the bare netlist."""
     atpg = classify_internal(

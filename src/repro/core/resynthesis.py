@@ -21,7 +21,7 @@ Performance model
 -----------------
 The loop's dominant cost is evaluating candidate implementations:
 synthesize + place-and-route, then fault re-analysis.  Two levers cut
-it without changing any result:
+it without changing the trace, U, S_max, verdicts or clusters:
 
 * **Staged, cached candidate evaluation** — a candidate is identified
   by ``(current state, replacement gate set, allowed cells)``; none of
@@ -30,12 +30,14 @@ it without changing any result:
   work across the whole q sweep.  The q = 0 and q = 1 passes, and the
   phase-1/phase-2 passes over an unchanged state, repeat *identical*
   candidate evaluations — the cache collapses them to lookups.
-* **Cone-scoped incremental re-analysis** — an accepted-path candidate
-  is re-analyzed with ``analyze_design(prev=state, internal_atpg=...)``:
-  verdicts and layout-independent fault objects of gates outside the
-  replaced region are inherited, the candidate's own pre-PDesign
-  internal classification is not repeated, and clustering is updated
-  via union-find deltas (see :mod:`repro.core.flow`).
+* **Verdict inheritance** — a candidate that passes the internal-fault
+  and constraint gates is re-analyzed with ``analyze_design(prev=state,
+  internal_atpg=...)``, the only re-analysis path: it inherits the
+  parent's detected and undetectable verdicts (by behaviour key) and
+  its tests, the candidate's own pre-PDesign internal classification
+  is not repeated, and only faults of the replaced region's cone are
+  re-proved (see :mod:`repro.core.flow`).  The test set T is seeded
+  with the inherited tests, so it depends on the path taken.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ from repro.synthesis.synthesize import is_complete_subset, synthesize
 from repro.synthesis.techmap import TechmapError
 from repro.utils.observability import ResynthesisStats
 
+# Candidate evaluations the driver's LRU cache retains.
+CANDIDATE_CACHE_SIZE = 256
+
 
 @dataclass
 class ResynthesisConfig:
@@ -78,10 +83,6 @@ class ResynthesisConfig:
     max_iterations_per_phase: int = 25
     trend_window: int = 3  # stop a sweep when U rises this many times
     guidelines: Optional[Sequence[Guideline]] = None
-    # Performance knobs — neither changes any produced result (accepted
-    # trace, verdicts, clusters); they only move work around.
-    incremental: bool = True  # cone-scoped incremental re-analysis
-    candidate_cache_size: int = 256  # retained candidate evaluations
 
 
 @dataclass
@@ -199,12 +200,11 @@ class _Evaluation:
         """
         if self.internal_atpg is None:
             driver, state = self.driver, self.state
-            undet, det = driver.behaviour_keys(state)
             self.internal_atpg = classify_internal(
                 self.candidate, driver.library,
                 initial_tests=state.tests, atpg_seed=driver.cfg.seed,
-                assume_undetectable=undet,
-                assume_detected=det if driver.cfg.incremental else None,
+                assume_undetectable=state.undetectable_behaviour_keys(),
+                assume_detected=state.detected_behaviour_keys(),
                 stats=driver.stats.engine,
             )
         return (
@@ -215,27 +215,16 @@ class _Evaluation:
     def result_state(self) -> DesignState:
         """Stage 3: full re-analysis of the placed candidate."""
         if self.cand_state is None:
-            driver, state = self.driver, self.state
-            if driver.cfg.incremental:
-                self.cand_state = analyze_design(
-                    self.candidate, driver.library,
-                    seed=driver.cfg.seed, guidelines=driver.cfg.guidelines,
-                    atpg_seed=driver.cfg.seed,
-                    physical=self.physical,
-                    prev=state,
-                    internal_atpg=self.internal_atpg,
-                    stats=driver.stats.engine,
-                )
-            else:
-                undet, _ = driver.behaviour_keys(state)
-                self.cand_state = analyze_design(
-                    self.candidate, driver.library,
-                    seed=driver.cfg.seed, guidelines=driver.cfg.guidelines,
-                    initial_tests=state.tests, atpg_seed=driver.cfg.seed,
-                    assume_undetectable=undet,
-                    physical=self.physical,
-                    stats=driver.stats.engine,
-                )
+            driver = self.driver
+            self.cand_state = analyze_design(
+                self.candidate, driver.library,
+                seed=driver.cfg.seed, guidelines=driver.cfg.guidelines,
+                atpg_seed=driver.cfg.seed,
+                physical=self.physical,
+                prev=self.state,
+                internal_atpg=self.internal_atpg,
+                stats=driver.stats.engine,
+            )
         return self.cand_state
 
 
@@ -257,20 +246,6 @@ class _Resynthesizer:
         self.history: List[IterationRecord] = []
         self._order = library.order_by_internal_faults()
         self._eval_cache: "OrderedDict[tuple, _Evaluation]" = OrderedDict()
-        self._keys_cache: "OrderedDict[int, tuple]" = OrderedDict()
-
-    def behaviour_keys(self, state: DesignState) -> Tuple[set, set]:
-        """(undetectable, detected) behaviour keys of *state*, cached."""
-        key = id(state)
-        hit = self._keys_cache.get(key)
-        if hit is not None and hit[0] is state:
-            return hit[1], hit[2]
-        undet = state.undetectable_behaviour_keys()
-        det = state.detected_behaviour_keys()
-        self._keys_cache[key] = (state, undet, det)
-        while len(self._keys_cache) > 8:
-            self._keys_cache.popitem(last=False)
-        return undet, det
 
     def _evaluation(
         self,
@@ -295,8 +270,7 @@ class _Resynthesizer:
         self.stats.candidate_cache_misses += 1
         ev = _Evaluation(self, state, repl, allow)
         self._eval_cache[key] = ev
-        limit = max(1, self.cfg.candidate_cache_size)
-        while len(self._eval_cache) > limit:
+        while len(self._eval_cache) > CANDIDATE_CACHE_SIZE:
             self._eval_cache.popitem(last=False)
         return ev
 

@@ -23,7 +23,7 @@ Internal faults come from the per-cell defect enumeration
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.dfm.checker import BRIDGE, LayoutViolation, OPEN, check_layout
 from repro.dfm.guidelines import Guideline
@@ -35,7 +35,6 @@ from repro.faults.model import (
     FALL,
     RISE,
 )
-from repro.faults.model import CellAwareFault
 from repro.faults.sites import FaultSet, enumerate_internal_faults
 from repro.library.osu018 import Library
 from repro.netlist.circuit import CONST0, CONST1, Circuit
@@ -106,36 +105,16 @@ def build_fault_set(
     library: Library,
     layout: Layout,
     guidelines: Optional[Sequence[Guideline]] = None,
-    prev_fault_set: Optional[FaultSet] = None,
-    prev_circuit: Optional[Circuit] = None,
     stats: Optional[EngineStats] = None,
 ) -> FaultSet:
     """Assemble the full DFM fault set F (internal + external).
 
-    With *prev_fault_set*/*prev_circuit* (a functionally-equivalent
-    earlier design differing only in a locally replaced region), the
-    internal faults of gates that survive unchanged are carried over
-    instead of re-enumerated; the result is identical either way because
-    internal fault ids are deterministic in (gate, defect).  External
-    faults are always re-derived: their sites embed layout coordinates
-    and the whole placement shifts after a replacement.
+    Internal fault ids are deterministic in (gate, defect); external
+    fault ids embed layout coordinates, which shift with every
+    placement.  *stats* counts the faults built (``faults_extracted``).
     """
     fault_set = FaultSet()
-    reuse: Optional[Dict[str, List[CellAwareFault]]] = None
-    if prev_fault_set is not None and prev_circuit is not None:
-        reuse = {}
-        for fault in prev_fault_set.internal:
-            new_gate = circuit.gates.get(fault.gate)
-            old_gate = prev_circuit.gates.get(fault.gate)
-            if (
-                new_gate is not None
-                and old_gate is not None
-                and new_gate.cell == old_gate.cell
-            ):
-                reuse.setdefault(fault.gate, []).append(fault)
-    fault_set.extend(
-        enumerate_internal_faults(circuit, library, reuse=reuse, stats=stats)
-    )
+    fault_set.extend(enumerate_internal_faults(circuit, library, stats=stats))
     violations = check_layout(layout, guidelines)
     external = external_faults_from_violations(circuit, violations)
     fault_set.extend(external)

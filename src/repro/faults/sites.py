@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.faults.model import CellAwareFault, Fault, INTERNAL
 from repro.library.osu018 import Library
@@ -53,35 +53,22 @@ class FaultSet:
 def enumerate_internal_faults(
     circuit: Circuit,
     library: Library,
-    reuse: Optional[Mapping[str, Sequence[CellAwareFault]]] = None,
     stats: Optional[EngineStats] = None,
 ) -> List[CellAwareFault]:
     """Internal DFM faults: every defect of every cell instance.
 
     Every instance of a cell introduces the same internal fault
     population (Section I of the paper) — the reason resynthesis toward
-    cells with fewer internal faults reduces the fault set.
-
-    *reuse* maps gate names known unchanged since a previous enumeration
-    to that enumeration's fault objects for the gate; those are carried
-    over instead of re-built.  Fault ids are deterministic in (gate,
-    defect), so the result is identical to a fresh enumeration — only
-    the object allocations (and *stats* counters) differ.
+    cells with fewer internal faults reduces the fault set.  Fault ids
+    are deterministic in (gate, defect), so two enumerations of the
+    same gates give the same ids.  *stats* counts the faults built
+    (``faults_extracted``).
     """
     out: List[CellAwareFault] = []
     for gname in circuit.topo_order():
-        if reuse is not None:
-            carried = reuse.get(gname)
-            if carried is not None:
-                out.extend(carried)
-                if stats is not None:
-                    stats.faults_carried += len(carried)
-                continue
         gate = circuit.gates[gname]
         cell = library[gate.cell]
-        fresh = 0
         for defect in cell.internal_defects():
-            fresh += 1
             out.append(
                 CellAwareFault(
                     fault_id=f"ca:{gname}:{defect.defect_id}",
@@ -90,6 +77,6 @@ def enumerate_internal_faults(
                     defect=defect,
                 )
             )
-        if stats is not None:
-            stats.faults_extracted += fresh
+    if stats is not None:
+        stats.faults_extracted += len(out)
     return out

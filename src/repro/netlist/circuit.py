@@ -91,10 +91,6 @@ class Gate:
         self.pins = dict(pins)
         self.output = output
 
-    def input_nets(self) -> Tuple[str, ...]:
-        """Nets connected to input pins, in pin-dict order."""
-        return tuple(self.pins.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pins = " ".join(f"{p}={n}" for p, n in self.pins.items())
         return f"Gate({self.name} {self.cell} {pins} > {self.output})"

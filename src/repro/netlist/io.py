@@ -13,12 +13,11 @@ A deliberately simple line-oriented format::
 comment.  Gate output nets follow the ``>`` marker; input pins are
 ``PIN=net`` pairs.
 
-Every parse error carries a source location (``path:line:``) so a bad
-netlist in a large campaign points straight at the offending line rather
-than surfacing as a bare exception from circuit construction.  For
-recovering, multi-diagnostic ingestion (collect *all* problems instead
-of stopping at the first), see :func:`repro.netlist.validate.
-lint_netlist_text`.
+The format has one parser, :func:`repro.netlist.validate.
+lint_netlist_text`, which records every problem as a coded, located
+diagnostic.  :func:`parse_netlist` is its strict form: it raises the
+first error, with its source location (``path:line:``), so a bad
+netlist in a large campaign points straight at the offending line.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.netlist.circuit import Circuit, NetlistError
+from repro.netlist.validate import lint_netlist_text
 
 
 def write_netlist(circuit: Circuit) -> str:
@@ -42,132 +42,24 @@ def write_netlist(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _located(
-    path: Optional[str],
-    lineno: Optional[int],
-    message: str,
-    code: str = "syntax",
-) -> NetlistError:
-    """A :class:`NetlistError` prefixed with its source location.
-
-    *code* is the matching lint diagnostic code (see
-    :mod:`repro.netlist.validate`); it rides on the exception's
-    ``code`` attribute together with ``path``/``line`` so callers can
-    handle parse failures like lint findings instead of string-matching.
-    """
-    where = path or "<netlist>"
-    if lineno is not None:
-        where = f"{where}:{lineno}"
-    return NetlistError(f"{where}: {message}", code=code, path=path, line=lineno)
-
-
-#: Map a :meth:`Circuit.validate` failure message onto its lint code.
-_VALIDATE_CODES = (
-    ("output net", "floating-output"),
-    ("undriven", "undriven-net"),
-    ("cycle", "combinational-loop"),
-)
-
-
-def _validate_code(message: str) -> str:
-    for marker, code in _VALIDATE_CODES:
-        if marker in message:
-            return code
-    return "syntax"
-
-
 def parse_netlist(text: str, path: Optional[str] = None) -> Circuit:
-    """Parse the text format into a :class:`Circuit`.
+    """Parse the text format into a :class:`Circuit` (strict).
 
     *path* is only used to label error messages (``path:line: ...``);
-    the text itself is always taken from *text*.  Raises
-    :class:`NetlistError` on the first problem found — syntax errors,
-    construction errors (duplicate gate, multi-driven net, ...) and
-    structural validation failures (undriven net, combinational loop)
-    all carry the file name and, where attributable, the line number.
+    the text itself is always taken from *text*.  Returns the circuit of
+    :func:`~repro.netlist.validate.lint_netlist_text` when its report
+    holds no error, and otherwise raises the first error as a
+    :class:`NetlistError` carrying its ``code``, ``path`` and ``line``.
+    Warnings do not fail the parse.
     """
-    circuit: Optional[Circuit] = None
-    outputs: List[str] = []
-    # Source line of each gate / each output declaration, for locating
-    # structural errors that only surface at validate() time.
-    gate_lines: Dict[str, int] = {}
-    output_lines: Dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        try:
-            if kind == "circuit":
-                if circuit is not None:
-                    raise _located(path, lineno, "duplicate 'circuit' header")
-                circuit = Circuit(tokens[1])
-            elif kind == "input":
-                _require(circuit, path, lineno)
-                for name in tokens[1:]:
-                    dup = name in circuit.inputs \
-                        or circuit.driver(name) is not None
-                    try:
-                        circuit.add_input(name)
-                    except NetlistError as exc:
-                        raise _located(
-                            path, lineno, str(exc),
-                            code="multi-driven-net" if dup else "syntax",
-                        ) from exc
-            elif kind == "output":
-                _require(circuit, path, lineno)
-                for name in tokens[1:]:
-                    if name in output_lines:
-                        raise _located(
-                            path, lineno, f"duplicate output {name}"
-                        )
-                    output_lines[name] = lineno
-                    outputs.append(name)
-            elif kind == "gate":
-                _require(circuit, path, lineno)
-                name, cell = tokens[1], tokens[2]
-                arrow = tokens.index(">")
-                pins = {}
-                for pair in tokens[3:arrow]:
-                    pin, _, net = pair.partition("=")
-                    if not net:
-                        raise _located(path, lineno, f"bad pin spec {pair!r}")
-                    pins[pin] = net
-                if arrow + 2 != len(tokens):
-                    raise _located(
-                        path, lineno, "expected single output net after '>'"
-                    )
-                out_net = tokens[arrow + 1]
-                dup = circuit.driver(out_net) is not None \
-                    or out_net in circuit.inputs
-                try:
-                    circuit.add_gate(name, cell, pins, out_net)
-                except NetlistError as exc:
-                    raise _located(
-                        path, lineno, str(exc),
-                        code="multi-driven-net" if dup else "syntax",
-                    ) from exc
-                gate_lines[name] = lineno
-            else:
-                raise _located(path, lineno, f"unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise _located(
-                path, lineno, f"malformed {kind!r} line: {line!r}"
-            ) from exc
-    if circuit is None:
-        raise _located(path, None, "no 'circuit' line found")
-    # Duplicates were rejected at their declaration line above, so
-    # set_outputs cannot raise here.
-    circuit.set_outputs(outputs)
-    try:
-        circuit.validate()
-    except NetlistError as exc:
-        raise _located(
-            path, _blame_line(str(exc), gate_lines, output_lines), str(exc),
-            code=_validate_code(str(exc)),
-        ) from exc
-    return circuit
+    circuit, report = lint_netlist_text(text, path=path)
+    if report.ok:
+        return circuit
+    first = report.errors[0]
+    raise NetlistError(
+        f"{first.location}: {first.message}",
+        code=first.code, path=path, line=first.line,
+    )
 
 
 def parse_file(
@@ -177,39 +69,14 @@ def parse_file(
 ) -> Circuit:
     """Load a netlist file in any supported format (strict).
 
-    The native text format parses via :func:`parse_netlist`; ``.bench``
-    and structural Verilog go through :mod:`repro.netlist.ingest`, which
-    technology-maps them onto standard cells.  *fmt* overrides the
-    extension-based format detection.  Raises :class:`NetlistError`
-    (with ``code``/``path``/``line`` context) on any defect.
+    The native text format parses via
+    :func:`~repro.netlist.validate.lint_netlist_text`, the parser behind
+    :func:`parse_netlist`; ``.bench`` and structural Verilog go through
+    :mod:`repro.netlist.ingest`, which technology-maps them onto
+    standard cells.  *fmt* overrides the extension-based format
+    detection.  Raises :class:`NetlistError` (with
+    ``code``/``path``/``line`` context) on any defect.
     """
     from repro.netlist.ingest import load_file
 
     return load_file(path, fmt=fmt, cells=cells)
-
-
-def _blame_line(
-    message: str,
-    gate_lines: Dict[str, int],
-    output_lines: Dict[str, int],
-) -> Optional[int]:
-    """Best-effort source line for a validation failure.
-
-    Validation errors name the offending gate (``"gate U2 pin A: net n3
-    undriven"``) or output net (``"output net x undriven"``); if exactly
-    one known name appears in the message, its declaration line is the
-    location.
-    """
-    tokens = set(message.replace(",", " ").replace(":", " ").split())
-    hits = [g for g in gate_lines if g in tokens]
-    if len(hits) == 1:
-        return gate_lines[hits[0]]
-    hits = [n for n in output_lines if n in tokens]
-    if len(hits) == 1:
-        return output_lines[hits[0]]
-    return None
-
-
-def _require(circuit: Optional[Circuit], path: Optional[str], lineno: int) -> None:
-    if circuit is None:
-        raise _located(path, lineno, "statement before 'circuit' header")

@@ -359,10 +359,3 @@ def simulate_patterns(
     for i in range(n):
         out.append({net: (val >> i) & 1 for net, val in values.items()})
     return out
-
-
-def outputs_of(
-    circuit: Circuit, values: Mapping[str, int]
-) -> List[int]:
-    """Extract the PO bit vectors from a simulation result, in PO order."""
-    return [values[po] for po in circuit.outputs]

@@ -14,11 +14,12 @@ Two entry points:
   (construction already guarantees single drivers, so the checks cover
   undriven nets, floating outputs, combinational loops, unknown cells,
   pin mismatches, and fanout/connectivity warnings);
-* :func:`lint_netlist_text` — the *recovering* text-level front end: it
-  parses like :func:`repro.netlist.io.parse_netlist` but records syntax
-  and construction errors (bad pin specs, duplicate gates, multi-driven
-  nets, ...) as diagnostics instead of raising, skips the offending
-  lines, and lints whatever circuit could still be built.
+* :func:`lint_netlist_text` — the one parser of the native text format
+  (:mod:`repro.netlist.io`): it records syntax and construction errors
+  (bad pin specs, duplicate gates, multi-driven nets, ...) as
+  diagnostics instead of raising, skips the offending lines, and lints
+  whatever circuit could still be built.  :func:`repro.netlist.io.
+  parse_netlist` is its strict form, raising the first error.
 
 Diagnostic codes are part of the tool's interface (tests and the runner
 match on them):
@@ -65,11 +66,16 @@ class Diagnostic:
     line: Optional[int] = None
     path: Optional[str] = None
 
-    def __str__(self) -> str:
+    @property
+    def location(self) -> str:
+        """``path:line`` (``<netlist>`` without a path, no line if none)."""
         where = self.path or "<netlist>"
         if self.line is not None:
             where = f"{where}:{self.line}"
-        return f"{where}: {self.severity}: [{self.code}] {self.message}"
+        return where
+
+    def __str__(self) -> str:
+        return f"{self.location}: {self.severity}: [{self.code}] {self.message}"
 
 
 @dataclass
@@ -273,12 +279,12 @@ def lint_netlist_text(
 ) -> Tuple[Optional[Circuit], ValidationReport]:
     """Recovering parse + lint of netlist *text*.
 
-    Unlike :func:`repro.netlist.io.parse_netlist`, a bad line does not
-    abort the parse: it becomes a located diagnostic and the line is
-    skipped, so one pass reports every problem in the file.  Returns the
-    best-effort :class:`Circuit` (``None`` only when no ``circuit``
-    header was found) together with the full report; the circuit is
-    only trustworthy when ``report.ok``.
+    A bad line does not abort the parse: it becomes a located diagnostic
+    and the line is skipped, so one pass reports every problem in the
+    file (:func:`repro.netlist.io.parse_netlist` raises the first
+    error instead).  Returns the best-effort :class:`Circuit` (``None``
+    only when no ``circuit`` header was found) together with the full
+    report; the circuit is only trustworthy when ``report.ok``.
     """
     rep = ValidationReport()
     circuit: Optional[Circuit] = None
@@ -306,6 +312,9 @@ def lint_netlist_text(
             else:
                 circuit = Circuit(tokens[1])
             continue
+        if kind not in ("input", "output", "gate"):
+            syntax(lineno, f"unknown directive {kind!r}")
+            continue
         if circuit is None:
             syntax(lineno, "statement before 'circuit' header")
             continue
@@ -314,7 +323,15 @@ def lint_netlist_text(
                 try:
                     circuit.add_input(name)
                 except NetlistError as exc:
-                    syntax(lineno, str(exc), net=name)
+                    # A redeclared input, or one naming a gate's output,
+                    # is a second driver of the net.
+                    driven = name in circuit.inputs \
+                        or circuit.driver(name) is not None
+                    rep._add(Diagnostic(
+                        code="multi-driven-net" if driven else "syntax",
+                        severity=ERROR, message=str(exc), net=name,
+                        line=lineno, path=path,
+                    ))
         elif kind == "output":
             for name in tokens[1:]:
                 if name in output_lines:
@@ -322,12 +339,10 @@ def lint_netlist_text(
                 else:
                     output_lines[name] = lineno
                     outputs.append(name)
-        elif kind == "gate":
+        else:
             _lint_gate_line(
                 circuit, tokens, line, lineno, path, rep, gate_lines
             )
-        else:
-            syntax(lineno, f"unknown directive {kind!r}")
 
     if circuit is None:
         rep._add(Diagnostic(
@@ -375,14 +390,15 @@ def _lint_gate_line(
             return
         pins[pin] = net
     output = tokens[arrow + 1]
-    prior = circuit.driver(output)
     try:
         circuit.add_gate(name, cell, pins, output)
     except NetlistError as exc:
-        code = "multi-driven-net" if prior is not None else "syntax"
+        driven = circuit.driver(output) is not None \
+            or output in circuit.inputs
         rep._add(Diagnostic(
-            code=code, severity=ERROR, message=str(exc),
-            net=output if prior is not None else None,
+            code="multi-driven-net" if driven else "syntax",
+            severity=ERROR, message=str(exc),
+            net=output if driven else None,
             gate=name, line=lineno, path=path,
         ))
         return

@@ -55,8 +55,9 @@ VOLATILE_KEYS = frozenset({
     # Keys only reports of earlier revisions carry: the intra-task
     # parallel layers' counters and coded warnings, the speculation
     # counters, the campaign's worker settings, the counters of the
-    # removed vectorized fault simulator, and the removed good-value
-    # cache checksum's repair count.  Dropping them keeps those reports
+    # removed vectorized fault simulator, the removed good-value cache
+    # checksum's repair count, and the removed internal-fault carry-over
+    # count.  Dropping them keeps those reports
     # diffable against current ones, and lets a resumed run mix their
     # cached payloads with fresh ones.
     "parallel_chunks",
@@ -82,6 +83,7 @@ VOLATILE_KEYS = frozenset({
     "words_per_batch",
     "vector_ops",
     "cache_integrity_failures",
+    "faults_carried",
 })
 
 

@@ -127,9 +127,6 @@ class Aig:
     def and_nodes(self) -> range:
         return range(self.num_pis + 1, len(self.fanins))
 
-    def is_pi(self, node: int) -> bool:
-        return 1 <= node <= self.num_pis
-
     def num_ands(self) -> int:
         return len(self.fanins) - self.num_pis - 1
 

@@ -73,8 +73,8 @@ class EngineStats:
     * ``verdicts_inherited`` / ``verdicts_proved`` — behaviour classes
       whose detected/undetectable verdict was carried over from a
       functionally-equivalent prior analysis vs. proved in this run;
-    * ``faults_carried`` / ``faults_extracted`` — fault objects reused
-      from a previous design state's fault set vs. enumerated fresh;
+    * ``faults_extracted`` — fault objects built by DFM fault
+      extraction (internal and external);
     * ``clusters_reused`` / ``clusters_recomputed`` — undetectable-fault
       clusters carried over unchanged by the incremental union-find
       update vs. re-derived after a local circuit change;
@@ -112,7 +112,6 @@ class EngineStats:
     eval_cache_misses: int = _counter()
     verdicts_inherited: int = _counter()
     verdicts_proved: int = _counter()
-    faults_carried: int = _counter()
     faults_extracted: int = _counter()
     clusters_reused: int = _counter()
     clusters_recomputed: int = _counter()
@@ -191,7 +190,7 @@ class ResynthesisStats:
       backtracking search;
     * ``engine`` — merged :class:`EngineStats` of every fault-analysis
       run the procedure triggered (verdicts inherited vs. proved, faults
-      carried vs. extracted, incremental cluster updates, ...).
+      extracted, incremental cluster updates, ...).
     """
 
     candidates_evaluated: int = 0

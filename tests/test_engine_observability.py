@@ -173,7 +173,7 @@ def test_stats_merge_and_as_dict():
         "faults_simulated", "events_propagated", "good_simulations",
         "good_cache_hits", "plan_builds", "plan_cache_hits",
         "eval_compiles", "eval_cache_hits", "eval_cache_misses",
-        "verdicts_inherited", "verdicts_proved", "faults_carried",
+        "verdicts_inherited", "verdicts_proved",
         "faults_extracted", "clusters_reused", "clusters_recomputed",
         "batches", "sat_calls", "sat_conflicts", "sat_propagations", "sat_learned",
         "sat_restarts", "sat_lemmas_reused", "sat_aborts",

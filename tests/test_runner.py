@@ -36,7 +36,8 @@ from repro.runner.journal import (
     verify_resume_discipline,
 )
 from repro.runner.model import CampaignError, fingerprint_task
-from repro.runner.report import load_report
+from repro.runner.report import build_report, load_report
+from repro.utils.observability import EngineStats
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -417,6 +418,24 @@ class TestResume:
         ledger = replay(read_journal(path))
         assert ledger.interrupted() == {"t"}
         assert ledger.completed("t", "sha256:f") is None
+
+
+class TestLegacyReports:
+    def test_faults_carried_is_dropped_by_normalization(self):
+        """Reports written while internal faults were carried over
+        between design states still diff clean against current ones."""
+        def report(extra):
+            engine = dict(EngineStats(faults_extracted=7).as_dict(), **extra)
+            outcomes = {"analyze:full:x": {
+                "kind": "analyze", "status": "ok", "duration": 1.0,
+                "attempts": 1, "payload": {"engine": engine},
+            }}
+            return build_report({}, "run-x", outcomes)
+
+        old = report({"faults_carried": 5})
+        assert old["results"]["analyze:full:x"]["engine"][
+            "faults_carried"] == 5
+        assert normalize_report(old) == normalize_report(report({}))
 
 
 # ----------------------------------------------------------------------

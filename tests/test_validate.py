@@ -16,6 +16,7 @@ from repro.netlist import (
     lint_circuit,
     lint_netlist_text,
     parse_netlist,
+    write_netlist,
 )
 from repro.netlist.validate import FANOUT_WARN_THRESHOLD
 from repro.runner.__main__ import main as runner_main
@@ -73,12 +74,16 @@ class TestParseErrors:
 
     def test_undriven_net_blames_gate_line(self):
         with pytest.raises(
-            NetlistError, match=r"bad\.nl:4: gate u1 pin B: net miss undriven"
+            NetlistError,
+            match=r"bad\.nl:4: net 'miss' feeding pin B of gate 'u1' "
+                  r"has no driver",
         ):
             parse_netlist(UNDRIVEN, path="bad.nl")
 
     def test_cycle_reported_with_location(self):
-        with pytest.raises(NetlistError, match=r"loop\.nl.*cycle"):
+        with pytest.raises(
+            NetlistError, match=r"loop\.nl:5: combinational loop"
+        ):
             parse_netlist(LOOP, path="loop.nl")
 
     def test_duplicate_output_blames_declaration_line(self):
@@ -135,6 +140,54 @@ class TestParseErrorCodes:
         assert diag.path == "bad.nl"
         assert diag.line == 4
         assert "miss" in diag.message
+
+
+# Each text must be accepted by both parse_netlist and load_file, or
+# rejected by both with the same (code, line).
+_AGREEMENT_CASES = {
+    "good": GOOD,
+    "circuit-extra-token": GOOD.replace("circuit good", "circuit good x"),
+    "input-redeclared": GOOD.replace("input a b", "input a b\ninput a"),
+    "input-gate-driven": GOOD + "input y\n",
+    "gate-drives-input": GOOD + "gate u3 INVX1 A=z > a\n",
+    "combinational-loop": LOOP,
+    "unknown-directive-before-header": "bogus directive\n" + GOOD,
+    "undriven-net": UNDRIVEN,
+    "bad-pin-spec": GOOD.replace("A=a", "Aa"),
+    "duplicate-gate": GOOD + "gate u1 INVX1 A=z > q\n",
+}
+
+
+class TestOneParser:
+    """``parse_netlist`` and ``load_file`` parse the native format with
+    the same parser, so they accept and reject the same texts."""
+
+    @staticmethod
+    def _outcome(load, *args, **kwargs):
+        try:
+            circuit = load(*args, **kwargs)
+        except NetlistError as exc:
+            return ("error", exc.code, exc.line)
+        return ("ok", write_netlist(circuit))
+
+    @pytest.mark.parametrize("case", sorted(_AGREEMENT_CASES))
+    def test_parse_netlist_agrees_with_load_file(self, case, tmp_path):
+        from repro.netlist.ingest import load_file
+
+        text = _AGREEMENT_CASES[case]
+        path = tmp_path / f"{case}.nl"
+        path.write_text(text)
+        strict = self._outcome(parse_netlist, text, path=str(path))
+        loaded = self._outcome(load_file, str(path))
+        assert strict == loaded
+        assert (strict[0] == "ok") == (case == "good")
+
+    def test_codes_of_second_drivers(self):
+        for case in ("input-redeclared", "input-gate-driven",
+                     "gate-drives-input"):
+            with pytest.raises(NetlistError) as excinfo:
+                parse_netlist(_AGREEMENT_CASES[case])
+            assert excinfo.value.code == "multi-driven-net", case
 
 
 class TestLintCircuit:
