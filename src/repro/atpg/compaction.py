@@ -5,6 +5,12 @@ of their generation order and keep only the pairs that detect at least
 one fault not covered by a later-kept pair.  This is how the paper's
 column *T* (number of tests) stays comparable between the original and
 resynthesized designs.
+
+A fault is first covered by the last pair that detects it, and that
+pair is then kept; a pair that is no fault's last detecting pair only
+detects faults a later-kept pair covers.  So the kept pairs are exactly
+the highest set bits of the faults' detection words, found in one pass
+over the faults.
 """
 
 from __future__ import annotations
@@ -40,15 +46,5 @@ def compact_tests(
         words = fault_simulate(circuit, cells, faults, batch, stats=stats)
         for fi, w in enumerate(words):
             detect[fi] |= w << start
-    uncovered = [fi for fi, w in enumerate(detect) if w]
-    kept: List[int] = []
-    covered = set()
-    for ti in reversed(range(n)):
-        bit = 1 << ti
-        new = [fi for fi in uncovered
-               if fi not in covered and detect[fi] & bit]
-        if new:
-            kept.append(ti)
-            covered.update(new)
-    kept.reverse()
+    kept = sorted({w.bit_length() - 1 for w in detect if w})
     return [tests[ti] for ti in kept]

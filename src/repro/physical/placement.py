@@ -24,8 +24,15 @@ The output for a given seed rests on three invariants of the annealer:
 * the move cost counts only the nets of the two swapped gates, although
   a repack also shifts the rest of both rows;
 * a skipped move neither cools the temperature nor draws from the RNG;
-* every move draws two ``choice`` calls over the gate sequence, and
+* every move draws two gates as ``choice(range(n))`` would, and
   ``random()`` is drawn only for an uphill move (positive cost delta).
+
+The two gate draws are inlined: each takes ``getrandbits(k)`` with
+``k = n.bit_length()`` and draws again while the value is ``>= n``.
+That is the rejection loop ``Random.choice`` runs for a ``range(n)``
+(``_randbelow_with_getrandbits``, CPython 3.10-3.13), so the RNG stream,
+and with it every layout, is the one ``choice`` would give; only the
+two Python-level calls per draw are saved.
 """
 
 from __future__ import annotations
@@ -181,11 +188,17 @@ def place(
         iters = effort * 12 * n
         temp = max(2.0, die_width / 4.0)
         cooling = math.exp(math.log(0.05 / temp) / max(1, iters))
-        choice, draw, exp = rng.choice, rng.random, math.exp
-        gate_seq = range(n)
+        getrandbits, draw, exp = rng.getrandbits, rng.random, math.exp
+        k = n.bit_length()
         for _ in range(iters):
-            a = choice(gate_seq)
-            b = choice(gate_seq)
+            # rng.choice(range(n)), inlined: k random bits, redrawn
+            # while they name no gate.
+            a = getrandbits(k)
+            while a >= n:
+                a = getrandbits(k)
+            b = getrandbits(k)
+            while b >= n:
+                b = getrandbits(k)
             if a == b:
                 continue
             ra, rb = pin_y[a], pin_y[b]

@@ -195,9 +195,20 @@ class Aig:
         return out
 
     def cleanup(self) -> "Aig":
-        """Return a copy without dangling AND nodes."""
+        """Return a copy without dangling AND nodes.
+
+        When no AND node dangles, the lists are copied as they are: the
+        rebuild would re-create every node under its own number, since
+        :meth:`and_` created each one unfolded and unshared.
+        """
         mark = self.reachable_from_outputs()
         new = Aig(self.num_pis, self.pi_names)
+        if all(mark[self.num_pis + 1:]):
+            new.fanins = list(self.fanins)
+            new._strash = dict(self._strash)
+            new.outputs = list(self.outputs)
+            new.output_names = list(self.output_names)
+            return new
         remap: Dict[int, int] = {0: FALSE}
         for i in range(1, self.num_pis + 1):
             remap[i] = lit_of(i)

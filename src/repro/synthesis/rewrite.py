@@ -6,12 +6,18 @@ levels), and `rewrite` re-expresses each node from the truth table of a
 small structural cut, keeping the result only when it shrinks the graph.
 Together with structural hashing at construction they give the mapper a
 reasonable starting point.
+
+``tt_support`` and ``shrink_tt`` are pure functions of small truth
+tables that the mapper and ``rewrite`` evaluate for every cut; their
+memoized private forms ``_support`` and ``_shrink`` take and return
+tuples, so a cached value cannot be changed by a caller.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 from repro.synthesis.aig import FALSE, Aig, is_compl, lit_of, node_of
 
@@ -21,6 +27,10 @@ _CUTS_PER_NODE = 8
 # Standard simulation patterns for up-to-4-variable cut functions.
 _VAR_PATTERNS = (0xAAAA, 0xCCCC, 0xF0F0, 0xFF00)
 _TT_MASK = 0xFFFF
+
+# Entries kept by each truth-table helper memo; a 4-leaf cut has 2**16
+# functions.
+_TT_MEMO_SIZE = 1 << 16
 
 
 def balance(aig: Aig) -> Aig:
@@ -76,32 +86,38 @@ def enumerate_cuts(aig: Aig) -> List[List[Tuple[int, ...]]]:
     """K-feasible cuts per node (each cut a sorted tuple of leaf nodes).
 
     The trivial cut ``(n,)`` is always included and is always last.
-    Dominated cuts (supersets of another cut) are pruned.
+    Dominated cuts (supersets of another cut) are pruned.  Cuts are
+    merged and compared as bitmasks over node ids; the leaf tuple of a
+    merged cut is built once per distinct mask.
     """
     cuts: List[List[Tuple[int, ...]]] = [[] for _ in range(aig.num_nodes)]
-    cuts[0] = [(0,)]
+    masks: List[List[int]] = [[] for _ in range(aig.num_nodes)]
+    cuts[0], masks[0] = [(0,)], [1]
     for i in range(1, aig.num_pis + 1):
-        cuts[i] = [(i,)]
+        cuts[i], masks[i] = [(i,)], [1 << i]
     for n in aig.and_nodes():
         f0, f1 = aig.fanins[n]  # type: ignore[misc]
-        c0s, c1s = cuts[node_of(f0)], cuts[node_of(f1)]
-        seen: Dict[Tuple[int, ...], None] = {}
-        for c0 in c0s:
-            for c1 in c1s:
-                merged = tuple(sorted(set(c0) | set(c1)))
-                if len(merged) <= _CUT_SIZE:
-                    seen.setdefault(merged, None)
-        cand = sorted(seen, key=lambda c: (len(c), c))
+        n0, n1 = node_of(f0), node_of(f1)
+        c1s, m1s = cuts[n1], masks[n1]
+        seen: Dict[int, Tuple[int, ...]] = {}
+        for c0, m0 in zip(cuts[n0], masks[n0]):
+            for c1, m1 in zip(c1s, m1s):
+                m = m0 | m1
+                if m not in seen and m.bit_count() <= _CUT_SIZE:
+                    seen[m] = tuple(sorted({*c0, *c1}))
+        cand = sorted(seen.items(), key=lambda mc: (len(mc[1]), mc[1]))
         kept: List[Tuple[int, ...]] = []
-        for c in cand:
-            cs = set(c)
-            if any(set(k) <= cs for k in kept):
+        kept_masks: List[int] = []
+        for m, c in cand:
+            if any(k | m == m for k in kept_masks):
                 continue
             kept.append(c)
+            kept_masks.append(m)
             if len(kept) >= _CUTS_PER_NODE:
                 break
         kept.append((n,))
-        cuts[n] = kept
+        kept_masks.append(1 << n)
+        cuts[n], masks[n] = kept, kept_masks
     return cuts
 
 
@@ -130,6 +146,11 @@ def cut_tt(aig: Aig, root: int, cut: Tuple[int, ...]) -> int:
 
 def tt_support(tt: int, n: int) -> List[int]:
     """Indices of variables the n-variable function *tt* depends on."""
+    return list(_support(tt, n))
+
+
+@lru_cache(maxsize=_TT_MEMO_SIZE)
+def _support(tt: int, n: int) -> Tuple[int, ...]:
     out = []
     for i in range(n):
         shift = 1 << i
@@ -141,11 +162,16 @@ def tt_support(tt: int, n: int) -> List[int]:
                     break
         if moved:
             out.append(i)
-    return out
+    return tuple(out)
 
 
-def shrink_tt(tt: int, n: int, support: List[int]) -> int:
+def shrink_tt(tt: int, n: int, support: Sequence[int]) -> int:
     """Project *tt* onto its support variables (reindexed 0..k-1)."""
+    return _shrink(tt, n, tuple(support))
+
+
+@lru_cache(maxsize=_TT_MEMO_SIZE)
+def _shrink(tt: int, n: int, support: Tuple[int, ...]) -> int:
     k = len(support)
     out = 0
     for m in range(1 << k):
@@ -176,9 +202,9 @@ def rewrite(aig: Aig) -> Aig:
             if cut == (n,):
                 continue
             tt = cut_tt(base, n, cut)
-            sup = tt_support(tt, len(cut))
+            sup = _support(tt, len(cut))
             leaves = [cut[i] for i in sup]
-            stt = shrink_tt(tt, len(cut), sup)
+            stt = _shrink(tt, len(cut), sup)
             lit = new.from_tt(stt, [remap[leaf] for leaf in leaves])
             if best is None or lit < best:
                 best = lit

@@ -69,6 +69,26 @@ def test_one_and_two_gate_circuits(cells, tiny_circuit):
                 _assert_same(circuit, cells, floorplan, seed, effort)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 31, 32, 64])
+def test_power_of_two_gate_counts(cells, n):
+    """The annealer draws a gate from ``getrandbits(n.bit_length())``
+    with rejection, as ``choice(range(n))`` does; a power of two is where
+    ``(n - 1).bit_length()`` would differ.  Equal-width gates make every
+    drawn pair a real move, so a different stream changes the layout."""
+    circuit = Circuit(f"chain{n}")
+    circuit.add_input("a")
+    circuit.add_input("b")
+    prev = "a"
+    for k in range(n):
+        circuit.add_gate(f"u{k}", "NAND2X1", {"A": prev, "B": "b"}, f"w{k}")
+        prev = f"w{k}"
+    circuit.set_outputs([prev])
+    for floorplan in (make_floorplan(circuit, cells),
+                      Floorplan(width=4 * n, rows=3)):
+        for seed in range(4):
+            _assert_same(circuit, cells, floorplan, seed, 1)
+
+
 def test_die_too_small_raises_in_both(cells, tiny_circuit):
     floorplan = Floorplan(width=2, rows=2)
     got = _assert_same(tiny_circuit, cells, floorplan, 0, 1)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.library import osu018_library
 from repro.netlist import Circuit, simulate_patterns
+from repro.synthesis import techmap
 from repro.synthesis import (
     Aig,
     TechmapError,
@@ -19,7 +23,14 @@ from repro.synthesis import (
     synthesize,
 )
 from repro.synthesis.aig import FALSE, TRUE
-from repro.synthesis.rewrite import cut_tt, enumerate_cuts, shrink_tt, tt_support
+from repro.synthesis.rewrite import (
+    _shrink,
+    _support,
+    cut_tt,
+    enumerate_cuts,
+    shrink_tt,
+    tt_support,
+)
 from tests.conftest import random_mapped_circuit
 
 
@@ -125,6 +136,20 @@ class TestRewrite:
         assert sup == [0, 1]
         assert shrink_tt(tt, 2, sup) == 0b1000
 
+    def test_memoized_helpers_serve_tuples(self):
+        # y = b over (a, b): the support is (1,), the shrunk table 0b10.
+        assert _support(0b1100, 2) == (1,)
+        assert _shrink(0b1100, 2, (1,)) == 0b10
+        served = _support(0b1100, 2)
+        assert _support(0b1100, 2) is served
+        with pytest.raises(TypeError):
+            served[0] = 0
+        # The public helper hands each caller a fresh list.
+        mine = tt_support(0b1100, 2)
+        mine.append(0)
+        assert tt_support(0b1100, 2) == [1]
+        assert shrink_tt(0b1100, 2, [1]) == 0b10
+
 
 class TestTechmap:
     @pytest.mark.parametrize("allowed", [
@@ -199,6 +224,55 @@ class TestTechmap:
         t_area = static_timing(area_mapped, cells).critical_path_delay
         t_delay = static_timing(delay_mapped, cells).critical_path_delay
         assert t_delay <= t_area * 1.25  # delay mapping shouldn't be much worse
+
+
+class TestMatchTableMemo:
+    def test_one_table_per_cell_tuple(self, library):
+        table = techmap._match_table(list(library))
+        assert techmap._match_table(list(library)) is table
+        assert techmap._match_table(list(library)[1:]) is not table
+        # Same names, other cell objects: a table of its own.
+        other = techmap._match_table(list(osu018_library()))
+        assert other is not table
+        assert not any(a is b for a, b in zip(other.cells, table.cells))
+
+    def test_served_buckets_are_read_only(self, library):
+        table = techmap._match_table(list(library))
+        bucket = table.lookup(2, 0b0111)  # NAND2 over two positive leaves
+        assert bucket and isinstance(bucket, tuple)
+        with pytest.raises(TypeError):
+            bucket[0] = bucket[-1]
+        with pytest.raises(AttributeError):
+            bucket.append(bucket[0])
+        assert techmap._match_table(list(library)).lookup(2, 0b0111) \
+            == bucket
+        assert table.lookup(4, 0) == ()
+        assert isinstance(table.cells, tuple)
+
+    def test_threads_share_one_table_per_tuple(self, library):
+        order = library.order_by_internal_faults()
+        subsets = [order[i:] for i in (2, 5, 8, 11)]
+        techmap._tables.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(techmap._match_table, subsets[k % 4])
+                           for k in range(64)]
+                tables = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, table in enumerate(tables):
+            assert table is tables[k % 4]
+        assert len({id(t) for t in tables}) == 4
+
+    def test_memo_is_bounded(self, library):
+        small = [c for c in library if c.n_inputs <= 2]
+        pairs = [(a, b) for a in small for b in small if a is not b]
+        assert len(pairs) > techmap._TABLE_MEMO_SIZE
+        for pair in pairs:
+            techmap._match_table(pair)
+            assert len(techmap._tables) <= techmap._TABLE_MEMO_SIZE
 
 
 class TestCompleteness:
