@@ -2,8 +2,7 @@
 
 Benchmarks ``fault_simulate`` on the largest bench circuit against a
 faithful copy of the pre-optimization serial engine (string-keyed nets,
-per-event evaluator lookups, no compiled plan, no good-value reuse),
-checks the optimized results are bit-identical to the baseline *and* to
+per-event evaluator lookups, no compiled plan), checks the optimized results are bit-identical to the baseline *and* to
 the naive one-pattern-at-a-time reference oracle, and appends a
 trajectory point to ``benchmarks/results/BENCH_engine.json`` so speedups
 and engine counters can be tracked across revisions.

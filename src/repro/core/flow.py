@@ -232,12 +232,11 @@ def analyze_design(
     Raises :class:`~repro.physical.placement.PlacementError` if the
     circuit does not fit *floorplan* (a die-area constraint violation).
     """
-    cells = {c.name: c for c in library}
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
     if physical is None:
         physical = pdesign(
-            circuit, cells, floorplan=floorplan, seed=seed,
+            circuit, library.cells, floorplan=floorplan, seed=seed,
             utilization=utilization,
         )
     timings["pdesign"] = time.perf_counter() - t0
@@ -272,7 +271,7 @@ def analyze_design(
 
     t0 = time.perf_counter()
     atpg = run_atpg(
-        circuit, cells, fault_set.faults,
+        circuit, library.cells, fault_set.faults,
         seed=atpg_seed, initial_tests=initial_tests,
         assume_undetectable=assume_undet,
         assume_detected=assume_det,
@@ -320,10 +319,9 @@ def classify_internal(
     *internal_atpg* so the full analysis of an accepted candidate does
     not re-prove the internal verdicts.
     """
-    cells = {c.name: c for c in library}
     internal = enumerate_internal_faults(circuit, library)
     return run_atpg(
-        circuit, cells, internal,
+        circuit, library.cells, internal,
         seed=atpg_seed, initial_tests=initial_tests, compaction=False,
         assume_undetectable=assume_undetectable,
         assume_detected=assume_detected,

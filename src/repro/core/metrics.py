@@ -24,9 +24,6 @@ def engine_row(name: str, state: DesignState) -> Dict[str, object]:
         "FaultsSim": stats.faults_simulated,
         "Events": stats.events_propagated,
         "Batches": stats.batches,
-        "GoodSims": stats.good_simulations,
-        "GoodCacheHits": stats.good_cache_hits,
-        "EvalCompiles": stats.eval_compiles,
         "SatCalls": stats.sat_calls,
         "SatConflicts": stats.sat_conflicts,
         "SatProps": stats.sat_propagations,

@@ -176,7 +176,7 @@ class _Evaluation:
             return self.kind
         try:
             physical = pdesign(
-                candidate, driver.cells,
+                candidate, driver.library.cells,
                 floorplan=driver.orig.physical.floorplan,
                 seed=driver.cfg.seed,
             )
@@ -239,7 +239,6 @@ class _Resynthesizer:
         stats: Optional[ResynthesisStats] = None,
     ):
         self.library = library
-        self.cells = {c.name: c for c in library}
         self.orig = orig
         self.cfg = cfg
         self.stats = stats if stats is not None else ResynthesisStats()

@@ -15,7 +15,9 @@ External translation rules:
   model, so a stable hash stands in for it).  Opens at a pin-access via
   affect only that branch; opens on the stem affect the whole net.
 * likely **short** (parallel-run / via-near-metal / high-density site)
-  -> two dominant bridging faults (each net as the victim).
+  -> one dominant bridging fault per short site; which net is the
+  victim is chosen by a stable hash of the site (it stands in for the
+  drive strengths that decide which driver wins).
 
 Internal faults come from the per-cell defect enumeration
 (:func:`repro.faults.sites.enumerate_internal_faults`).

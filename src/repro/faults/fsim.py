@@ -1,9 +1,10 @@
 """Bit-parallel, event-driven fault simulation for all four fault models.
 
 Tests are *pattern pairs* (enhanced scan): frame 1 initializes, frame 2
-launches and is the only observed frame.  A batch packs up to the word
-width of pairs; faulty values are propagated event-driven through each
-fault's output cone only, so cost scales with cone size rather than
+launches and is the only observed frame.  A batch packs any number of
+pairs into arbitrary-precision ints (the engine's callers use
+:data:`BATCH_PAIRS`); faulty values are propagated event-driven through
+each fault's output cone only, so cost scales with cone size rather than
 circuit size.
 
 Detection semantics per model (matching the ATPG encodings):
@@ -19,10 +20,8 @@ Detection semantics per model (matching the ATPG encodings):
 
 Performance architecture: all per-gate work (evaluator compilation, pin
 resolution, load lists) is hoisted into a cached
-:class:`~repro.netlist.simulator.CompiledCircuit` plan, nets are handled
-as dense integer indices, and good-machine values are served from a
-per-plan LRU so re-simulating a previously seen pattern batch skips the
-good simulation entirely.
+:class:`~repro.netlist.simulator.CompiledCircuit` plan, the only state
+kept between calls, and nets are handled as dense integer indices.
 """
 
 from __future__ import annotations
@@ -211,19 +210,15 @@ def _make_context(
     circuit: Circuit,
     cells: Mapping[str, StandardCell],
     batch: PatternBatch,
-    stats: Optional[EngineStats] = None,
 ) -> _SimContext:
-    """Context for one batch, with plan and good-value caching."""
-    plan = CompiledCircuit.get(circuit, cells, stats=stats)
-    key = (
-        batch.n,
-        tuple(batch.frame1.get(pi, 0) for pi in plan.pi_order),
-        tuple(batch.frame2.get(pi, 0) for pi in plan.pi_order),
+    """Context for one batch: the cached plan and both frames' good values."""
+    plan = CompiledCircuit.get(circuit, cells)
+    mask = batch.mask
+    return _SimContext(
+        plan, mask,
+        plan.simulate_values(batch.frame1, mask),
+        plan.simulate_values(batch.frame2, mask),
     )
-    good1, good2 = plan.good_values(
-        key, (batch.frame1, batch.frame2), batch.mask, stats=stats
-    )
-    return _SimContext(plan, batch.mask, good1, good2)
 
 
 def _branch_overrides(
@@ -368,18 +363,14 @@ def fault_simulate(
 ) -> List[int]:
     """Per-fault detect words (bit i set = pair i detects the fault).
 
-    Counters accumulate in a private per-call instance that is merged
-    into *stats* in one atomic step at the end, so an EngineStats shared
-    between threads never loses increments.
+    Adds the batch, its faults and the events propagated to *stats*.
     """
-    local = EngineStats()
-    ctx = _make_context(circuit, cells, batch, stats=local)
-    local.batches += 1
-    local.faults_simulated += len(faults)
+    ctx = _make_context(circuit, cells, batch)
     results = [_simulate_one(ctx, fault) for fault in faults]
-    local.events_propagated += ctx.events
     if stats is not None:
-        stats.merge(local)
+        stats.batches += 1
+        stats.faults_simulated += len(faults)
+        stats.events_propagated += ctx.events
     return results
 
 

@@ -17,7 +17,10 @@ the property the paper's resynthesis procedure exploits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.library.cell import StandardCell
 from repro.library.transistor import Stage, SwitchNetwork, lit, par, ser
@@ -29,6 +32,10 @@ class Library:
     Iteration order is insertion order; the resynthesis procedure uses
     :meth:`order_by_internal_faults` to get the paper's ``cell_0 ..
     cell_{m-1}`` ordering (``cell_0`` carries the most internal faults).
+
+    :attr:`cells` is the one read-only name -> cell mapping every caller
+    passes on; simulation plans are cached per mapping identity, so
+    sharing it lets PDesign, fault simulation and ATPG reuse one plan.
     """
 
     def __init__(self, name: str, cells: Iterable[StandardCell]):
@@ -38,6 +45,7 @@ class Library:
             if cell.name in self._cells:
                 raise ValueError(f"duplicate cell {cell.name}")
             self._cells[cell.name] = cell
+        self.cells: Mapping[str, StandardCell] = MappingProxyType(self._cells)
 
     def __getitem__(self, name: str) -> StandardCell:
         return self._cells[name]

@@ -23,7 +23,7 @@ from repro.netlist.simulator import (
     simulate,
     simulate_patterns,
 )
-from repro.netlist.io import parse_file, parse_netlist, write_netlist
+from repro.netlist.io import parse_netlist, write_netlist
 from repro.netlist.validate import (
     Diagnostic,
     ValidationReport,
@@ -45,7 +45,6 @@ __all__ = [
     "compile_cell_eval",
     "simulate",
     "simulate_patterns",
-    "parse_file",
     "parse_netlist",
     "write_netlist",
     "Diagnostic",

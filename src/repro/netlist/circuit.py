@@ -131,6 +131,7 @@ class Circuit:
         if name in self._driver:
             raise NetlistError(f"input {name} is already driven by a gate")
         self.inputs.append(name)
+        self._topo = None
         return name
 
     def add_gate(
@@ -172,6 +173,7 @@ class Circuit:
                 raise NetlistError(f"duplicate output {n}")
             seen.add(n)
         self.outputs = list(names)
+        self._topo = None
 
     def reserve_net_names(self, names: Iterable[str]) -> None:
         """Prevent :meth:`fresh_net` from generating any of *names*.
@@ -270,8 +272,9 @@ class Circuit:
 
         Simulation plans (:class:`repro.netlist.simulator.CompiledCircuit`)
         hold the token they were built against and compare it by identity:
-        any :meth:`add_gate` / :meth:`remove_gate` resets the cached topo
-        order, so a stale plan can be detected in O(1).
+        any :meth:`add_input` / :meth:`add_gate` / :meth:`remove_gate` /
+        :meth:`set_outputs` resets the cached topo order, so a stale plan
+        can be detected in O(1).
         """
         return self.topo_order()
 
@@ -349,26 +352,6 @@ class Circuit:
             if net not in self._driver and net not in self.inputs:
                 raise NetlistError(f"output net {net} undriven")
         self.topo_order()  # raises on cycles
-
-    @classmethod
-    def from_file(
-        cls,
-        path: str,
-        fmt: Optional[str] = None,
-        cells: Optional[Dict[str, "CellDef"]] = None,
-    ) -> "Circuit":
-        """Load a circuit from any supported netlist format.
-
-        Dispatches on *fmt* (``netlist`` / ``bench`` / ``verilog``), or
-        on the file extension when *fmt* is ``None``.  Foreign formats
-        are technology-mapped onto standard cells during loading; pass
-        *cells* to restrict the mapping to a library variant and enable
-        cell-aware linting.  Strict: raises :class:`NetlistError` (with
-        ``code``/``path``/``line`` context) on any defect.
-        """
-        from repro.netlist.ingest import load_file
-
-        return load_file(path, fmt=fmt, cells=cells)
 
     def clone(self, name: Optional[str] = None) -> "Circuit":
         """Return a deep structural copy of the circuit."""

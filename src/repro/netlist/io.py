@@ -22,7 +22,7 @@ netlist in a large campaign points straight at the offending line.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.netlist.circuit import Circuit, NetlistError
 from repro.netlist.validate import lint_netlist_text
@@ -61,22 +61,3 @@ def parse_netlist(text: str, path: Optional[str] = None) -> Circuit:
         code=first.code, path=path, line=first.line,
     )
 
-
-def parse_file(
-    path: str,
-    fmt: Optional[str] = None,
-    cells: Optional[Dict[str, object]] = None,
-) -> Circuit:
-    """Load a netlist file in any supported format (strict).
-
-    The native text format parses via
-    :func:`~repro.netlist.validate.lint_netlist_text`, the parser behind
-    :func:`parse_netlist`; ``.bench`` and structural Verilog go through
-    :mod:`repro.netlist.ingest`, which technology-maps them onto
-    standard cells.  *fmt* overrides the extension-based format
-    detection.  Raises :class:`NetlistError` (with
-    ``code``/``path``/``line`` context) on any defect.
-    """
-    from repro.netlist.ingest import load_file
-
-    return load_file(path, fmt=fmt, cells=cells)

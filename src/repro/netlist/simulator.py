@@ -22,20 +22,17 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.netlist.circuit import CONST0, CONST1, CellDef, Circuit, NetlistError
-from repro.utils.observability import EngineStats
 
 Evaluator = Callable[..., int]
 
 # Bound of the global (n_inputs, truth_table) -> evaluator cache.  Real
 # libraries have a few dozen distinct cell functions, so the bound only
 # matters for adversarial workloads (e.g. fuzzing over random truth
-# tables) where an unbounded cache is a slow leak; hit/miss counts
-# surface on EngineStats.
+# tables) where an unbounded cache is a slow leak.
 EVAL_CACHE_SIZE = 1024
 
 
@@ -104,25 +101,18 @@ class CompiledCircuit:
 
     Nets are assigned dense indices (``CONST0`` = 0, ``CONST1`` = 1, then
     primary inputs, then gate outputs in topological order), and per-gate
-    evaluators/pin indices are resolved once.  ``good_cache`` is an LRU of
-    immutable good-machine value tuples keyed by packed input frames — fault
-    simulation consults it so re-simulating the same pattern batch (test
-    re-grading, compaction, resynthesis re-analysis) is free.
+    evaluators/pin indices are resolved once.  The plan is the only state
+    simulation keeps between calls.
 
     Use :meth:`get` rather than the constructor: plans are cached per
-    circuit and invalidated when the circuit's topology changes.
+    circuit and invalidated when the circuit's gates or ports change.
     """
-
-    # Per-plan LRU bound for good-machine value vectors.  A class
-    # attribute on purpose: assign to it to trade memory for
-    # good-simulation reuse; instances may also override it individually.
-    GOOD_CACHE_SIZE = 32
 
     __slots__ = (
         "circuit", "cells", "pi_order", "net_index", "n_nets",
         "gate_names", "gate_index", "gate_fn", "gate_in", "gate_out",
         "gate_eval", "loads_of", "is_po", "po_index", "eval_compiles",
-        "good_cache", "_good_lock", "_topo_ref", "__weakref__",
+        "_topo_ref", "__weakref__",
     )
 
     def __init__(self, circuit: Circuit, cells: Mapping[str, CellDef]):
@@ -187,12 +177,6 @@ class CompiledCircuit:
             self.is_po[idx] = 1
             po_index.append(idx)
         self.po_index = po_index
-        self.good_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        # Inline campaign tasks run on scheduler threads and may share
-        # one plan; OrderedDict get/move_to_end/popitem are not safe to
-        # interleave, so every cache touch happens under this lock.  The
-        # good simulation itself runs outside the lock.
-        self._good_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def valid_for(self, circuit: Circuit, cells: Mapping[str, CellDef]) -> bool:
@@ -204,12 +188,12 @@ class CompiledCircuit:
 
     @classmethod
     def get(
-        cls,
-        circuit: Circuit,
-        cells: Mapping[str, CellDef],
-        stats: Optional[EngineStats] = None,
+        cls, circuit: Circuit, cells: Mapping[str, CellDef]
     ) -> "CompiledCircuit":
         """Cached plan for (*circuit*, *cells*); rebuilt after mutation.
+
+        *cells* is compared by identity: pass a library's shared
+        :attr:`~repro.library.osu018.Library.cells` to reuse a plan.
 
         Thread-safe: the module-level plan cache is consulted and
         updated under a lock (WeakKeyDictionary mutation may race with
@@ -220,25 +204,10 @@ class CompiledCircuit:
         with _PLAN_LOCK:
             plan = _PLAN_CACHE.get(circuit)
         if plan is not None and plan.valid_for(circuit, cells):
-            if stats is not None:
-                stats.plan_cache_hits += 1
             return plan
-        # cache_info is absent when tests substitute a bare function for
-        # the lru-cached evaluator compiler — skip the delta then.
-        info = getattr(compile_cell_eval, "cache_info", None)
-        before = info() if info is not None else None
         plan = cls(circuit, cells)
         with _PLAN_LOCK:
             _PLAN_CACHE[circuit] = plan
-        if stats is not None:
-            stats.plan_builds += 1
-            stats.eval_compiles += plan.eval_compiles
-            if before is not None:
-                after = compile_cell_eval.cache_info()
-                # Concurrent builds may skew the deltas; clamp at zero so
-                # the counters stay monotone.
-                stats.eval_cache_hits += max(0, after.hits - before.hits)
-                stats.eval_cache_misses += max(0, after.misses - before.misses)
         return plan
 
     # ------------------------------------------------------------------
@@ -261,47 +230,6 @@ class CompiledCircuit:
         for gi in range(len(gate_out)):
             values[gate_out[gi]] = gate_eval[gi](values, mask)
         return values
-
-    def good_values(
-        self,
-        batch_key: tuple,
-        frames: Sequence[Mapping[str, int]],
-        mask: int,
-        stats: Optional[EngineStats] = None,
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """LRU-cached good-machine simulation of packed input *frames*.
-
-        One net-value tuple per frame.  Entries are immutable, so a hit
-        serves the stored tuples themselves: a consumer that tried to
-        write into one would raise ``TypeError`` rather than corrupt the
-        entry for later hits.
-
-        Thread-safe: lookups, recency updates and eviction are guarded
-        by the plan's lock; a racing miss may simulate the same frames
-        twice (the results are identical), but the hit/miss counters and
-        the cache structure stay consistent.
-        """
-        with self._good_lock:
-            cached = self.good_cache.get(batch_key)
-            if cached is not None:
-                self.good_cache.move_to_end(batch_key)
-                if stats is not None:
-                    stats.good_cache_hits += len(cached)
-                return cached
-        result = tuple(tuple(self.simulate_values(f, mask)) for f in frames)
-        if stats is not None:
-            stats.good_simulations += len(result)
-        with self._good_lock:
-            winner = self.good_cache.get(batch_key)
-            if winner is not None:
-                # Another thread simulated the same frames first; serve
-                # its (identical) vectors so every caller shares one copy.
-                self.good_cache.move_to_end(batch_key)
-                return winner
-            self.good_cache[batch_key] = result
-            while len(self.good_cache) > self.GOOD_CACHE_SIZE:
-                self.good_cache.popitem(last=False)
-        return result
 
 
 _PLAN_CACHE: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = (

@@ -20,11 +20,7 @@ import os
 from typing import Dict, List, Mapping, Optional
 
 # Fields that legitimately differ between two executions of identical
-# work: wall-clock stamps and durations, duration-derived ratios, and
-# cache-temperature counters that depend on what else already ran in
-# the same process (the compiled-evaluator and plan caches are shared
-# process-wide, so a resumed run sees them colder or warmer than a
-# straight-through run).
+# work: wall-clock stamps and durations and duration-derived ratios.
 VOLATILE_KEYS = frozenset({
     "ts",
     "duration",
@@ -35,11 +31,6 @@ VOLATILE_KEYS = frozenset({
     "timings",
     "attempts",
     "run_id",
-    "eval_cache_hits",
-    "eval_cache_misses",
-    "eval_compiles",
-    "plan_builds",
-    "plan_cache_hits",
     # Process history: whether an inline thread was abandoned, and which
     # budget happened to trip first on an abort, are wall-clock facts —
     # the verdicts and tables they annotate are not.
@@ -56,8 +47,9 @@ VOLATILE_KEYS = frozenset({
     # parallel layers' counters and coded warnings, the speculation
     # counters, the campaign's worker settings, the counters of the
     # removed vectorized fault simulator, the removed good-value cache
-    # checksum's repair count, and the removed internal-fault carry-over
-    # count.  Dropping them keeps those reports
+    # checksum's repair count, the removed internal-fault carry-over
+    # count, and the removed good-value, plan and evaluator cache
+    # counters.  Dropping them keeps those reports
     # diffable against current ones, and lets a resumed run mix their
     # cached payloads with fresh ones.
     "parallel_chunks",
@@ -84,6 +76,13 @@ VOLATILE_KEYS = frozenset({
     "vector_ops",
     "cache_integrity_failures",
     "faults_carried",
+    "good_simulations",
+    "good_cache_hits",
+    "plan_builds",
+    "plan_cache_hits",
+    "eval_compiles",
+    "eval_cache_hits",
+    "eval_cache_misses",
 })
 
 

@@ -52,7 +52,7 @@ def synthesize(
     :class:`~repro.synthesis.techmap.TechmapError` when the allowed subset
     is insufficient.
     """
-    cells = {c.name: c for c in library}
+    cells = library.cells
     if allowed_cells is None:
         allowed: List[StandardCell] = list(library)
     else:

@@ -5,8 +5,8 @@ plus per-phase wall-clock accumulators.  One instance travels through a
 whole analysis (fault simulation, ATPG, compaction) and is surfaced on
 :class:`repro.atpg.engine.AtpgResult` / :class:`repro.core.flow.DesignState`
 so benchmarks and regression tests can assert on engine behaviour
-(e.g. "the evaluator compile count stays O(#distinct cells)") instead of
-re-deriving it from timing alone.
+(e.g. "a re-analysis proves only the classes it did not inherit")
+instead of re-deriving it from timing alone.
 
 This module sits in the ``utils`` layer on purpose: every layer above it
 (netlist simulation, fault simulation, ATPG, flow) records into it, so it
@@ -15,7 +15,6 @@ must not import any of them.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -23,53 +22,17 @@ from typing import Dict, Iterator, List
 
 # All duration measurements in the engine go through time.perf_counter():
 # it is monotonic (wall clock adjustments cannot produce negative phase
-# durations in merged stats) and has the highest available resolution.
-
-# Guards EngineStats.merge: the simulators accumulate into a private
-# per-call instance and fold it into the caller's instance in one
-# atomic step, so counters are never lost when merges race.
-_MERGE_LOCK = threading.Lock()
-
-# How EngineStats.merge folds each field, declared on the field itself
-# as ``field(metadata={MERGE: rule})``.
-MERGE = "merge"
-SUM = "sum"  # counters: add
-DICT_SUM = "dict-sum"  # per-key counters / seconds: add key by key
-EXTEND = "extend"  # record lists: append the other's records
-
-
-def _counter():
-    return field(default=0, metadata={MERGE: SUM})
-
-
-def _per_key():
-    return field(default_factory=dict, metadata={MERGE: DICT_SUM})
-
-
-def _records():
-    return field(default_factory=list, metadata={MERGE: EXTEND})
+# durations) and has the highest available resolution.
 
 
 @dataclass
 class EngineStats:
-    """Counters for one fault-analysis run (all additive / mergeable).
-
-    Each field declares how :meth:`merge` folds it (``MERGE`` metadata:
-    sum, dict-sum or extend); :meth:`merge` and :meth:`as_dict` are
-    driven by those declarations.
+    """Counters for one fault-analysis run (all additive).
 
     * ``faults_simulated`` — fault/batch simulations performed (one count
       per fault per :func:`repro.faults.fsim.fault_simulate` call);
     * ``events_propagated`` — gate evaluations popped from the
       event-driven propagation queue across all faults;
-    * ``good_simulations`` / ``good_cache_hits`` — good-machine
-      simulations run vs. served from the per-circuit good-value cache;
-    * ``plan_builds`` / ``plan_cache_hits`` — compiled circuit plans
-      built vs. reused;
-    * ``eval_compiles`` — distinct ``(n_inputs, truth_table)`` cell
-      evaluators compiled while building plans;
-    * ``eval_cache_hits`` / ``eval_cache_misses`` — lookups into the
-      bounded global evaluator cache served vs. compiled fresh;
     * ``verdicts_inherited`` / ``verdicts_proved`` — behaviour classes
       whose detected/undetectable verdict was carried over from a
       functionally-equivalent prior analysis vs. proved in this run;
@@ -101,32 +64,25 @@ class EngineStats:
     * ``phase_seconds`` — wall-clock per engine phase.
     """
 
-    faults_simulated: int = _counter()
-    events_propagated: int = _counter()
-    good_simulations: int = _counter()
-    good_cache_hits: int = _counter()
-    plan_builds: int = _counter()
-    plan_cache_hits: int = _counter()
-    eval_compiles: int = _counter()
-    eval_cache_hits: int = _counter()
-    eval_cache_misses: int = _counter()
-    verdicts_inherited: int = _counter()
-    verdicts_proved: int = _counter()
-    faults_extracted: int = _counter()
-    clusters_reused: int = _counter()
-    clusters_recomputed: int = _counter()
-    batches: int = _counter()
-    sat_calls: int = _counter()
-    sat_conflicts: int = _counter()
-    sat_propagations: int = _counter()
-    sat_learned: int = _counter()
-    sat_restarts: int = _counter()
-    sat_lemmas_reused: int = _counter()
-    sat_aborts: int = _counter()
-    sat_abort_reasons: Dict[str, int] = _per_key()
-    verdicts_aborted: int = _counter()
-    degradations: List[str] = _records()
-    phase_seconds: Dict[str, float] = _per_key()
+    faults_simulated: int = 0
+    events_propagated: int = 0
+    verdicts_inherited: int = 0
+    verdicts_proved: int = 0
+    faults_extracted: int = 0
+    clusters_reused: int = 0
+    clusters_recomputed: int = 0
+    batches: int = 0
+    sat_calls: int = 0
+    sat_conflicts: int = 0
+    sat_propagations: int = 0
+    sat_learned: int = 0
+    sat_restarts: int = 0
+    sat_lemmas_reused: int = 0
+    sat_aborts: int = 0
+    sat_abort_reasons: Dict[str, int] = field(default_factory=dict)
+    verdicts_aborted: int = 0
+    degradations: List[str] = field(default_factory=list)
+    phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     def add_phase(self, name: str, seconds: float) -> None:
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
@@ -140,33 +96,11 @@ class EngineStats:
         finally:
             self.add_phase(name, time.perf_counter() - start)
 
-    def merge(self, other: "EngineStats") -> None:
-        """Fold *other*'s counters into this instance (atomically), each
-        field by its declared rule."""
-        with _MERGE_LOCK:
-            for name, rule in _ENGINE_FIELDS:
-                mine = getattr(self, name)
-                theirs = getattr(other, name)
-                if rule == SUM:
-                    setattr(self, name, mine + theirs)
-                elif rule == DICT_SUM:
-                    for key, value in theirs.items():
-                        mine[key] = mine.get(key, 0) + value
-                else:
-                    mine.extend(theirs)
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot (used by the perf harness)."""
         return {
-            name: _snapshot(getattr(self, name))
-            for name, _ in _ENGINE_FIELDS
+            f.name: _snapshot(getattr(self, f.name)) for f in fields(self)
         }
-
-
-# (name, merge rule) of every EngineStats field, in declaration order.
-_ENGINE_FIELDS = tuple(
-    (f.name, f.metadata[MERGE]) for f in fields(EngineStats)
-)
 
 
 def _snapshot(value: object) -> object:
@@ -188,8 +122,8 @@ class ResynthesisStats:
       into the (state, replacement, allowed-cells) evaluation cache;
     * ``backtrack_attempts`` — attempts issued by the Section III-C
       backtracking search;
-    * ``engine`` — merged :class:`EngineStats` of every fault-analysis
-      run the procedure triggered (verdicts inherited vs. proved, faults
+    * ``engine`` — :class:`EngineStats` accumulated over every
+      fault-analysis run the procedure triggered (verdicts inherited vs. proved, faults
       extracted, incremental cluster updates, ...).
     """
 

@@ -18,14 +18,7 @@ from repro.atpg.engine import run_atpg
 from repro.core.metrics import engine_row
 from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.sites import enumerate_internal_faults
-from repro.utils.observability import (
-    DICT_SUM,
-    EXTEND,
-    MERGE,
-    SUM,
-    EngineStats,
-    ResynthesisStats,
-)
+from repro.utils.observability import EngineStats, ResynthesisStats
 from tests.conftest import mixed_fault_list, random_mapped_circuit
 
 
@@ -51,7 +44,6 @@ def test_compile_count_stays_bounded(cells, monkeypatch):
     # First batch: one compile per distinct (n_inputs, truth table) —
     # never per gate, per fault, or per propagated event.
     assert 0 < len(calls) <= len(distinct)
-    assert stats.eval_compiles == len(calls)
     assert stats.events_propagated > len(distinct)  # plenty of pops happened
 
     first = len(calls)
@@ -59,35 +51,6 @@ def test_compile_count_stays_bounded(cells, monkeypatch):
         batch = PatternBatch.random(circuit, 32, seed=seed)
         fault_simulate(circuit, cells, faults, batch, stats=stats)
     assert len(calls) == first  # later batches reuse the cached plan
-    assert stats.plan_builds == 1
-    assert stats.plan_cache_hits == 3
-
-
-def test_good_value_cache(cells):
-    circuit = random_mapped_circuit(cells, seed=91)
-    faults = mixed_fault_list(circuit, seed=9, per_kind=4)
-    batch = PatternBatch.random(circuit, 32, seed=4)
-    stats = EngineStats()
-    fault_simulate(circuit, cells, faults, batch, stats=stats)
-    assert stats.good_simulations == 2  # both frames simulated once
-    assert stats.good_cache_hits == 0
-    fault_simulate(circuit, cells, faults, batch, stats=stats)
-    assert stats.good_simulations == 2  # repeat batch served from cache
-    assert stats.good_cache_hits == 2
-    assert stats.batches == 2
-
-
-def test_good_cache_eviction_keeps_results_correct(cells):
-    circuit = random_mapped_circuit(cells, n_gates=30, seed=92)
-    faults = mixed_fault_list(circuit, seed=2, per_kind=3)
-    batches = [
-        PatternBatch.random(circuit, 16, seed=s)
-        for s in range(sim.CompiledCircuit.GOOD_CACHE_SIZE + 4)
-    ]
-    before = [fault_simulate(circuit, cells, faults, b) for b in batches]
-    # Cycle through again: early batches were evicted and re-simulate.
-    after = [fault_simulate(circuit, cells, faults, b) for b in batches]
-    assert after == before
 
 
 def test_run_atpg_populates_stats(adder4, cells, library):
@@ -98,7 +61,6 @@ def test_run_atpg_populates_stats(adder4, cells, library):
     assert stats.faults_simulated > 0
     assert stats.events_propagated > 0
     assert stats.batches > 0
-    assert stats.good_simulations > 0
     assert stats.sat_calls == result.sat_calls > 0
     assert stats.sat_propagations >= stats.sat_conflicts >= 0
     assert stats.sat_propagations > 0
@@ -111,68 +73,37 @@ def test_run_atpg_populates_stats(adder4, cells, library):
     assert again.undetectable == result.undetectable
 
 
-def _populated(offset):
-    """An EngineStats with every field set, by its merge rule."""
+def _populated():
+    """An EngineStats with every field set to a distinct value."""
+    blank = EngineStats()
     values = {}
     for i, f in enumerate(fields(EngineStats)):
-        rule = f.metadata[MERGE]
-        n = offset + i + 1
-        if rule == SUM:
-            values[f.name] = n
-        elif rule == DICT_SUM:
-            values[f.name] = {"shared": n, f"only{offset}": 1}
+        default = getattr(blank, f.name)
+        if isinstance(default, dict):
+            values[f.name] = {"key": i + 1}
+        elif isinstance(default, list):
+            values[f.name] = [f"{f.name}-record"]
         else:
-            values[f.name] = [f"{f.name}-{offset}"]
+            values[f.name] = i + 1
     return EngineStats(**values)
 
 
 def test_stats_merge_and_as_dict():
     a = EngineStats(faults_simulated=3, sat_calls=1)
     a.add_phase("x", 0.5)
-    b = EngineStats(faults_simulated=4, events_propagated=7)
-    b.add_phase("x", 0.25)
-    b.add_phase("y", 1.0)
-    a.merge(b)
-    assert a.faults_simulated == 7
-    assert a.events_propagated == 7
+    a.add_phase("x", 0.25)
+    a.add_phase("y", 1.0)
     assert a.phase_seconds == {"x": 0.75, "y": 1.0}
     d = a.as_dict()
-    assert d["faults_simulated"] == 7
+    assert d["faults_simulated"] == 3
     assert d["phase_seconds"]["y"] == 1.0
-
-    # Every field declares a merge rule, every rule has a field, and
-    # merging two fully populated instances applies it, in either
-    # direction.
-    for f in fields(EngineStats):
-        assert f.metadata.get(MERGE) in (SUM, DICT_SUM, EXTEND), f.name
-    assert {f.metadata[MERGE] for f in fields(EngineStats)} == {
-        SUM, DICT_SUM, EXTEND,
-    }
-    for lo, hi in ((0, 100), (100, 0)):
-        merged = _populated(lo)
-        merged.merge(_populated(hi))
-        x, y = _populated(lo), _populated(hi)
-        for f in fields(EngineStats):
-            got = getattr(merged, f.name)
-            mine, theirs = getattr(x, f.name), getattr(y, f.name)
-            rule = f.metadata[MERGE]
-            if rule == SUM:
-                want = mine + theirs
-            elif rule == DICT_SUM:
-                want = {"shared": mine["shared"] + theirs["shared"],
-                        f"only{lo}": 1, f"only{hi}": 1}
-            else:
-                want = mine + theirs
-            assert got == want, (f.name, rule, got, want)
 
     # as_dict covers every field in declaration order, with containers
     # copied rather than shared.
-    full = _populated(0)
+    full = _populated()
     snap = full.as_dict()
     assert list(snap) == [
-        "faults_simulated", "events_propagated", "good_simulations",
-        "good_cache_hits", "plan_builds", "plan_cache_hits",
-        "eval_compiles", "eval_cache_hits", "eval_cache_misses",
+        "faults_simulated", "events_propagated",
         "verdicts_inherited", "verdicts_proved",
         "faults_extracted", "clusters_reused", "clusters_recomputed",
         "batches", "sat_calls", "sat_conflicts", "sat_propagations", "sat_learned",
@@ -211,3 +142,23 @@ def test_engine_row_flattens_counters(library, cells, adder4):
     assert row["t[pdesign]"] >= 0.0
     assert set(state.timings) == {
         "pdesign", "fault_extraction", "atpg", "clustering"}
+
+
+def test_one_plan_per_circuit(library, adder4, monkeypatch):
+    """PDesign, the internal classification and the full analysis of one
+    circuit share one compiled plan: plans are cached per cell mapping,
+    and the library hands every caller the same one."""
+    from repro.core.flow import analyze_design, classify_internal
+
+    builds = []
+    real_init = sim.CompiledCircuit.__init__
+
+    def counting_init(self, circuit, cells):
+        builds.append(circuit)
+        real_init(self, circuit, cells)
+
+    monkeypatch.setattr(sim.CompiledCircuit, "__init__", counting_init)
+    state = analyze_design(adder4, library)  # PDesign's power analysis
+    classify_internal(adder4, library)
+    analyze_design(adder4, library, physical=state.physical)
+    assert builds == [adder4]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.reference import reference_fault_simulate
-from repro.netlist import Circuit, parse_file, parse_netlist
+from repro.netlist import parse_netlist
 from repro.netlist.ingest import (
     BUNDLED,
     FORMAT_BENCH,
@@ -396,14 +396,6 @@ class TestEntryPoints:
         assert err.path == str(path)
         assert "ghost" in str(err)
 
-    def test_circuit_from_file_and_parse_file(self, cells):
-        path = bundled_path("c17")
-        a = Circuit.from_file(path, cells=cells)
-        b = parse_file(path, cells=cells)
-        assert isinstance(a, Circuit) and isinstance(b, Circuit)
-        assert sorted(a.gates) == sorted(b.gates)
-        assert len(a.gates) == 6
-
     def test_parse_file_native_roundtrip(self, tmp_path):
         text = (
             "circuit tiny\ninput a\noutput z\n"
@@ -411,7 +403,7 @@ class TestEntryPoints:
         )
         path = tmp_path / "tiny.nl"
         path.write_text(text)
-        circuit = parse_file(str(path))
+        circuit = load_file(str(path))
         assert circuit.name == "tiny"
         reference = parse_netlist(text)
         assert sorted(circuit.gates) == sorted(reference.gates)
@@ -467,7 +459,7 @@ class TestIngestCLI:
         ]) == 0
         saved = save_dir / "c17.nl"
         assert saved.exists()
-        circuit = parse_file(str(saved), cells=cells)
+        circuit = load_file(str(saved), cells=cells)
         original = load_file(bundled_path("c17"), cells=cells)
         pats = [
             dict(zip(sorted(original.inputs), bits))

@@ -57,13 +57,6 @@ def _bench(name, library):
     return circuit
 
 
-# Counters that may legitimately differ between the two sides: wall
-# clock, and the split of the bounded process-wide evaluator cache into
-# hits and misses (cold in the child, warm in the test process; their
-# sum is asserted separately).
-_VOLATILE = {"phase_seconds", "eval_cache_hits", "eval_cache_misses"}
-
-
 def _cells(library):
     return {c.name: c for c in library}
 
@@ -185,18 +178,13 @@ def test_all_stats_counters_identical_serial_vs_process(
     cells, library, child_small, engine
 ):
     """A run in a fresh interpreter reports the test process's counters,
-    counter by counter, apart from wall clock and the evaluator-cache
-    hit/miss split (whose sum still matches)."""
+    counter by counter, apart from wall clock."""
     serial_words, serial_stats = _stats_run(cells, library)
     proc_words, proc_stats = child_small["stats"]
     assert serial_words == proc_words
     assert list(serial_stats) == list(proc_stats)
-    assert (
-        serial_stats["eval_cache_hits"] + serial_stats["eval_cache_misses"]
-        == proc_stats["eval_cache_hits"] + proc_stats["eval_cache_misses"]
-    )
     for key in serial_stats:
-        if key in _VOLATILE:
+        if key == "phase_seconds":
             continue
         assert serial_stats[key] == proc_stats[key], (
             f"{key}: serial={serial_stats[key]} process={proc_stats[key]}"

@@ -421,21 +421,36 @@ class TestResume:
 
 
 class TestLegacyReports:
+    @staticmethod
+    def _report(extra):
+        engine = dict(EngineStats(faults_extracted=7).as_dict(), **extra)
+        outcomes = {"analyze:full:x": {
+            "kind": "analyze", "status": "ok", "duration": 1.0,
+            "attempts": 1, "payload": {"engine": engine},
+        }}
+        return build_report({}, "run-x", outcomes)
+
     def test_faults_carried_is_dropped_by_normalization(self):
         """Reports written while internal faults were carried over
         between design states still diff clean against current ones."""
-        def report(extra):
-            engine = dict(EngineStats(faults_extracted=7).as_dict(), **extra)
-            outcomes = {"analyze:full:x": {
-                "kind": "analyze", "status": "ok", "duration": 1.0,
-                "attempts": 1, "payload": {"engine": engine},
-            }}
-            return build_report({}, "run-x", outcomes)
-
-        old = report({"faults_carried": 5})
+        old = self._report({"faults_carried": 5})
         assert old["results"]["analyze:full:x"]["engine"][
             "faults_carried"] == 5
-        assert normalize_report(old) == normalize_report(report({}))
+        assert normalize_report(old) == normalize_report(self._report({}))
+
+    def test_cache_counters_are_dropped_by_normalization(self):
+        """Reports written while fault simulation kept a good-value cache
+        and counted plan and evaluator cache traffic still diff clean
+        against current ones."""
+        deleted = (
+            "good_simulations", "good_cache_hits", "plan_builds",
+            "plan_cache_hits", "eval_compiles", "eval_cache_hits",
+            "eval_cache_misses",
+        )
+        old = self._report({key: i + 1 for i, key in enumerate(deleted)})
+        engine = old["results"]["analyze:full:x"]["engine"]
+        assert all(engine[key] for key in deleted)
+        assert normalize_report(old) == normalize_report(self._report({}))
 
 
 # ----------------------------------------------------------------------

@@ -77,6 +77,19 @@ class TestSimulate:
         with pytest.raises(NetlistError):
             simulate(tiny_circuit, cells, {"a": 1}, 1)
 
+    def test_plan_follows_port_changes(self, tiny_circuit, cells):
+        """A cached plan is not served after the PIs or POs change."""
+        from repro.netlist import NetlistError
+        from repro.netlist.simulator import CompiledCircuit
+
+        CompiledCircuit.get(tiny_circuit, cells)  # cache a plan
+        tiny_circuit.set_outputs(["z"])
+        plan = CompiledCircuit.get(tiny_circuit, cells)
+        assert plan.po_index == [plan.net_index["z"]]
+        tiny_circuit.add_input("c")
+        with pytest.raises(NetlistError, match="primary input c"):
+            simulate(tiny_circuit, cells, {"a": 1, "b": 1}, 1)
+
     def test_parallel_equals_scalar(self, adder4, cells):
         rng = random.Random(7)
         pats = [
@@ -91,88 +104,3 @@ class TestSimulate:
 
     def test_empty_pattern_list(self, adder4, cells):
         assert simulate_patterns(adder4, cells, []) == []
-
-
-class TestGoodCacheEntries:
-    def test_served_entries_are_immutable(self, adder4, cells):
-        """A consumer cannot corrupt a cached entry for later hits."""
-        from repro.netlist.simulator import CompiledCircuit
-        from repro.utils.observability import EngineStats
-
-        plan = CompiledCircuit.get(adder4, cells)
-        plan.good_cache.clear()
-        rng = random.Random(5)
-        mask = (1 << 16) - 1
-        frames = [
-            {pi: rng.getrandbits(16) for pi in adder4.inputs}
-            for _ in range(2)
-        ]
-        expected = tuple(
-            tuple(plan.simulate_values(f, mask)) for f in frames
-        )
-        stats = EngineStats()
-        served = plan.good_values(("frozen",), frames, mask, stats)
-        assert isinstance(served, tuple)
-        assert all(isinstance(vec, tuple) for vec in served)
-        with pytest.raises(TypeError):
-            served[1][2] ^= 1
-        again = plan.good_values(("frozen",), frames, mask, stats)
-        assert stats.good_cache_hits == len(frames)
-        assert again == served == expected
-
-
-class TestGoodCacheThreadSafety:
-    """The per-plan good-value LRU is shared by concurrent inline tasks."""
-
-    def test_concurrent_good_values(self, adder4, cells):
-        import threading
-
-        from repro.netlist.simulator import CompiledCircuit
-
-        plan = CompiledCircuit.get(adder4, cells)
-        rng = random.Random(11)
-        mask = (1 << 32) - 1
-        # More distinct keys than the cache holds, so the threads race
-        # lookups, inserts, recency updates, and evictions against each
-        # other.
-        n_keys = plan.GOOD_CACHE_SIZE * 2
-        frames_by_key = {
-            ("k", i): [
-                {pi: rng.getrandbits(32) for pi in adder4.inputs}
-                for _ in range(2)
-            ]
-            for i in range(n_keys)
-        }
-        expected = {
-            key: tuple(tuple(plan.simulate_values(f, mask)) for f in frames)
-            for key, frames in frames_by_key.items()
-        }
-        plan.good_cache.clear()
-        errors = []
-
-        def hammer(seed):
-            local = random.Random(seed)
-            keys = list(frames_by_key)
-            for _ in range(200):
-                key = keys[local.randrange(n_keys)]
-                try:
-                    got = plan.good_values(key, frames_by_key[key], mask)
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-                    return
-                if got != expected[key]:
-                    errors.append((key, got))
-                    return
-
-        threads = [
-            threading.Thread(target=hammer, args=(t,)) for t in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(plan.good_cache) <= plan.GOOD_CACHE_SIZE
-        # Cached entries still hold correct vectors after the storm.
-        for key, cached in plan.good_cache.items():
-            assert cached == expected[key]
