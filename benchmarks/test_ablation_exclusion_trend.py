@@ -17,7 +17,7 @@ import os
 
 from benchmarks.conftest import get_library, bench_scale
 from repro.bench import build_benchmark
-from repro.core import count_undetectable_internal
+from repro.core import classify_internal
 from repro.synthesis import is_complete_subset, synthesize
 from repro.synthesis.techmap import TechmapError
 from repro.utils import format_table
@@ -29,7 +29,7 @@ def _run():
     library = get_library()
     circuit = build_benchmark(CIRCUIT, library, scale=bench_scale())
     order = library.order_by_internal_faults()
-    base_u = count_undetectable_internal(circuit, library)
+    base_u = len(classify_internal(circuit, library).undetectable)
     series = [("none", len(circuit), base_u)]
     for i in range(len(order) - 1):
         rest = order[i + 1:]
@@ -41,7 +41,7 @@ def _run():
             )
         except TechmapError:
             break
-        u_in = count_undetectable_internal(mapped, library)
+        u_in = len(classify_internal(mapped, library).undetectable)
         series.append((order[i].name, len(mapped), u_in))
     return series
 

@@ -26,8 +26,7 @@ def _run():
     circuit = build_benchmark(CIRCUIT, library, scale=bench_scale())
     cfg = ResynthesisConfig(q_max=2, max_iterations_per_phase=6)
     orig = analyze_design(
-        circuit, library, seed=cfg.seed, utilization=cfg.utilization,
-        atpg_seed=cfg.seed,
+        circuit, library, seed=cfg.seed, atpg_seed=cfg.seed,
     )
     driver = _Resynthesizer(library, orig, cfg)
     state = orig

@@ -2,10 +2,11 @@
 
 Benchmarks ``fault_simulate`` on the largest bench circuit against a
 faithful copy of the pre-optimization serial engine (string-keyed nets,
-per-event evaluator lookups, no compiled plan), checks the optimized results are bit-identical to the baseline *and* to
-the naive one-pattern-at-a-time reference oracle, and appends a
-trajectory point to ``benchmarks/results/BENCH_engine.json`` so speedups
-and engine counters can be tracked across revisions.
+per-event evaluator lookups, no compiled plan), checks the optimized
+results are bit-identical to the baseline *and* to the naive
+one-pattern-at-a-time oracle in ``tests/fsim_reference.py``, and appends
+a trajectory point to ``benchmarks/results/BENCH_engine.json`` so
+speedups and engine counters can be tracked across revisions.
 
 Run with: ``PYTHONPATH=src python -m pytest benchmarks/test_perf_engine.py -s``
 
@@ -40,11 +41,11 @@ from repro.faults.model import (
     StuckAtFault,
     TransitionFault,
 )
-from repro.faults.reference import reference_fault_simulate
 from repro.faults.sites import enumerate_internal_faults
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulator import compile_cell_eval, simulate
 from repro.utils.observability import EngineStats
+from tests.fsim_reference import reference_fault_simulate
 
 pytestmark = [pytest.mark.perf, pytest.mark.slow]
 

@@ -32,16 +32,16 @@ from typing import Dict, List, Optional, Set, Tuple
 import pytest
 
 from benchmarks.conftest import emit_report, get_library
+from repro.atpg.engine import run_atpg
 from repro.bench import build_benchmark
 from repro.core import ResynthesisConfig, resynthesize_for_coverage
 from repro.core.backtracking import backtrack_resynthesis
-from repro.core.flow import (
-    DesignState,
-    analyze_design,
-    count_undetectable_internal,
-)
-from repro.core.resynthesis import IterationRecord
+from repro.core.clustering import cluster_undetectable
+from repro.core.flow import DesignState, analyze_design
+from repro.core.resynthesis import TREND_WINDOW, IterationRecord
+from repro.dfm.translate import build_fault_set
 from repro.faults.model import CellAwareFault
+from repro.faults.sites import enumerate_internal_faults
 from repro.netlist.circuit import extract_subcircuit, replace_subcircuit
 from repro.physical.pdesign import pdesign
 from repro.physical.placement import PlacementError
@@ -65,8 +65,41 @@ REGRESSION_TOLERANCE = 1.25  # fail on a >25% speedup drop vs checked-in
 # synthesize + PDesign, a full internal ATPG *and* a second full
 # analyze_design ATPG when accepted-path; nothing is reused across
 # attempts, phases, or q steps.  Kept here so the benchmark always
-# compares against the same fixed starting point.
+# compares against the same fixed starting point.  Its two re-analysis
+# steps, the pre-PDesign internal count and the full analysis, are the
+# seed's as it called them: a candidate inherits its parent's
+# undetectable behaviour keys and tests, nothing else.
 # ----------------------------------------------------------------------
+def _baseline_count_undetectable_internal(
+    circuit, library, tests, known_undet, seed: int
+) -> int:
+    internal = enumerate_internal_faults(circuit, library)
+    return len(run_atpg(
+        circuit, library.cells, internal,
+        seed=seed, initial_tests=tests, compaction=False,
+        assume_undetectable=known_undet,
+    ).undetectable)
+
+
+def _baseline_analyze(
+    circuit, library, physical, tests, known_undet, seed: int
+) -> DesignState:
+    fault_set = build_fault_set(circuit, library, physical.layout)
+    atpg = run_atpg(
+        circuit, library.cells, fault_set.faults,
+        seed=seed, initial_tests=tests,
+        assume_undetectable=known_undet,
+    )
+    undetectable = [f for f in fault_set if f.fault_id in atpg.undetectable]
+    return DesignState(
+        circuit=circuit,
+        physical=physical,
+        fault_set=fault_set,
+        atpg=atpg,
+        clusters=cluster_undetectable(circuit, undetectable),
+    )
+
+
 class _BaselineResynthesizer:
     def __init__(self, library, orig: DesignState, cfg: ResynthesisConfig):
         self.library = library
@@ -99,7 +132,7 @@ class _BaselineResynthesizer:
         try:
             new_sub = synthesize(
                 sub, self.library, allowed_cells=allowed,
-                objective=self.cfg.objective,
+                objective="faults",
             )
             candidate = replace_subcircuit(
                 state.circuit, replacement, new_sub
@@ -118,21 +151,14 @@ class _BaselineResynthesizer:
         if not physical.meets_constraints(self.orig.physical, q):
             return "constraints", None
         known_undet = state.undetectable_behaviour_keys()
-        u_in_new = count_undetectable_internal(
-            candidate, self.library,
-            initial_tests=state.tests, atpg_seed=self.cfg.seed,
-            assume_undetectable=known_undet,
+        u_in_new = _baseline_count_undetectable_internal(
+            candidate, self.library, state.tests, known_undet, self.cfg.seed,
         )
         if u_in_new >= state.u_internal:
             return "rejected", None
-        cand_state = analyze_design(
-            candidate, self.library,
-            seed=self.cfg.seed,
-            guidelines=self.cfg.guidelines,
-            initial_tests=state.tests,
-            atpg_seed=self.cfg.seed,
-            assume_undetectable=known_undet,
-            physical=physical,
+        cand_state = _baseline_analyze(
+            candidate, self.library, physical, state.tests, known_undet,
+            self.cfg.seed,
         )
         if accept(cand_state, state):
             return "accepted", cand_state
@@ -203,7 +229,7 @@ class _BaselineResynthesizer:
                         u_total=back.u_total, smax=back.smax_size,
                     ))
                     return back
-            w = self.cfg.trend_window
+            w = TREND_WINDOW
             if len(u_trend) > w and all(
                 u_trend[-j] > u_trend[-j - 1] for j in range(1, w + 1)
             ):
@@ -260,10 +286,7 @@ class _BaselineResynthesizer:
 
 def baseline_resynthesize(circuit, library, cfg: ResynthesisConfig):
     """The seed's ``resynthesize_for_coverage``, serial end to end."""
-    orig = analyze_design(
-        circuit, library, seed=cfg.seed, utilization=cfg.utilization,
-        guidelines=cfg.guidelines, atpg_seed=cfg.seed,
-    )
+    orig = analyze_design(circuit, library, seed=cfg.seed, atpg_seed=cfg.seed)
     driver = _BaselineResynthesizer(library, orig, cfg)
     state = orig
     per_q: Dict[int, DesignState] = {}

@@ -22,9 +22,10 @@ and is reported separately (see :class:`repro.atpg.engine.AtpgResult`).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 DETECTED = "detected"
 UNDETECTABLE = "undetectable"
@@ -44,6 +45,33 @@ ENV_VARS = (
     "REPRO_ATPG_DECISION_BUDGET",
     "REPRO_ATPG_ABORT_FRACTION",
 )
+
+
+def _env_number(
+    env: Mapping[str, str],
+    name: str,
+    parse: Callable[[str], float],
+    limit: float = math.inf,
+) -> Optional[float]:
+    """The value of variable *name* read by *parse* (None when unset).
+
+    Raises :class:`ValueError` naming the variable unless the value is
+    a finite number in [0, *limit*].
+    """
+    text = env.get(name, "").strip()
+    if not text:
+        return None
+    try:
+        value = parse(text)
+    except ValueError:
+        value = math.nan
+    # NaN fails every comparison and infinity the strict one.
+    if not (0 <= value < math.inf and value <= limit):
+        bounds = ">= 0" if limit == math.inf else f"in [0, {limit}]"
+        raise ValueError(
+            f"{name}={text!r}: expected a finite number {bounds}"
+        )
+    return value
 
 
 def verdict_name(flag: Optional[bool]) -> str:
@@ -87,18 +115,21 @@ class AtpgBudget:
     def from_env(
         cls, environ: Optional[Mapping[str, str]] = None
     ) -> "AtpgBudget":
-        """Budget from the :data:`ENV_VARS` (unlimited when unset)."""
+        """Budget from the :data:`ENV_VARS` (unlimited when unset).
+
+        Raises :class:`ValueError` naming the variable for a value that
+        is not a finite number, a negative deadline or budget, or an
+        abort fraction outside [0, 1].
+        """
         env = os.environ if environ is None else environ
-        deadline, conflicts, decisions, fraction = (
-            env.get(name, "").strip() or None for name in ENV_VARS
-        )
+        deadline_var, conflicts_var, decisions_var, fraction_var = ENV_VARS
+        fraction = _env_number(env, fraction_var, float, limit=1)
         return cls(
-            deadline_ms=None if deadline is None else float(deadline),
-            conflict_budget=None if conflicts is None else int(conflicts),
-            decision_budget=None if decisions is None else int(decisions),
+            deadline_ms=_env_number(env, deadline_var, float),
+            conflict_budget=_env_number(env, conflicts_var, int),
+            decision_budget=_env_number(env, decisions_var, int),
             abort_fraction=(
-                DEFAULT_ABORT_FRACTION if fraction is None
-                else float(fraction)
+                DEFAULT_ABORT_FRACTION if fraction is None else fraction
             ),
         )
 

@@ -25,7 +25,6 @@ from repro.core.flow import (
     DesignState,
     analyze_design,
     classify_internal,
-    count_undetectable_internal,
 )
 from repro.core.backtracking import backtrack_resynthesis
 from repro.core.resynthesis import (
@@ -44,7 +43,6 @@ __all__ = [
     "DesignState",
     "analyze_design",
     "classify_internal",
-    "count_undetectable_internal",
     "backtrack_resynthesis",
     "IterationRecord",
     "ResynthesisConfig",

@@ -34,7 +34,6 @@ def backtrack_resynthesis(
     replacement_base: Set[str],
     g_i: Sequence[str],
     attempt: AttemptFn,
-    on_attempt: Optional[Callable[[Set[str], str], None]] = None,
 ) -> Optional[DesignState]:
     """Search subsets of ``G_i`` for an accepted, constraint-clean circuit.
 
@@ -42,18 +41,7 @@ def backtrack_resynthesis(
     touch); *g_i* lists the excluded-cell-type gates, ordered so that the
     gates most worth replacing come first (the tail is moved to
     ``G_back`` first).  Returns the accepted design state or None.
-
-    *on_attempt*, when given, observes every issued attempt as
-    ``on_attempt(replacement_set, status)`` — used for effort counters.
     """
-    if on_attempt is not None:
-        inner = attempt
-
-        def attempt(replacement: Set[str]) -> Tuple[str, Optional[DesignState]]:
-            status, cand = inner(replacement)
-            on_attempt(replacement, status)
-            return status, cand
-
     gi: List[str] = list(g_i)
     n = len(gi)
     if n == 0:

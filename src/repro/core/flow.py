@@ -1,15 +1,19 @@
 """One iteration of the design flow, bundled as a :class:`DesignState`.
 
-``analyze_design`` runs: physical design (on a fixed floorplan when
+``analyze_design`` runs: physical design (unless a finished one is
 given) -> DFM fault extraction (internal + external) -> exact ATPG ->
 clustering of the undetectable faults.  The resynthesis procedure
 (Section III) moves between design states, comparing their metrics.
 
-``count_undetectable_internal`` is the cheap pre-physical-design check of
-Section III-B: "PDesign() is called only when the number of undetectable
+``classify_internal`` is the cheap pre-physical-design check of Section
+III-B: "PDesign() is called only when the number of undetectable
 internal faults decreases in the resynthesized circuit" — internal
 faults do not depend on placement and routing, so they can be classified
 on the netlist alone.
+
+A resynthesis candidate inherits from its parent state one way: both
+functions take the parent as *prev* and start from its tests and its
+verdicts, by behaviour key.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.atpg.budget import AtpgBudget
 from repro.atpg.compaction import TestPair
 from repro.atpg.engine import AtpgResult, run_atpg
 from repro.core.clustering import (
@@ -26,16 +29,13 @@ from repro.core.clustering import (
     cluster_undetectable,
     cluster_undetectable_incremental,
 )
-from repro.dfm.guidelines import Guideline
 from repro.dfm.translate import build_fault_set
 from repro.faults.collapse import behaviour_key
 from repro.faults.model import Fault
 from repro.faults.sites import FaultSet, enumerate_internal_faults
 from repro.library.osu018 import Library
 from repro.netlist.circuit import Circuit
-from repro.physical.floorplan import Floorplan
 from repro.physical.pdesign import PhysicalDesign, pdesign
-from repro.physical.placement import PlacementError
 from repro.utils.observability import EngineStats
 
 
@@ -177,89 +177,82 @@ class DesignState:
         return self.physical.total_power
 
 
+def _inherited(
+    prev: Optional[DesignState],
+) -> Tuple[Optional[Sequence[TestPair]], Optional[AbstractSet],
+           Optional[AbstractSet]]:
+    """What a child of *prev* starts from: its tests and its
+    undetectable and detected behaviour keys (nothing without *prev*)."""
+    if prev is None:
+        return None, None, None
+    return (
+        prev.tests,
+        prev.undetectable_behaviour_keys(),
+        prev.detected_behaviour_keys(),
+    )
+
+
 def analyze_design(
     circuit: Circuit,
     library: Library,
-    floorplan: Optional[Floorplan] = None,
     seed: int = 0,
-    utilization: float = 0.70,
-    guidelines: Optional[Sequence[Guideline]] = None,
-    initial_tests: Optional[Sequence[TestPair]] = None,
     atpg_seed: int = 0,
-    assume_undetectable: Optional[AbstractSet] = None,
-    assume_detected: Optional[AbstractSet] = None,
     physical: Optional[PhysicalDesign] = None,
     prev: Optional[DesignState] = None,
     internal_atpg: Optional[AtpgResult] = None,
     stats: Optional[EngineStats] = None,
-    budget: Optional[AtpgBudget] = None,
 ) -> DesignState:
     """Run physical design + DFM fault extraction + ATPG + clustering.
 
-    *budget* bounds each per-fault SAT decision (default: from the
-    ``REPRO_ATPG_*`` environment; unlimited when unset).  Aborted faults
-    surface on ``state.atpg.aborted`` / ``state.n_aborted`` and are
-    excluded from U and from the clusters — clustering only partitions
-    *proved* undetectable faults, so S_max never grows from a give-up.
+    Each per-fault SAT decision is bounded by the ``REPRO_ATPG_*``
+    environment budget (unlimited when unset; see
+    :class:`~repro.atpg.budget.AtpgBudget`).  Aborted faults surface on
+    ``state.atpg.aborted`` / ``state.n_aborted`` and are excluded from U
+    and from the clusters — clustering only partitions *proved*
+    undetectable faults, so S_max never grows from a give-up.
 
-    *initial_tests*, *assume_undetectable* and *assume_detected*
-    (behaviour keys from a previous functionally-equivalent design
-    state) make re-analysis after a local resynthesis step cheap; see
-    :meth:`DesignState.undetectable_behaviour_keys`.  A precomputed
-    *physical* design (e.g. from an early constraint check) is reused
-    instead of placing and routing again.
+    Without *physical*, the circuit is placed and routed on a new die
+    sized at the paper's 70% utilization.  A precomputed *physical*
+    design (from the resynthesis procedure's constraint check, or a
+    placement on a fixed floorplan) is reused instead of placing and
+    routing again.
 
     *prev* is how a candidate is re-analyzed after a local replacement
     (``replace_subcircuit`` of a functionally-equivalent region): it
     inherits *prev*'s detected and undetectable verdicts (by behaviour
-    key) and its test set, unless given explicitly, and nothing else.
-    Only faults whose keys name the replaced region are re-proved, and
-    the undetectable clusters are updated via union-find deltas instead
-    of re-clustered.  U, the verdicts and the clusters equal those of a
-    from-scratch analysis of the same circuit and layout; the test set
-    T does not, because ATPG starts from the inherited tests and
-    compacts them.
+    key, see :meth:`DesignState.undetectable_behaviour_keys`) and its
+    test set, and nothing else.  Only faults whose keys name the
+    replaced region are re-proved, and the undetectable clusters are
+    updated via union-find deltas instead of re-clustered.  U, the
+    verdicts and the clusters equal those of a from-scratch analysis of
+    the same circuit and layout; the test set T does not, because ATPG
+    starts from the inherited tests and compacts them.
 
     *internal_atpg* is the candidate's own pre-PDesign internal
-    classification (see :func:`classify_internal`); its verdicts seed
-    the assume sets and its tests the initial test set, so the internal
-    ATPG work is not repeated.
+    classification (see :func:`classify_internal`); its verdicts add to
+    the inherited ones and its tests to the initial test set, so the
+    internal ATPG work is not repeated.
 
     Per-stage wall times land in ``DesignState.timings``; engine
     counters in ``DesignState.stats`` (pass *stats* to accumulate into a
     caller-owned instance).
-
-    Raises :class:`~repro.physical.placement.PlacementError` if the
-    circuit does not fit *floorplan* (a die-area constraint violation).
     """
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
     if physical is None:
-        physical = pdesign(
-            circuit, library.cells, floorplan=floorplan, seed=seed,
-            utilization=utilization,
-        )
+        physical = pdesign(circuit, library.cells, seed=seed)
     timings["pdesign"] = time.perf_counter() - t0
 
-    assume_undet = assume_undetectable or None
-    assume_det = assume_detected or None
-    if prev is not None:
-        if assume_undet is None:
-            assume_undet = prev.undetectable_behaviour_keys()
-        if assume_det is None:
-            assume_det = prev.detected_behaviour_keys()
-        if initial_tests is None:
-            initial_tests = prev.tests
+    initial_tests, assume_undet, assume_det = _inherited(prev)
 
     t0 = time.perf_counter()
     fault_set = build_fault_set(
-        circuit, library, physical.layout, guidelines, stats=stats,
+        circuit, library, physical.layout, stats=stats,
     )
     timings["fault_extraction"] = time.perf_counter() - t0
 
     if internal_atpg is not None:
-        # Copies: the given (or inherited, memoized) key sets stay as
-        # they are.
+        # Copies: the inherited (memoized) key sets stay as they are.
         assume_undet = set(assume_undet or ())
         assume_det = set(assume_det or ())
         for f in fault_set.internal:
@@ -276,7 +269,6 @@ def analyze_design(
         assume_undetectable=assume_undet,
         assume_detected=assume_det,
         stats=stats,
-        budget=budget,
     )
     timings["atpg"] = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -304,45 +296,25 @@ def analyze_design(
 def classify_internal(
     circuit: Circuit,
     library: Library,
-    initial_tests: Optional[Sequence[TestPair]] = None,
+    prev: Optional[DesignState] = None,
     atpg_seed: int = 0,
-    assume_undetectable: Optional[AbstractSet] = None,
-    assume_detected: Optional[AbstractSet] = None,
     stats: Optional[EngineStats] = None,
-    budget: Optional[AtpgBudget] = None,
 ) -> AtpgResult:
     """Classify the internal faults of the bare netlist (no compaction).
 
     This is the fast pre-PDesign check of Section III-B: internal faults
-    only depend on the netlist, not on placement/routing.  The returned
-    :class:`AtpgResult` can be fed back into :func:`analyze_design` as
-    *internal_atpg* so the full analysis of an accepted candidate does
-    not re-prove the internal verdicts.
+    only depend on the netlist, not on placement/routing.  A candidate
+    inherits from its parent *prev* exactly as in :func:`analyze_design`.
+    The returned :class:`AtpgResult` can be fed back into
+    :func:`analyze_design` as *internal_atpg* so the full analysis of an
+    accepted candidate does not re-prove the internal verdicts.
     """
+    initial_tests, assume_undet, assume_det = _inherited(prev)
     internal = enumerate_internal_faults(circuit, library)
     return run_atpg(
         circuit, library.cells, internal,
         seed=atpg_seed, initial_tests=initial_tests, compaction=False,
-        assume_undetectable=assume_undetectable,
-        assume_detected=assume_detected,
+        assume_undetectable=assume_undet,
+        assume_detected=assume_det,
         stats=stats,
-        budget=budget,
     )
-
-
-def count_undetectable_internal(
-    circuit: Circuit,
-    library: Library,
-    initial_tests: Optional[Sequence[TestPair]] = None,
-    atpg_seed: int = 0,
-    assume_undetectable: Optional[AbstractSet] = None,
-    assume_detected: Optional[AbstractSet] = None,
-) -> int:
-    """Number of undetectable internal faults of the bare netlist."""
-    atpg = classify_internal(
-        circuit, library,
-        initial_tests=initial_tests, atpg_seed=atpg_seed,
-        assume_undetectable=assume_undetectable,
-        assume_detected=assume_detected,
-    )
-    return len(atpg.undetectable)

@@ -54,7 +54,6 @@ from repro.core.flow import (
     analyze_design,
     classify_internal,
 )
-from repro.dfm.guidelines import Guideline
 from repro.faults.model import CellAwareFault
 from repro.library.osu018 import Library
 from repro.netlist.circuit import Circuit, extract_subcircuit, replace_subcircuit
@@ -67,6 +66,10 @@ from repro.utils.observability import ResynthesisStats
 # Candidate evaluations the driver's LRU cache retains.
 CANDIDATE_CACHE_SIZE = 256
 
+# A sweep over the cell ordering stops when U rose this many times in a
+# row.
+TREND_WINDOW = 3
+
 
 @dataclass
 class ResynthesisConfig:
@@ -75,14 +78,7 @@ class ResynthesisConfig:
     p1: float = 0.01  # phase-1 target: |S_max| / |F|
     q_max: int = 5  # maximum delay/power increase, percent
     seed: int = 0
-    utilization: float = 0.70
-    # "faults": Synthesize() minimizes internal DFM fault sites when
-    # re-mapping C_sub ("resynthesizing the circuit with standard cells
-    # containing fewer internal faults", Section I of the paper).
-    objective: str = "faults"
     max_iterations_per_phase: int = 25
-    trend_window: int = 3  # stop a sweep when U rises this many times
-    guidelines: Optional[Sequence[Guideline]] = None
 
 
 @dataclass
@@ -164,9 +160,13 @@ class _Evaluation:
             self.state.circuit, self.replacement, name="csub"
         )
         try:
+            # "faults": Synthesize() minimizes internal DFM fault sites
+            # when re-mapping C_sub ("resynthesizing the circuit with
+            # standard cells containing fewer internal faults", Section I
+            # of the paper).
             new_sub = synthesize(
                 sub, driver.library, allowed_cells=list(self.allowed),
-                objective=driver.cfg.objective,
+                objective="faults",
             )
             candidate = replace_subcircuit(
                 self.state.circuit, self.replacement, new_sub
@@ -199,13 +199,10 @@ class _Evaluation:
         aborted (the default unlimited budget).
         """
         if self.internal_atpg is None:
-            driver, state = self.driver, self.state
+            driver = self.driver
             self.internal_atpg = classify_internal(
-                self.candidate, driver.library,
-                initial_tests=state.tests, atpg_seed=driver.cfg.seed,
-                assume_undetectable=state.undetectable_behaviour_keys(),
-                assume_detected=state.detected_behaviour_keys(),
-                stats=driver.stats.engine,
+                self.candidate, driver.library, prev=self.state,
+                atpg_seed=driver.cfg.seed, stats=driver.stats.engine,
             )
         return (
             len(self.internal_atpg.undetectable)
@@ -218,8 +215,7 @@ class _Evaluation:
             driver = self.driver
             self.cand_state = analyze_design(
                 self.candidate, driver.library,
-                seed=driver.cfg.seed, guidelines=driver.cfg.guidelines,
-                atpg_seed=driver.cfg.seed,
+                seed=driver.cfg.seed, atpg_seed=driver.cfg.seed,
                 physical=self.physical,
                 prev=self.state,
                 internal_atpg=self.internal_atpg,
@@ -321,9 +317,6 @@ class _Resynthesizer:
             return "accepted", cand_state
         return "rejected", None
 
-    def _on_backtrack_attempt(self, replacement: Set[str], status: str) -> None:
-        self.stats.backtrack_attempts += 1
-
     # ------------------------------------------------------------------
     def resynthesize_once(
         self,
@@ -348,11 +341,6 @@ class _Resynthesizer:
             # Eligible steps of the cell ordering: rules (1)-(3) of
             # Section III-B.
             if cell_i.name not in used_cells:
-                continue
-            if not any(
-                state.circuit.gates[g].cell == cell_i.name
-                for g in replacement_base
-            ):
                 continue
             rest = self._order[i + 1:]
             if not is_complete_subset(rest):
@@ -385,12 +373,17 @@ class _Resynthesizer:
                 # the tail of g_i (moved to G_back first) holds the
                 # gates with the fewest undetectable internal faults.
                 g_i.sort(key=lambda g: (-u_int_by_gate.get(g, 0), g))
-                back = backtrack_resynthesis(
-                    replacement_base, g_i,
-                    lambda repl: self.attempt(
+
+                def backtrack_attempt(
+                    repl: Set[str],
+                ) -> Tuple[str, Optional[DesignState]]:
+                    self.stats.backtrack_attempts += 1
+                    return self.attempt(
                         state, repl, allowed, q, accept_and_track
-                    ),
-                    on_attempt=self._on_backtrack_attempt,
+                    )
+
+                back = backtrack_resynthesis(
+                    replacement_base, g_i, backtrack_attempt
                 )
                 if back is not None:
                     self.history.append(IterationRecord(
@@ -402,9 +395,9 @@ class _Resynthesizer:
                     ))
                     return back
             # Early phase termination: the U trend turned upward.
-            w = self.cfg.trend_window
-            if len(u_trend) > w and all(
-                u_trend[-j] > u_trend[-j - 1] for j in range(1, w + 1)
+            if len(u_trend) > TREND_WINDOW and all(
+                u_trend[-j] > u_trend[-j - 1]
+                for j in range(1, TREND_WINDOW + 1)
             ):
                 break
         return None
@@ -475,8 +468,8 @@ def resynthesize_for_coverage(
     stats = ResynthesisStats()
     t0 = time.perf_counter()
     orig = analyze_design(
-        circuit, library, seed=cfg.seed, utilization=cfg.utilization,
-        guidelines=cfg.guidelines, atpg_seed=cfg.seed, stats=stats.engine,
+        circuit, library, seed=cfg.seed, atpg_seed=cfg.seed,
+        stats=stats.engine,
     )
     baseline = time.perf_counter() - t0
     driver = _Resynthesizer(library, orig, cfg, stats=stats)

@@ -25,10 +25,9 @@ Internal faults come from the per-cell defect enumeration
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.dfm.checker import BRIDGE, LayoutViolation, OPEN, check_layout
-from repro.dfm.guidelines import Guideline
 from repro.faults.model import (
     BridgingFault,
     Fault,
@@ -106,7 +105,6 @@ def build_fault_set(
     circuit: Circuit,
     library: Library,
     layout: Layout,
-    guidelines: Optional[Sequence[Guideline]] = None,
     stats: Optional[EngineStats] = None,
 ) -> FaultSet:
     """Assemble the full DFM fault set F (internal + external).
@@ -117,7 +115,7 @@ def build_fault_set(
     """
     fault_set = FaultSet()
     fault_set.extend(enumerate_internal_faults(circuit, library, stats=stats))
-    violations = check_layout(layout, guidelines)
+    violations = check_layout(layout)
     external = external_faults_from_violations(circuit, violations)
     fault_set.extend(external)
     if stats is not None:

@@ -65,20 +65,18 @@ def pdesign(
     cells: Mapping[str, StandardCell],
     floorplan: Optional[Floorplan] = None,
     seed: int = 0,
-    utilization: float = 0.70,
-    effort: int = 1,
 ) -> PhysicalDesign:
     """Place, route and analyze *circuit*.
 
-    With ``floorplan=None`` a new die is sized at *utilization* (used for
-    the original design); passing an existing floorplan reuses the fixed
-    die (used for every resynthesized version).  Raises
-    :class:`~repro.physical.placement.PlacementError` when the circuit
-    does not fit the fixed die.
+    With ``floorplan=None`` a new die is sized at the paper's 70%
+    utilization (used for the original design); passing an existing
+    floorplan reuses the fixed die (used for every resynthesized
+    version).  Raises :class:`~repro.physical.placement.PlacementError`
+    when the circuit does not fit the fixed die.
     """
     if floorplan is None:
-        floorplan = make_floorplan(circuit, cells, utilization)
-    layout = place(circuit, cells, floorplan, seed=seed, effort=effort)
+        floorplan = make_floorplan(circuit, cells)
+    layout = place(circuit, cells, floorplan, seed=seed)
     route(circuit, cells, layout)
     timing = static_timing(circuit, cells, layout)
     power = power_analysis(circuit, cells, layout, seed=seed)

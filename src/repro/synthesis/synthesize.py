@@ -43,7 +43,6 @@ def synthesize(
     library: Library,
     allowed_cells: Optional[Sequence[str]] = None,
     objective: str = "area",
-    effort: int = 1,
 ) -> Circuit:
     """Resynthesize *circuit* using only *allowed_cells* of *library*.
 
@@ -62,11 +61,6 @@ def synthesize(
         allowed = [cells[n] for n in allowed_cells]
     if not allowed:
         raise TechmapError("empty allowed cell subset")
-    aig = aig_from_circuit(circuit, cells)
-    aig = aig.cleanup()
-    for _ in range(max(0, effort)):
-        before = aig.num_ands()
-        aig = rewrite(balance(aig))
-        if aig.num_ands() >= before:
-            break
+    aig = aig_from_circuit(circuit, cells).cleanup()
+    aig = rewrite(balance(aig))
     return map_aig(aig, allowed, objective=objective, name=circuit.name)

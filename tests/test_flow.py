@@ -9,13 +9,14 @@ from repro.bench import build_benchmark
 from repro.core import (
     ResynthesisConfig,
     analyze_design,
-    count_undetectable_internal,
+    classify_internal,
     resynthesize_for_coverage,
     table1_row,
     table2_row,
 )
 from repro.core.metrics import average_rows
 from repro.faults import detected_by_patterns
+from repro.physical.pdesign import pdesign
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +57,16 @@ class TestAnalyzeDesign:
 
     def test_internal_count_matches_quick_path(self, tlu_state, library):
         circuit, state = tlu_state
-        quick = count_undetectable_internal(circuit, library)
-        assert quick == state.u_internal
+        quick = classify_internal(circuit, library)
+        assert len(quick.undetectable) == state.u_internal
 
     def test_fixed_floorplan_respected(self, tlu_state, library):
         circuit, state = tlu_state
-        again = analyze_design(
-            circuit, library, floorplan=state.physical.floorplan, seed=1
+        physical = pdesign(
+            circuit, library.cells, floorplan=state.physical.floorplan,
+            seed=1,
         )
+        again = analyze_design(circuit, library, seed=1, physical=physical)
         assert again.physical.floorplan == state.physical.floorplan
 
 

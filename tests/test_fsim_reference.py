@@ -1,6 +1,6 @@
 """Differential tests: bit-parallel fault simulation vs the naive oracle.
 
-``repro.faults.reference`` re-simulates the whole circuit per fault and
+``tests/fsim_reference.py`` re-simulates the whole circuit per fault and
 per pattern with scalar values and direct truth-table lookups, sharing no
 code with the optimized engine.  Every test here packs random pattern
 pairs into a :class:`PatternBatch`, runs both simulators, and requires
@@ -23,10 +23,10 @@ from repro.faults.model import (
     StuckAtFault,
     TransitionFault,
 )
-from repro.faults.reference import reference_fault_simulate
 from repro.faults.sites import enumerate_internal_faults
 from repro.library.defects import DYNAMIC, STATIC, CellDefect
 from tests.conftest import mixed_fault_list, random_mapped_circuit
+from tests.fsim_reference import reference_fault_simulate
 
 N_PAIRS = 24
 

@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.fsim import PatternBatch, fault_simulate
-from repro.faults.reference import reference_fault_simulate
 from repro.netlist import parse_netlist
 from repro.netlist.ingest import (
     BUNDLED,
@@ -41,6 +40,7 @@ from repro.netlist.ingest import (
 from repro.netlist.simulator import simulate_patterns
 from repro.runner.__main__ import main as runner_main
 from tests.conftest import mixed_fault_list
+from tests.fsim_reference import reference_fault_simulate
 
 FUZZ = settings(
     max_examples=40,

@@ -19,6 +19,7 @@ from repro.bench import build_benchmark
 from repro.core import (
     ResynthesisConfig,
     analyze_design,
+    classify_internal,
     cluster_undetectable,
     cluster_undetectable_incremental,
     resynthesis,
@@ -58,10 +59,7 @@ def incremental_run(tlu, library):
 
 
 # Arguments through which a candidate analysis inherits from its parent.
-_INHERITED = (
-    "prev", "internal_atpg", "initial_tests", "assume_undetectable",
-    "assume_detected",
-)
+_INHERITED = ("prev", "internal_atpg")
 
 
 def _from_scratch(fn):
@@ -156,6 +154,15 @@ class TestIncrementalAnalyze:
         ]
         assert _cluster_ids(inc) == _cluster_ids(full)
         assert inc.clusters.fault_gates == full.clusters.fault_gates
+        assert stats.verdicts_inherited > 0
+
+    def test_classify_internal_matches_from_scratch(self, replaced, library):
+        prev, candidate = replaced
+        stats = EngineStats()
+        inc = classify_internal(candidate, library, prev=prev, stats=stats)
+        full = classify_internal(candidate, library)
+        assert inc.undetectable == full.undetectable
+        assert inc.detected == full.detected
         assert stats.verdicts_inherited > 0
 
 

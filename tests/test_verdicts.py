@@ -76,6 +76,40 @@ class TestBudget:
         assert budget.abort_fraction == 0.25
         assert not budget.unlimited
 
+    @pytest.mark.parametrize("name", [
+        "REPRO_ATPG_DEADLINE_MS", "REPRO_ATPG_ABORT_FRACTION",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "many"])
+    def test_from_env_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AtpgBudget.from_env({name: value})
+
+    @pytest.mark.parametrize("name", [
+        "REPRO_ATPG_DEADLINE_MS", "REPRO_ATPG_CONFLICT_BUDGET",
+        "REPRO_ATPG_DECISION_BUDGET",
+    ])
+    def test_from_env_rejects_negative_limits(self, name):
+        with pytest.raises(ValueError, match=name):
+            AtpgBudget.from_env({name: "-1"})
+
+    @pytest.mark.parametrize("value", ["7", "-0.5", "1.01"])
+    def test_from_env_rejects_fraction_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match="REPRO_ATPG_ABORT_FRACTION"):
+            AtpgBudget.from_env({"REPRO_ATPG_ABORT_FRACTION": value})
+
+    def test_from_env_accepts_zero_and_unit_bounds(self):
+        budget = AtpgBudget.from_env({
+            "REPRO_ATPG_DEADLINE_MS": "0.0",
+            "REPRO_ATPG_CONFLICT_BUDGET": "0",
+            "REPRO_ATPG_DECISION_BUDGET": "0",
+            "REPRO_ATPG_ABORT_FRACTION": "0",
+        })
+        assert budget.deadline_ms == 0.0
+        assert budget.conflict_budget == budget.decision_budget == 0
+        assert budget.abort_fraction == 0.0
+        assert AtpgBudget.from_env(
+            {"REPRO_ATPG_ABORT_FRACTION": "1"}).abort_fraction == 1.0
+
     def test_verdict_names(self):
         assert verdict_name(True) == DETECTED
         assert verdict_name(False) == UNDETECTABLE

@@ -6,7 +6,7 @@ pairs at once), while ATPG and :func:`detected_by_patterns` grade pairs
 :data:`BATCH_PAIRS` at a time.  Detect words must not depend on the
 width: bit *i* of fault *f*'s word is set by exactly the same pattern
 pairs whether the batch is simulated in one pass, in ``BATCH_PAIRS``-pair
-chunks, or by the naive oracle :mod:`repro.faults.reference`.  This
+chunks, or by the naive oracle in ``tests/fsim_reference.py``.  This
 suite locks that in:
 
 * on random mapped circuits with faults of every model, across batch
@@ -22,8 +22,8 @@ import pytest
 
 from repro.bench.circuits import BENCHMARKS, build_benchmark
 from repro.faults.fsim import BATCH_PAIRS, PatternBatch, fault_simulate
-from repro.faults.reference import reference_fault_simulate
 from tests.conftest import mixed_fault_list, random_mapped_circuit
+from tests.fsim_reference import reference_fault_simulate
 
 # Batch widths spanning the interesting boundaries: a single pair, a
 # partial word, exactly one word, a word boundary + 1, several words.
