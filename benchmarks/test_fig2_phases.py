@@ -18,7 +18,7 @@ from repro.core import ResynthesisConfig, analyze_design
 from repro.core.resynthesis import _Resynthesizer
 from repro.utils import format_table
 
-CIRCUIT = os.environ.get("REPRO_FIG2_CIRCUIT", "systemcaes")
+CIRCUIT = os.environ.get("REPRO_FIG2_CIRCUIT", "sparc_lsu")
 
 
 def _run():

@@ -8,34 +8,6 @@ from repro.core.flow import DesignState
 from repro.core.resynthesis import ResynthesisResult
 
 
-def engine_row(name: str, state: DesignState) -> Dict[str, object]:
-    """Observability columns for one analyzed design.
-
-    Flattens the engine counters (:class:`repro.utils.observability.
-    EngineStats`) plus the per-stage wall times of
-    :func:`repro.core.flow.analyze_design` into one table row; the perf
-    harness dumps these as the ``BENCH_engine.json`` trajectory point.
-    """
-    stats = state.stats
-    row: Dict[str, object] = {
-        "Circuit": name,
-        "Gates": len(state.circuit),
-        "F": state.n_faults,
-        "FaultsSim": stats.faults_simulated,
-        "Events": stats.events_propagated,
-        "Batches": stats.batches,
-        "SatCalls": stats.sat_calls,
-        "SatConflicts": stats.sat_conflicts,
-        "SatProps": stats.sat_propagations,
-        "SatAborts": stats.sat_aborts,
-    }
-    for phase, seconds in sorted(stats.phase_seconds.items()):
-        row[f"t[{phase}]"] = seconds
-    for stage, seconds in state.timings.items():
-        row[f"t[{stage}]"] = seconds
-    return row
-
-
 def table1_row(name: str, state: DesignState) -> Dict[str, object]:
     """Columns of Table I (clustered undetectable faults)."""
     f_in = len(state.fault_set.internal)

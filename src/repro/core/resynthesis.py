@@ -26,10 +26,10 @@ it without changing the trace, U, S_max, verdicts or clusters:
 * **Staged, cached candidate evaluation** — a candidate is identified
   by ``(current state, replacement gate set, allowed cells)``; none of
   its evaluation stages depend on the slack step q or on the phase, so
-  one bounded LRU cache (:class:`_Evaluation` objects) carries finished
-  work across the whole q sweep.  The q = 0 and q = 1 passes, and the
+  one table per design state (:class:`_Evaluation` objects) carries
+  finished work across the q sweep.  The q = 0 and q = 1 passes, and the
   phase-1/phase-2 passes over an unchanged state, repeat *identical*
-  candidate evaluations — the cache collapses them to lookups.
+  candidate evaluations — the table collapses them to lookups.
 * **Verdict inheritance** — a candidate that passes the internal-fault
   and constraint gates is re-analyzed with ``analyze_design(prev=state,
   internal_atpg=...)``, the only re-analysis path: it inherits the
@@ -43,7 +43,6 @@ it without changing the trace, U, S_max, verdicts or clusters:
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -62,9 +61,6 @@ from repro.physical.placement import PlacementError
 from repro.synthesis.synthesize import is_complete_subset, synthesize
 from repro.synthesis.techmap import TechmapError
 from repro.utils.observability import ResynthesisStats
-
-# Candidate evaluations the driver's LRU cache retains.
-CANDIDATE_CACHE_SIZE = 256
 
 # A sweep over the cell ordering stops when U rose this many times in a
 # row.
@@ -240,7 +236,8 @@ class _Resynthesizer:
         self.stats = stats if stats is not None else ResynthesisStats()
         self.history: List[IterationRecord] = []
         self._order = library.order_by_internal_faults()
-        self._eval_cache: "OrderedDict[tuple, _Evaluation]" = OrderedDict()
+        self._state: Optional[DesignState] = None  # owner of _candidates
+        self._candidates: Dict[tuple, _Evaluation] = {}
 
     def _evaluation(
         self,
@@ -250,23 +247,21 @@ class _Resynthesizer:
     ) -> _Evaluation:
         """The cached evaluation for (state, replacement, allowed).
 
-        The key uses ``id(state)``; every live cache entry holds a
-        reference to its state, so an id cannot be recycled while
-        entries for it remain.
+        Resynthesis only moves forward: every attempt is made against
+        the current state, and an accepted candidate replaces it.  A
+        superseded state's candidates never come up again, so the table
+        is emptied when the state changes.
         """
-        repl = frozenset(replacement)
-        allow = tuple(allowed)
-        key = (id(state), repl, allow)
-        ev = self._eval_cache.get(key)
-        if ev is not None and ev.state is state:
+        if state is not self._state:
+            self._state = state
+            self._candidates = {}
+        key = (frozenset(replacement), tuple(allowed))
+        ev = self._candidates.get(key)
+        if ev is not None:
             self.stats.candidate_cache_hits += 1
-            self._eval_cache.move_to_end(key)
             return ev
         self.stats.candidate_cache_misses += 1
-        ev = _Evaluation(self, state, repl, allow)
-        self._eval_cache[key] = ev
-        while len(self._eval_cache) > CANDIDATE_CACHE_SIZE:
-            self._eval_cache.popitem(last=False)
+        ev = self._candidates[key] = _Evaluation(self, state, *key)
         return ev
 
     # ------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Crash-robust experiment orchestrator.
 
 A *campaign* — e.g. "analyze and resynthesize circuits X, Y, Z for
-q = 0..5 with library variants A, B" — is expressed as a DAG of
-idempotent tasks (:class:`TaskSpec` / :class:`CampaignSpec`) and
-executed by :class:`Runner` with per-task wall-clock timeouts, bounded
-retries with exponential backoff, and optional process isolation for
-heavy tasks.  Every task's start/end/result/stats is journaled to an
-append-only JSONL file under ``benchmarks/results/runs/<run_id>/``, so
-a crash, hang or OOM in the middle of a sweep loses at most the task
-that was running: :func:`resume` replays the journal and re-executes
+q = 0..5 with library variants A, B" — is expressed as a list of
+independent, idempotent tasks (:class:`TaskSpec` /
+:class:`CampaignSpec`) and executed by :class:`Runner` on one bounded
+pool with per-task wall-clock timeouts, bounded retries with
+exponential backoff, and optional process isolation for heavy tasks.
+Every task's start/end/result/stats is journaled to an append-only
+JSONL file under ``benchmarks/results/runs/<run_id>/``, so a crash,
+hang or OOM in the middle of a sweep loses at most the tasks that were
+running: :func:`resume` replays the journal and re-executes
 only tasks that are missing, failed, or whose input fingerprint
-(circuit hash + config + ATPG budget env knobs + dependency
-fingerprints) changed.
+(circuit hash + config + ATPG budget env knobs) changed.
 
 Command line: ``python -m repro.runner {run,resume,report,check,diff}``
 (see README.md for the journal schema and CLI reference).

@@ -32,13 +32,13 @@ import sys
 import time
 from typing import Optional
 
-from repro.runner.executor import DEFAULT_RUNS_ROOT, Runner, resume
+from repro.runner.executor import DEFAULT_RUNS_ROOT, Runner
 from repro.runner.journal import (
     JournalError,
     read_journal,
     verify_resume_discipline,
 )
-from repro.runner.model import CampaignSpec
+from repro.runner.model import CampaignError, CampaignSpec
 from repro.runner.report import load_report, normalize_report, render_report
 
 
@@ -96,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="concurrent campaign tasks (default: the CPU count; "
-             "1 = serial)",
+        help="concurrent campaign tasks (default: the CPU count)",
     )
     run.add_argument(
         "--variants", type=_csv, default=("full",),
@@ -119,8 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(res)
     res.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="concurrent campaign tasks (default: the CPU count; "
-             "1 = serial)",
+        help="concurrent campaign tasks (default: the CPU count)",
     )
     res.add_argument(
         "--kill-at", default=None, metavar="TASK[:ATTEMPT]",
@@ -244,18 +242,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    if args.kill_at:
-        campaign = CampaignSpec.load(
-            os.path.join(args.out, args.run_id, "campaign.json")
-        )
-        runner = Runner(
-            campaign, root=args.out,
-            on_task_start=_parse_kill_at(args.kill_at),
-            jobs=args.jobs,
-        )
-        report = runner.execute()
-    else:
-        report = resume(args.run_id, root=args.out, jobs=args.jobs)
+    campaign = CampaignSpec.load(
+        os.path.join(args.out, args.run_id, "campaign.json")
+    )
+    hook = _parse_kill_at(args.kill_at) if args.kill_at else None
+    report = Runner(
+        campaign, root=args.out, on_task_start=hook, jobs=args.jobs
+    ).execute()
     print(render_report(report))
     return 0 if report["status"] == "ok" else 1
 
@@ -431,7 +424,11 @@ def main(argv: Optional[list] = None) -> int:
         "ingest": _cmd_ingest,
         "diff": _cmd_diff,
     }
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except CampaignError as exc:  # before any run directory is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,8 +32,6 @@ def main(argv=None) -> int:
         run_dir=spec["run_dir"],
         task_id=spec["task_id"],
         attempt=int(spec.get("attempt", 1)),
-        deps=spec.get("deps") or {},
-        dep_meta=spec.get("dep_meta") or {},
         store=None,
     )
     try:

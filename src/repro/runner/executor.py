@@ -1,23 +1,22 @@
-"""DAG execution: concurrency, timeouts, retries, isolation, resume.
+"""Campaign execution: one pool, timeouts, retries, isolation, resume.
 
-:class:`Runner` executes a :class:`~repro.runner.model.CampaignSpec`
-either serially in deterministic topological order (``jobs=1``) or with
-a **ready-set scheduler** (``jobs>1``; ``None`` means the CPU count):
-tasks whose dependencies are all settled dispatch concurrently onto a
-bounded thread pool.  This is the one parallel layer, and ``jobs`` the
-one execution setting: each task itself runs serially.  Around every
-task it journals ``task_start`` / ``task_end`` events (each fsync'd
-before proceeding), so the run directory always reflects exactly what
-has finished — a SIGKILL, OOM, or power cut mid-campaign loses at most
-the tasks that were running.  ``campaign.json`` is written whenever the
+:class:`Runner` executes a :class:`~repro.runner.model.CampaignSpec`, a
+list of independent tasks, on one bounded thread pool of ``jobs``
+workers (``None`` means the CPU count; ``jobs=1`` is a one-worker
+pool).  This is the one parallel layer, and ``jobs`` the one execution
+setting: each task itself runs serially.  Around every task it journals
+``task_start`` / ``task_end`` events (each fsync'd before proceeding),
+so the run directory always reflects exactly what has finished — a
+SIGKILL, OOM, or power cut mid-campaign loses at most the tasks that
+were running.  ``campaign.json`` is written whenever the
 campaign changes: at start, and each time :meth:`Runner.execute_spec`
 appends a task.
 
 Concurrency changes *when* tasks run, never *what* they compute: journal
 events are task-keyed so replay / ``diff`` / resume are insensitive to
-interleaving, and outcomes are re-ordered to campaign topological order
-before the report is built — a ``jobs=4`` report normalizes
-bit-identical to a serial one.
+interleaving, and outcomes are re-ordered to campaign order before the
+report is built — a ``jobs=4`` report normalizes bit-identical to a
+``jobs=1`` one.
 
 Execution policy per task:
 
@@ -50,9 +49,9 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.runner.journal import Journal, RunLedger, read_journal, replay
 from repro.runner.model import (
@@ -96,7 +95,7 @@ class TaskOutcome:
 
     task_id: str
     kind: str
-    status: str  # "ok" | "cached" | "failed" | "timeout" | "skipped"
+    status: str  # "ok" | "cached" | "failed" | "timeout"
     payload: Optional[dict] = None
     duration: float = 0.0
     attempts: int = 0
@@ -128,8 +127,7 @@ class Runner:
     # the orchestrator mid-task).
     on_task_start: Optional[Callable[[str, int], None]] = None
     sleep: Callable[[float], None] = time.sleep
-    # Scheduler width: None resolves to the CPU count at execute() time;
-    # 1 is the historical serial path, bit-for-bit.
+    # Pool width: None resolves to the CPU count at execute() time.
     jobs: Optional[int] = None
 
     outcomes: "OrderedDict[str, TaskOutcome]" = field(
@@ -147,7 +145,7 @@ class Runner:
         self.runtime_warnings: Dict[str, int] = {}
         self._warn_lock = threading.Lock()
         # Scheduler observability for the report's UTILIZATION section
-        # (populated only by the concurrent path).
+        # (populated by execute(), not by execute_spec()).
         self.scheduler_info: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -186,20 +184,17 @@ class Runner:
 
     # ------------------------------------------------------------------
     def execute(self) -> dict:
-        """Run every task and finalize the report.
+        """Run every task on the pool and finalize the report.
 
-        ``jobs=1``: the historical serial loop in topological order.
-        ``jobs>1``: the ready-set scheduler — same journal schema, same
-        resume discipline, same normalized report.
+        Task ids are checked and every task fingerprinted (which rejects
+        unknown kinds) before the run directory is touched, so an
+        invalid campaign leaves nothing behind.
         """
-        order = self.campaign.topo_order()  # validates before any I/O
+        self.campaign.by_id()
+        for spec in self.campaign.tasks:
+            self._fingerprint(spec)
         self._ensure_started()
-        jobs = resolve_run_jobs(self.jobs)
-        if jobs <= 1 or len(order) <= 1:
-            for spec in order:
-                self._execute_spec(spec)
-        else:
-            self._execute_concurrent(order, jobs)
+        self._execute_pool(resolve_run_jobs(self.jobs))
         return self.finalize()
 
     def execute_spec(self, spec: TaskSpec) -> TaskOutcome:
@@ -215,22 +210,22 @@ class Runner:
             if self.journal is not None:  # else _ensure_started saves it
                 self.campaign.save(self.campaign_path)
         self._ensure_started()
-        return self._execute_spec(spec)
+        outcome = self._settle_fast(spec)
+        if outcome is None:
+            outcome = self._run_attempts(spec, self._fps[spec.task_id])
+            self.outcomes[spec.task_id] = outcome
+        return outcome
 
     def finalize(self) -> dict:
         """Journal the aggregated report and the run_end event."""
         self._ensure_started()
         # Report determinism under concurrency: outcomes settle in
         # completion order, which interleaving makes nondeterministic;
-        # the report always presents them in campaign topological order.
-        ordered: "OrderedDict[str, TaskOutcome]" = OrderedDict()
-        for spec in self.campaign.topo_order():
-            if spec.task_id in self.outcomes:
-                ordered[spec.task_id] = self.outcomes[spec.task_id]
-        for tid, outcome in self.outcomes.items():
-            if tid not in ordered:
-                ordered[tid] = outcome
-        self.outcomes = ordered
+        # the report always presents them in campaign order.
+        self.outcomes = OrderedDict(
+            (s.task_id, self.outcomes[s.task_id])
+            for s in self.campaign.tasks if s.task_id in self.outcomes
+        )
         failed = [o for o in self.outcomes.values() if not o.ok]
         status = "failed" if failed else "ok"
         report = build_report(
@@ -257,28 +252,18 @@ class Runner:
     def _fingerprint(self, spec: TaskSpec) -> str:
         fp = self._fps.get(spec.task_id)
         if fp is None:
-            missing = [d for d in spec.deps if d not in self._fps]
-            for dep in missing:
-                raise RuntimeError(
-                    f"task {spec.task_id}: dep {dep} not yet fingerprinted"
-                )
-            fp = fingerprint_task(
-                spec, self._fps,
-                extra=fingerprint_extra(spec.kind, spec.params),
-            )
+            fp = fingerprint_task(spec, extra=fingerprint_extra(spec))
             self._fps[spec.task_id] = fp
         return fp
 
     def _settle_fast(self, spec: TaskSpec) -> Optional[TaskOutcome]:
         """Settle *spec* without running it, if possible.
 
-        Fingerprints the task (deps must already be settled), then
-        resolves the no-execution outcomes: already done this life,
-        journaled-complete with a matching fingerprint (``task_cached``),
-        or skipped because a dependency failed.  Returns ``None`` when
-        the task genuinely needs an execution attempt.  Runs on the
-        scheduler thread only, so fingerprint and journal bookkeeping
-        stay single-writer.
+        Fingerprints the task, then resolves the no-execution outcomes:
+        already done this life, or journaled-complete with a matching
+        fingerprint (``task_cached``).  Returns ``None`` when the task
+        needs an execution attempt.  Runs on the scheduler thread only,
+        so fingerprint and outcome bookkeeping stay single-writer.
         """
         done = self.outcomes.get(spec.task_id)
         if done is not None:
@@ -301,105 +286,44 @@ class Runner:
             )
             self.outcomes[spec.task_id] = outcome
             return outcome
-
-        bad_deps = [
-            d for d in spec.deps if not self.outcomes[d].ok
-        ]
-        if bad_deps:
-            self.journal.append({
-                "event": "task_skipped",
-                "task": spec.task_id,
-                "reason": "dep-failed",
-                "deps": bad_deps,
-            })
-            outcome = TaskOutcome(
-                spec.task_id, spec.kind, "skipped",
-                error=f"dependencies failed: {bad_deps}",
-            )
-            self.outcomes[spec.task_id] = outcome
-            return outcome
         return None
 
-    def _execute_spec(self, spec: TaskSpec) -> TaskOutcome:
-        outcome = self._settle_fast(spec)
-        if outcome is not None:
-            return outcome
-        outcome = self._run_attempts(spec, self._fps[spec.task_id])
-        self.outcomes[spec.task_id] = outcome
-        return outcome
-
     # ------------------------------------------------------------------
-    # Ready-set scheduler (jobs > 1)
-    # ------------------------------------------------------------------
-    def _execute_concurrent(self, order: List[TaskSpec], jobs: int) -> None:
-        """Dispatch ready tasks onto a bounded pool until the DAG drains.
+    def _execute_pool(self, jobs: int) -> None:
+        """Settle cached tasks, then run the rest on a bounded pool.
 
-        A task is *ready* when every dependency has an outcome.  Ready
-        tasks are settled fast-path first (cached / skipped — these may
-        unblock dependents within the same wave); the remainder are
-        submitted to the pool.  The scheduler thread is the only writer
-        of ``outcomes``, the fingerprint map, and the campaign file;
-        worker threads only journal their own task events (the journal
-        is thread-safe) and return their outcome through the future.
+        Cached tasks settle on this thread in campaign order; the rest
+        are submitted in campaign order and collected as they finish.
+        This thread is the only writer of ``outcomes`` and the
+        fingerprint map; worker threads only journal their own task
+        events (the journal is thread-safe) and return their outcome
+        through the future.
         """
         started = time.perf_counter()
-        pending: "OrderedDict[str, TaskSpec]" = OrderedDict(
-            (s.task_id, s) for s in order
-        )
-        in_flight: Dict[Future, str] = {}
+        todo = [s for s in self.campaign.tasks if self._settle_fast(s) is None]
         spans: Dict[str, Dict[str, float]] = {}
-        peak_in_flight = 0
         with ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="repro-sched"
         ) as pool:
-            while pending or in_flight:
-                progressed = True
-                while progressed:
-                    progressed = False
-                    for task_id in list(pending):
-                        spec = pending[task_id]
-                        if any(d not in self.outcomes for d in spec.deps):
-                            continue
-                        del pending[task_id]
-                        if self._settle_fast(spec) is not None:
-                            # Settled without running: dependents may
-                            # have become ready — rescan this wave.
-                            progressed = True
-                            continue
-                        fut = pool.submit(
-                            self._run_timed,
-                            spec,
-                            self._fps[spec.task_id],
-                            time.perf_counter(),
-                        )
-                        in_flight[fut] = task_id
-                peak_in_flight = max(peak_in_flight, len(in_flight))
-                if not in_flight:
-                    if pending:  # unreachable after topo validation
-                        raise RuntimeError(
-                            "scheduler stalled with tasks pending: "
-                            f"{sorted(pending)}"
-                        )
-                    break
-                finished, _ = wait(
-                    list(in_flight), return_when=FIRST_COMPLETED
-                )
-                for fut in finished:
-                    task_id = in_flight.pop(fut)
-                    outcome, span = fut.result()
-                    self.outcomes[task_id] = outcome
-                    spans[task_id] = span
+            futures = [
+                pool.submit(self._run_timed, spec, self._fps[spec.task_id],
+                            time.perf_counter())
+                for spec in todo
+            ]
+            for fut in as_completed(futures):
+                outcome, span = fut.result()
+                self.outcomes[outcome.task_id] = outcome
+                spans[outcome.task_id] = span
         makespan = time.perf_counter() - started
         busy = sum(span["run"] for span in spans.values())
         self.scheduler_info = {
             "run_jobs": jobs,
-            "peak_in_flight": peak_in_flight,
+            # Submitted futures, not running tasks: every task that was
+            # not cached is in flight from the start.
+            "peak_in_flight": len(futures),
             "makespan": makespan,
             "busy_seconds": busy,
-            "spans": {
-                s.task_id: spans[s.task_id]
-                for s in order if s.task_id in spans
-            },
+            "spans": {s.task_id: spans[s.task_id] for s in todo},
         }
         self.journal.append({
             "event": "scheduler",
@@ -420,15 +344,7 @@ class Runner:
 
     def _run_attempts(self, spec: TaskSpec, fp: str) -> TaskOutcome:
         ctx = TaskContext(
-            run_dir=self.run_dir,
-            task_id=spec.task_id,
-            deps={d: self.outcomes[d].payload or {} for d in spec.deps},
-            dep_meta={
-                d: {"kind": self.outcomes[d].kind,
-                    "status": self.outcomes[d].status}
-                for d in spec.deps
-            },
-            store=self.store,
+            run_dir=self.run_dir, task_id=spec.task_id, store=self.store,
         )
         attempts = spec.retries + 1
         last_error: Optional[TaskFailure] = None
@@ -556,8 +472,6 @@ class Runner:
                 "task_id": spec.task_id,
                 "attempt": ctx.attempt,
                 "run_dir": self.run_dir,
-                "deps": ctx.deps,
-                "dep_meta": ctx.dep_meta,
             }, fh)
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -616,10 +530,8 @@ def resume(
     """Resume *run_id* from its journal; returns the final report.
 
     Replays ``<root>/<run_id>/journal.jsonl``, reuses every completed
-    task whose fingerprint still matches, and executes the rest —
-    concurrently unless *jobs* is 1; resume and scheduling compose
-    because cached settling happens on the scheduler thread before
-    anything dispatches.
+    task whose fingerprint still matches, and executes the rest on the
+    pool; cached tasks settle before anything is submitted.
     """
     campaign_path = os.path.join(root, run_id, "campaign.json")
     campaign = CampaignSpec.load(campaign_path)

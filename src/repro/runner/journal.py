@@ -25,7 +25,10 @@ Event schema (all events carry ``event`` and ``ts`` = epoch seconds):
   slept before the next attempt);
 * ``task_cached`` — ``task``, ``fingerprint``; the journaled result of a
   previous execution was reused without re-running the task;
-* ``task_skipped`` — ``task``, ``reason`` (e.g. ``dep-failed``);
+* ``warning``    — ``code``, ``message``, ``task``: a coded runtime
+  warning (``RUN-THREAD-ABANDONED``);
+* ``scheduler``  — ``run_id``, ``run_jobs``, ``peak_in_flight``,
+  ``makespan``, ``busy_seconds``: the pool's utilization;
 * ``report``     — ``report``: the aggregated final report of the run;
 * ``run_end``    — ``run_id``, ``status`` (``ok`` | ``failed``).
 """
@@ -109,9 +112,6 @@ class RunLedger:
     """What a journal says already happened, for resume decisions."""
 
     tasks: Dict[str, TaskRecord] = field(default_factory=dict)
-    run_started: bool = False
-    run_ended: bool = False
-    resumes: int = 0
 
     def record(self, task_id: str) -> TaskRecord:
         rec = self.tasks.get(task_id)
@@ -174,14 +174,7 @@ def replay(events: List[Dict[str, object]]) -> RunLedger:
     ledger = RunLedger()
     for event in events:
         kind = event.get("event")
-        if kind == "run_start":
-            ledger.run_started = True
-        elif kind == "run_resume":
-            ledger.resumes += 1
-            ledger.run_ended = False
-        elif kind == "run_end":
-            ledger.run_ended = True
-        elif kind == "task_start":
+        if kind == "task_start":
             rec = ledger.record(str(event["task"]))
             rec.attempts += 1
             rec.started_unfinished = True

@@ -1,21 +1,19 @@
 """Task and campaign model of the experiment orchestrator.
 
 A :class:`TaskSpec` describes one idempotent unit of work: a registered
-task *kind* plus JSON parameters, its dependencies, and its execution
-policy (timeout / retries / backoff / isolation).  A
-:class:`CampaignSpec` is a named DAG of tasks; it validates to a
-deterministic topological order, serializes to ``campaign.json`` inside
-the run directory, and is what ``resume`` reloads after a crash.
+task *kind* plus JSON parameters and its execution policy (timeout /
+retries / backoff / isolation).  A :class:`CampaignSpec` is a named list
+of independent tasks; it serializes to ``campaign.json`` inside the run
+directory, and is what ``resume`` reloads after a crash.
 
 Fingerprints implement the same content-keying discipline as the
 resynthesis evaluation cache: a task's fingerprint hashes its kind,
 parameters, kind-specific input digest (for circuit tasks: a structural
-hash of the built benchmark netlist and the library variant), the ATPG
-budget's environment knobs (the only environment input that changes a
-result), and — Merkle-style — the fingerprints of its dependencies.  On
-resume, a journaled ``ok`` result is reused only when its recorded
-fingerprint still matches; any config, circuit, budget, or upstream
-change re-executes exactly the affected cone, and nothing else does.
+hash of the built benchmark netlist and the library variant) and the
+ATPG budget's environment knobs (the only environment input that
+changes a result).  On resume, a journaled ``ok`` result is reused only
+when its recorded fingerprint still matches; any config, circuit or
+budget change re-executes exactly the tasks it affects.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 # The environment inputs that change what tasks compute: the ATPG
 # budget, which decides which faults abort, and so the U, Cov and
@@ -35,7 +33,7 @@ from repro.atpg.budget import ENV_VARS as ENV_KNOBS
 
 
 class CampaignError(ValueError):
-    """Invalid campaign: duplicate ids, unknown deps, or cycles."""
+    """Invalid campaign: duplicate ids, dependencies, unknown kinds."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,6 @@ class TaskSpec:
     task_id: str
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
-    deps: Tuple[str, ...] = ()
     timeout: Optional[float] = None  # wall-clock seconds per attempt
     retries: int = 0  # extra attempts after the first failure
     backoff: float = 1.0  # base backoff seconds, doubled per retry
@@ -64,7 +61,6 @@ class TaskSpec:
             "id": self.task_id,
             "kind": self.kind,
             "params": dict(self.params),
-            "deps": list(self.deps),
             "timeout": self.timeout,
             "retries": self.retries,
             "backoff": self.backoff,
@@ -73,11 +69,16 @@ class TaskSpec:
 
     @staticmethod
     def from_json(data: Mapping[str, object]) -> "TaskSpec":
+        # Files of earlier revisions carry "deps": [] on every task;
+        # campaign tasks are independent, so any dependency is an error.
+        if data.get("deps"):
+            raise CampaignError(
+                f"task {data['id']}: unsupported deps {list(data['deps'])}"
+            )
         return TaskSpec(
             task_id=str(data["id"]),
             kind=str(data["kind"]),
             params=dict(data.get("params", {})),
-            deps=tuple(data.get("deps", ())),
             timeout=data.get("timeout"),
             retries=int(data.get("retries", 0)),
             backoff=float(data.get("backoff", 1.0)),
@@ -87,7 +88,7 @@ class TaskSpec:
 
 @dataclass
 class CampaignSpec:
-    """A named DAG of tasks plus free-form campaign metadata."""
+    """A named list of independent tasks plus free-form metadata."""
 
     run_id: str
     tasks: List[TaskSpec] = field(default_factory=list)
@@ -100,36 +101,6 @@ class CampaignSpec:
                 raise CampaignError(f"duplicate task id {spec.task_id!r}")
             out[spec.task_id] = spec
         return out
-
-    def topo_order(self) -> List[TaskSpec]:
-        """Deterministic topological order (declaration order, deps first)."""
-        by_id = self.by_id()
-        for spec in self.tasks:
-            for dep in spec.deps:
-                if dep not in by_id:
-                    raise CampaignError(
-                        f"task {spec.task_id}: unknown dep {dep!r}"
-                    )
-        order: List[TaskSpec] = []
-        state: Dict[str, int] = {}  # 1 = visiting, 2 = done
-
-        def visit(spec: TaskSpec) -> None:
-            mark = state.get(spec.task_id)
-            if mark == 2:
-                return
-            if mark == 1:
-                raise CampaignError(
-                    f"dependency cycle through {spec.task_id!r}"
-                )
-            state[spec.task_id] = 1
-            for dep in spec.deps:
-                visit(by_id[dep])
-            state[spec.task_id] = 2
-            order.append(spec)
-
-        for spec in self.tasks:
-            visit(spec)
-        return order
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -175,7 +146,6 @@ def env_knobs(env: Optional[Mapping[str, str]] = None) -> Dict[str, str]:
 
 def fingerprint_task(
     spec: TaskSpec,
-    dep_fingerprints: Mapping[str, str],
     extra: object = None,
     env: Optional[Mapping[str, str]] = None,
 ) -> str:
@@ -183,15 +153,18 @@ def fingerprint_task(
 
     *extra* is the kind-specific input digest (e.g. the structural hash
     of the benchmark circuit a task analyzes) provided by the task
-    registry; *dep_fingerprints* chains the fingerprints of the task's
-    dependencies, so an upstream change invalidates the whole cone.
+    registry.
     """
     body = {
         "kind": spec.kind,
         "params": dict(spec.params),
         "extra": extra,
         "env": env_knobs(env),
-        "deps": {d: dep_fingerprints[d] for d in spec.deps},
+        # Tasks had dependencies once, whose fingerprints were hashed
+        # here.  The empty map keeps every journaled fingerprint (and
+        # the golden values in tests/test_runner.py) valid, so runs
+        # journaled then still resume with zero re-execution.
+        "deps": {},
     }
     digest = hashlib.sha256(_canonical(body).encode()).hexdigest()
     return f"sha256:{digest}"
@@ -201,16 +174,15 @@ def fingerprint_campaign(
     campaign: CampaignSpec,
     env: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, str]:
-    """Fingerprints for every task of *campaign*, in one pass."""
+    """Fingerprints for every task of *campaign*."""
     from repro.runner.registry import fingerprint_extra
 
-    fps: Dict[str, str] = {}
-    for spec in campaign.topo_order():
-        fps[spec.task_id] = fingerprint_task(
-            spec, fps, extra=fingerprint_extra(spec.kind, spec.params),
-            env=env,
+    return {
+        spec.task_id: fingerprint_task(
+            spec, extra=fingerprint_extra(spec), env=env
         )
-    return fps
+        for spec in campaign.tasks
+    }
 
 
 def structural_circuit_hash(circuit) -> str:

@@ -15,8 +15,10 @@ parameters, changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
+
+from repro.runner.model import CampaignError, TaskSpec
 
 TaskFn = Callable[[Mapping[str, object], "TaskContext"], dict]
 FingerprintFn = Callable[[Mapping[str, object]], object]
@@ -32,8 +34,6 @@ class TaskContext:
     run_dir: str
     task_id: str
     attempt: int = 1
-    deps: Dict[str, dict] = field(default_factory=dict)  # dep payloads
-    dep_meta: Dict[str, dict] = field(default_factory=dict)
     store: Optional[dict] = None  # in-process object store (inline only)
 
 
@@ -61,15 +61,16 @@ def get_task(name: str) -> TaskFn:
         ) from None
 
 
-def fingerprint_extra(name: str, params: Mapping[str, object]) -> object:
-    """Kind-specific input digest folded into the task fingerprint."""
+def fingerprint_extra(spec: TaskSpec) -> object:
+    """Kind-specific input digest folded into *spec*'s fingerprint."""
     _ensure_builtin_tasks()
-    if name not in _TASKS:
-        raise KeyError(
-            f"unknown task kind {name!r}; known: {sorted(_TASKS)}"
+    if spec.kind not in _TASKS:
+        raise CampaignError(
+            f"task {spec.task_id}: unknown task kind {spec.kind!r}; "
+            f"known: {sorted(_TASKS)}"
         )
-    hook = _FINGERPRINTS.get(name)
-    return hook(params) if hook is not None else None
+    hook = _FINGERPRINTS.get(spec.kind)
+    return hook(spec.params) if hook is not None else None
 
 
 def _ensure_builtin_tasks() -> None:

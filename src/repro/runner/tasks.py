@@ -17,7 +17,7 @@ generated netlist (or library) changed.
 
 Synthetic task kinds (failure-path tests and CI fault injection):
 
-* ``sum`` — returns ``value`` plus the sum of its deps' values;
+* ``sum`` — returns its ``value``;
 * ``sleep`` — sleeps ``seconds`` and returns;
 * ``hang`` — sleeps a long time (timeout-path testing);
 * ``flaky`` — fails its first ``fail_times`` attempts (state is kept in
@@ -227,10 +227,7 @@ def resynthesize_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
 
 @task("sum")
 def sum_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
-    total = int(params.get("value", 0))
-    for payload in ctx.deps.values():
-        total += int(payload.get("value", 0))
-    return {"value": total}
+    return {"value": int(params.get("value", 0))}
 
 
 @task("sleep")
@@ -331,7 +328,7 @@ def paper_campaign(
     retries: int = 0,
     backoff: float = 1.0,
 ):
-    """The paper's sweep as a campaign DAG.
+    """The paper's sweep as a campaign.
 
     Table 1 adds one ``analyze`` task per (variant, circuit); Table 2
     adds one ``resynthesize`` task per (variant, circuit) — each task is

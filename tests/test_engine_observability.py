@@ -15,7 +15,6 @@ import pytest
 
 import repro.netlist.simulator as sim
 from repro.atpg.engine import run_atpg
-from repro.core.metrics import engine_row
 from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.sites import enumerate_internal_faults
 from repro.utils.observability import EngineStats, ResynthesisStats
@@ -126,22 +125,6 @@ def test_stats_merge_and_as_dict():
     ]
     assert resyn_snap["candidates_evaluated"] == 2
     assert resyn_snap["engine"] == full.as_dict()
-
-
-def test_engine_row_flattens_counters(library, cells, adder4):
-    from repro.core.flow import analyze_design
-
-    state = analyze_design(adder4, library)
-    row = engine_row("adder4", state)
-    assert row["Circuit"] == "adder4"
-    assert row["Gates"] == len(adder4)
-    assert row["F"] == state.n_faults
-    assert row["FaultsSim"] > 0
-    assert row["SatProps"] >= 0
-    assert row["t[atpg.random]"] >= 0.0
-    assert row["t[pdesign]"] >= 0.0
-    assert set(state.timings) == {
-        "pdesign", "fault_extraction", "atpg", "clustering"}
 
 
 def test_one_plan_per_circuit(library, adder4, monkeypatch):

@@ -47,7 +47,7 @@ posix_only = pytest.mark.skipif(
 
 
 def sum_campaign(run_id, **overrides):
-    """a=1 -> b=2(a) -> c=3(a,b): c's value must come out as 7."""
+    """Three independent tasks a=1, b=2, c=3."""
     policy = {
         k: overrides[k]
         for k in ("timeout", "retries", "backoff", "isolation")
@@ -55,8 +55,8 @@ def sum_campaign(run_id, **overrides):
     }
     return CampaignSpec(run_id=run_id, tasks=[
         TaskSpec("a", "sum", {"value": 1}, **policy),
-        TaskSpec("b", "sum", {"value": 2}, deps=("a",), **policy),
-        TaskSpec("c", "sum", {"value": 3}, deps=("a", "b"), **policy),
+        TaskSpec("b", "sum", {"value": 2}, **policy),
+        TaskSpec("c", "sum", {"value": 3}, **policy),
     ], meta={"kind": "synthetic"})
 
 
@@ -76,34 +76,32 @@ def starts_of(events, task_id):
 # ----------------------------------------------------------------------
 
 class TestCampaignValidation:
-    def test_duplicate_ids_rejected(self):
+    def test_duplicate_ids_rejected(self, tmp_path):
         c = CampaignSpec("r", [TaskSpec("a", "sum"), TaskSpec("a", "sum")])
         with pytest.raises(CampaignError, match="duplicate"):
-            c.topo_order()
+            Runner(c, root=str(tmp_path)).execute()
+        assert not os.path.exists(os.path.join(str(tmp_path), "r"))
 
-    def test_unknown_dep_rejected(self):
-        c = CampaignSpec("r", [TaskSpec("a", "sum", deps=("ghost",))])
-        with pytest.raises(CampaignError, match="unknown dep"):
-            c.topo_order()
+    def test_unknown_dep_rejected(self, tmp_path):
+        """Campaign tasks are independent: a file that names any
+        dependency is rejected on load, while the empty lists that files
+        of earlier revisions carry still load."""
+        path = str(tmp_path / "campaign.json")
 
-    def test_cycle_rejected(self):
-        c = CampaignSpec("r", [
-            TaskSpec("a", "sum", deps=("b",)),
-            TaskSpec("b", "sum", deps=("a",)),
-        ])
-        with pytest.raises(CampaignError, match="cycle"):
-            c.topo_order()
+        def load(deps):
+            with open(path, "w") as fh:
+                json.dump({"run_id": "r", "tasks": [
+                    {"id": "a", "kind": "sum", "deps": deps},
+                ]}, fh)
+            return CampaignSpec.load(path)
+
+        assert load([]).tasks == [TaskSpec("a", "sum")]
+        with pytest.raises(CampaignError, match="task a: .*deps"):
+            load(["ghost"])
 
     def test_bad_isolation_rejected(self):
         with pytest.raises(CampaignError, match="isolation"):
             TaskSpec("a", "sum", isolation="thread")
-
-    def test_topo_order_puts_deps_first(self):
-        c = CampaignSpec("r", [
-            TaskSpec("late", "sum", deps=("early",)),
-            TaskSpec("early", "sum"),
-        ])
-        assert [t.task_id for t in c.topo_order()] == ["early", "late"]
 
     def test_roundtrips_through_json(self, tmp_path):
         c = sum_campaign("rt")
@@ -119,16 +117,16 @@ class TestCampaignValidation:
 
 class TestFingerprints:
     def test_param_change_changes_fingerprint(self):
-        a1 = fingerprint_task(TaskSpec("a", "sum", {"value": 1}), {}, env={})
-        a2 = fingerprint_task(TaskSpec("a", "sum", {"value": 2}), {}, env={})
+        a1 = fingerprint_task(TaskSpec("a", "sum", {"value": 1}), env={})
+        a2 = fingerprint_task(TaskSpec("a", "sum", {"value": 2}), env={})
         assert a1 != a2
 
     def test_env_knob_changes_fingerprint(self):
         spec = TaskSpec("a", "sum", {"value": 1})
-        f1 = fingerprint_task(spec, {}, env={})
+        f1 = fingerprint_task(spec, env={})
         # No task reads REPRO_SCALE (the benchmark harness turns it into
         # a task param), so it leaves the fingerprint alone.
-        assert fingerprint_task(spec, {}, env={"REPRO_SCALE": "2"}) == f1
+        assert fingerprint_task(spec, env={"REPRO_SCALE": "2"}) == f1
         # The ATPG budget decides which faults abort, so each of its
         # knobs changes what an analysis reports.
         for knob in (
@@ -137,13 +135,7 @@ class TestFingerprints:
             "REPRO_ATPG_DECISION_BUDGET",
             "REPRO_ATPG_ABORT_FRACTION",
         ):
-            assert fingerprint_task(spec, {}, env={knob: "2"}) != f1, knob
-
-    def test_dep_fingerprint_chains(self):
-        spec = TaskSpec("b", "sum", {"value": 2}, deps=("a",))
-        f1 = fingerprint_task(spec, {"a": "sha256:x"}, env={})
-        f2 = fingerprint_task(spec, {"a": "sha256:y"}, env={})
-        assert f1 != f2
+            assert fingerprint_task(spec, env={knob: "2"}) != f1, knob
 
     def test_paper_task_fingerprints_are_stable(self):
         """Golden fingerprints of the paper sweep's task kinds.
@@ -178,7 +170,7 @@ class TestExecution:
         root = str(tmp_path)
         report = run_campaign(sum_campaign("ok"), root=root)
         assert report["status"] == "ok"
-        assert report["results"]["c"]["value"] == 7  # 3 + (1) + (1+2)
+        assert [report["results"][t]["value"] for t in "abc"] == [1, 2, 3]
         assert set(report["tasks"]) == {"a", "b", "c"}
         # report.json was written and matches the journaled report
         assert load_report(os.path.join(root, "ok")) == report
@@ -199,29 +191,13 @@ class TestExecution:
         assert all(e["status"] == "ok" and "fingerprint" in e
                    for e in ok_ends)
 
-    def test_dep_failure_skips_downstream(self, tmp_path):
-        root = str(tmp_path)
-        c = CampaignSpec("skip", [
-            TaskSpec("bad", "flaky", {"fail_times": 99}),
-            TaskSpec("down", "sum", {"value": 1}, deps=("bad",)),
-        ])
-        report = Runner(c, root=root).execute()
-        assert report["status"] == "failed"
-        assert report["tasks"]["bad"]["status"] == "failed"
-        assert report["tasks"]["down"]["status"] == "skipped"
-        skipped = [e for e in events_of(root, "skip")
-                   if e["event"] == "task_skipped"]
-        assert skipped and skipped[0]["reason"] == "dep-failed"
-
     def test_incremental_execute_spec(self, tmp_path):
         root = str(tmp_path)
         runner = Runner(CampaignSpec("inc"), root=root, store={})
         out_a = runner.execute_spec(TaskSpec("a", "sum", {"value": 4}))
-        out_b = runner.execute_spec(
-            TaskSpec("b", "sum", {"value": 1}, deps=("a",))
-        )
+        out_b = runner.execute_spec(TaskSpec("b", "sum", {"value": 1}))
         assert out_a.payload["value"] == 4
-        assert out_b.payload["value"] == 5
+        assert out_b.payload["value"] == 1
         report = runner.finalize()
         assert report["status"] == "ok"
         # The campaign file accreted both tasks (the run is resumable).
@@ -332,8 +308,8 @@ class TestResume:
         monkeypatch.delenv("REPRO_ATPG_ABORT_FRACTION", raising=False)
         run_campaign(sum_campaign("fp"), root=root)
         # An env knob changed between runs: every task's fingerprint
-        # (and, Merkle-style, its dependents') changes, so resume
-        # re-executes instead of serving stale results.
+        # changes, so resume re-executes instead of serving stale
+        # results.
         monkeypatch.setenv("REPRO_ATPG_ABORT_FRACTION", "0.5")
         report = resume("fp", root=root)
         assert report["status"] == "ok"
@@ -476,10 +452,8 @@ class TestKillMidRun:
             "meta": {"kind": "synthetic"},
             "tasks": [
                 {"id": "a", "kind": "sum", "params": {"value": 1}},
-                {"id": "boom", "kind": "kill_self", "params": {"value": 5},
-                 "deps": ["a"]},
-                {"id": "c", "kind": "sum", "params": {"value": 3},
-                 "deps": ["boom"]},
+                {"id": "boom", "kind": "kill_self", "params": {"value": 5}},
+                {"id": "c", "kind": "sum", "params": {"value": 3}},
             ],
         }
         path = str(tmp_path / f"{run_id}.json")
@@ -491,9 +465,10 @@ class TestKillMidRun:
         root = str(tmp_path / "runs")
         camp = self._campaign_file(tmp_path, "killed")
 
-        # 1. The run is SIGKILLed from inside the "boom" task.
-        proc = _cli(["run", "--campaign", camp, "--out", root],
-                    cwd=str(tmp_path))
+        # 1. The run is SIGKILLed from inside the "boom" task; one worker
+        #    starts the tasks in file order.
+        proc = _cli(["run", "--campaign", camp, "--out", root,
+                     "--jobs", "1"], cwd=str(tmp_path))
         assert proc.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
 
         # 2. The journal survived: "a" completed, "boom" started but
@@ -552,15 +527,15 @@ class TestKillMidRun:
             "meta": {},
             "tasks": [
                 {"id": "a", "kind": "sum", "params": {"value": 1}},
-                {"id": "b", "kind": "sum", "params": {"value": 2},
-                 "deps": ["a"]},
+                {"id": "b", "kind": "sum", "params": {"value": 2}},
             ],
         }
         camp = str(tmp_path / "hooked.json")
         with open(camp, "w") as fh:
             json.dump(spec, fh)
         proc = _cli(
-            ["run", "--campaign", camp, "--out", root, "--kill-at", "b"],
+            ["run", "--campaign", camp, "--out", root, "--kill-at", "b",
+             "--jobs", "1"],
             cwd=str(tmp_path),
         )
         assert proc.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
@@ -570,5 +545,30 @@ class TestKillMidRun:
         proc = _cli(["resume", "hooked", "--out", root], cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         report = load_report(os.path.join(root, "hooked"))
-        assert report["results"]["b"]["value"] == 3
+        assert report["results"]["b"]["value"] == 2
         assert len(starts_of(events_of(root, "hooked"), "a")) == 1
+
+
+class TestInvalidCampaignCli:
+    """An invalid campaign is rejected before its run directory exists,
+    so the run id stays free for a corrected campaign."""
+
+    @pytest.mark.parametrize("task, message", [
+        ({"id": "t", "kind": "no_such_kind"}, "unknown task kind"),
+        ({"id": "t", "kind": "sum", "isolation": "thread"}, "isolation"),
+        ({"id": "t", "kind": "sum", "deps": ["ghost"]}, "deps"),
+        ({"id": "a", "kind": "sum"}, "duplicate task id"),
+    ], ids=["unknown-kind", "bad-isolation", "deps", "duplicate-id"])
+    def test_run_exits_2_without_run_dir(self, tmp_path, task, message):
+        root = str(tmp_path / "runs")
+        camp = str(tmp_path / "bad.json")
+        with open(camp, "w") as fh:
+            json.dump({"run_id": "bad", "tasks": [
+                {"id": "a", "kind": "sum"}, task,
+            ]}, fh)
+        proc = _cli(["run", "--campaign", camp, "--out", root],
+                    cwd=str(tmp_path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not os.path.exists(os.path.join(root, "bad"))
