@@ -29,7 +29,9 @@ it without changing the trace, U, S_max, verdicts or clusters:
   one table per design state (:class:`_Evaluation` objects) carries
   finished work across the q sweep.  The q = 0 and q = 1 passes, and the
   phase-1/phase-2 passes over an unchanged state, repeat *identical*
-  candidate evaluations — the table collapses them to lookups.
+  candidate evaluations — the table collapses them to lookups.  A
+  candidate whose status can no longer change *settles* and keeps only
+  that status, so only candidates that may still pass hold a layout.
 * **Verdict inheritance** — a candidate that passes the internal-fault
   and constraint gates is re-analyzed with ``analyze_design(prev=state,
   internal_atpg=...)``, the only re-analysis path: it inherits the
@@ -118,6 +120,14 @@ class _Evaluation:
     internal classification) and stage 3 (full re-analysis) run lazily,
     in consumption order.  All stages are computed at most once.
 
+    ``settled`` is ``None`` while the candidate's answer may change;
+    otherwise it is the status every later attempt returns, and the
+    candidate keeps only that (:meth:`settle`).  The table lives for one
+    design state, over which q only rises, so a synthesis failure, a
+    miss of the die or of the constraints at ``q_max`` and a stage-2
+    rejection settle.  Stage-3 candidates stay: the other phase may
+    accept them.
+
     Constraint checking happens before fault analysis: in this substrate
     PDesign() is cheap relative to exact ATPG — the inverse of the
     paper's tool costs — so the gating order is swapped accordingly (the
@@ -127,7 +137,7 @@ class _Evaluation:
 
     __slots__ = (
         "driver", "state", "replacement", "allowed",
-        "kind", "candidate", "physical", "internal_atpg", "cand_state",
+        "settled", "candidate", "physical", "internal_atpg", "cand_state",
     )
 
     def __init__(
@@ -141,16 +151,26 @@ class _Evaluation:
         self.state = state
         self.replacement = replacement
         self.allowed = allowed
-        self.kind: Optional[str] = None  # "synthfail" | "nofit" | "placed"
+        self.settled: Optional[str] = None
         self.candidate: Optional[Circuit] = None
         self.physical: Optional[PhysicalDesign] = None
         self.internal_atpg: Optional[AtpgResult] = None
         self.cand_state: Optional[DesignState] = None
 
-    def ensure_placed(self) -> str:
-        """Stage 1: synthesize the replacement and place-and-route it."""
-        if self.kind is not None:
-            return self.kind
+    def settle(self, status: str) -> str:
+        """Answer *status* from now on; drop netlist, layout and ATPG."""
+        self.settled = status
+        self.candidate = self.physical = self.internal_atpg = None
+        return status
+
+    def ensure_placed(self) -> None:
+        """Stage 1: synthesize the replacement and place-and-route it.
+
+        Settles the candidate if it cannot be synthesized or does not
+        fit the fixed die.
+        """
+        if self.physical is not None:
+            return
         driver = self.driver
         sub = extract_subcircuit(
             self.state.circuit, self.replacement, name="csub"
@@ -168,8 +188,8 @@ class _Evaluation:
                 self.state.circuit, self.replacement, new_sub
             )
         except TechmapError:
-            self.kind = "synthfail"
-            return self.kind
+            self.settle("synthfail")
+            return
         try:
             physical = pdesign(
                 candidate, driver.library.cells,
@@ -177,13 +197,11 @@ class _Evaluation:
                 seed=driver.cfg.seed,
             )
         except PlacementError:
-            self.kind = "nofit"  # does not fit the fixed die
-            return self.kind
+            self.settle("constraints")  # does not fit the fixed die
+            return
         self.candidate = candidate
         self.physical = physical
-        self.kind = "placed"
         driver.stats.candidates_evaluated += 1
-        return self.kind
 
     def u_in_new(self) -> int:
         """Stage 2: undetectable internal faults of the bare candidate.
@@ -289,24 +307,30 @@ class _Resynthesizer:
 
         Status: "accepted" | "constraints" | "rejected" | "synthfail".
         The staged evaluation behind it is cached, so re-attempting the
-        same candidate at a higher q (or in the other phase) only
-        re-runs the cheap constraint comparison.
+        same candidate at a higher q (or in the other phase) returns its
+        settled status or only re-runs the cheap constraint comparison.
         """
         if not replacement:
             return "synthfail", None
         ev = self._evaluation(state, replacement, allowed)
-        kind = ev.ensure_placed()
-        if kind == "synthfail":
-            return "synthfail", None
-        if kind == "nofit":
-            return "constraints", None
-        if not ev.physical.meets_constraints(self.orig.physical, q):
+        if ev.settled is None:
+            ev.ensure_placed()
+        if ev.settled is not None:
+            return ev.settled, None
+        reference = self.orig.physical
+        if not ev.physical.meets_constraints(reference, q):
+            # The limit only rises with q: missing it at q_max means
+            # missing it at every q this state will see.
+            if not ev.physical.meets_constraints(reference, self.cfg.q_max):
+                ev.settle("constraints")
             return "constraints", None
         # Status inheritance: faults outside the replaced region keep
         # their verdicts (detection is functional; the replacement is
         # functionally equivalent and replaced objects get fresh names).
+        # Both sides are fixed while the state holds: the rejection
+        # repeats at every later q.
         if ev.u_in_new() >= state.u_internal:
-            return "rejected", None
+            return ev.settle("rejected"), None
         cand_state = ev.result_state()
         if accept(cand_state, state):
             return "accepted", cand_state

@@ -19,7 +19,7 @@ Detection semantics per model (matching the ATPG encodings):
   driven faulty value; unknown/undriven cases give no credit.
 
 Performance architecture: all per-gate work (evaluator compilation, pin
-resolution, load lists) is hoisted into a cached
+resolution, load lists) is hoisted into the circuit's
 :class:`~repro.netlist.simulator.CompiledCircuit` plan, the only state
 kept between calls, and nets are handled as dense integer indices.
 """
@@ -107,20 +107,23 @@ class _SimContext:
 
     ``good1`` / ``good2`` are net-value vectors indexed by the plan's
     dense net indices; ``scratch`` is the working copy propagation
-    writes faulty values into.
+    writes faulty values into.  ``circuit`` serves the gate look-ups.
     """
 
     __slots__ = (
-        "plan", "mask", "good1", "good2", "scratch", "inq", "events",
+        "circuit", "plan", "mask", "good1", "good2", "scratch", "inq",
+        "events",
     )
 
     def __init__(
         self,
+        circuit: Circuit,
         plan: CompiledCircuit,
         mask: int,
         good1: Sequence[int],
         good2: Sequence[int],
     ):
+        self.circuit = circuit
         self.plan = plan
         self.mask = mask
         self.good1 = good1
@@ -211,11 +214,11 @@ def _make_context(
     cells: Mapping[str, StandardCell],
     batch: PatternBatch,
 ) -> _SimContext:
-    """Context for one batch: the cached plan and both frames' good values."""
+    """Context for one batch: the circuit's plan and both frames' good values."""
     plan = CompiledCircuit.get(circuit, cells)
     mask = batch.mask
     return _SimContext(
-        plan, mask,
+        circuit, plan, mask,
         plan.simulate_values(batch.frame1, mask),
         plan.simulate_values(batch.frame2, mask),
     )
@@ -236,7 +239,7 @@ def _branch_overrides(
     if branch is None:
         return {plan.net_index[net]: forced}, True
     gname, pin = branch
-    gate = plan.circuit.gates.get(gname)
+    gate = ctx.circuit.gates.get(gname)
     if gate is None or gate.pins.get(pin) != net:
         return {}, False
     gi = plan.gate_index[gname]
@@ -334,7 +337,7 @@ def _simulate_one(ctx: _SimContext, fault: Fault) -> int:
         activation = (ctx.good2[vi] ^ aggr) & mask
         return ctx.propagate({vi: aggr}, activation)
     if isinstance(fault, CellAwareFault):
-        gate = plan.circuit.gates.get(fault.gate)
+        gate = ctx.circuit.gates.get(fault.gate)
         if gate is None:
             return 0
         gi = plan.gate_index[fault.gate]

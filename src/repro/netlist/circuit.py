@@ -118,6 +118,7 @@ class Circuit:
         self._topo: Optional[List[str]] = None
         self._uid = 0
         self._reserved: Set[str] = set()
+        self._plan: Optional[object] = None  # simulator.CompiledCircuit
 
     # ------------------------------------------------------------------
     # Construction
@@ -270,11 +271,12 @@ class Circuit:
     def topology_token(self) -> object:
         """Identity token that changes whenever the gate graph mutates.
 
-        Simulation plans (:class:`repro.netlist.simulator.CompiledCircuit`)
-        hold the token they were built against and compare it by identity:
-        any :meth:`add_input` / :meth:`add_gate` / :meth:`remove_gate` /
+        The simulation plan a circuit keeps
+        (:class:`repro.netlist.simulator.CompiledCircuit`) holds the token
+        it was built against and compares it by identity: any
+        :meth:`add_input` / :meth:`add_gate` / :meth:`remove_gate` /
         :meth:`set_outputs` resets the cached topo order, so a stale plan
-        can be detected in O(1).
+        is detected in O(1).
         """
         return self.topo_order()
 

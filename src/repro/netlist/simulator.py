@@ -12,16 +12,15 @@ sum-of-products (or product-of-sums, whichever is smaller) form and cached.
 
 :class:`CompiledCircuit` hoists every per-gate cost out of the simulation
 loops: nets are mapped to dense integer indices, each gate's evaluator is
-resolved exactly once, and load/PO structure is precomputed.  Plans are
-cached per circuit (invalidated automatically when the circuit mutates),
-so repeated simulation of the same design — the normal case inside the
-resynthesis loop — pays the compile cost once.
+resolved exactly once, and load/PO structure is precomputed.  A circuit
+keeps its plan (rebuilt automatically when the circuit mutates), so
+repeated simulation of the same design — the normal case inside the
+resynthesis loop — pays the compile cost once.  The plan holds no
+reference back to its circuit, so it dies with the circuit.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
@@ -104,19 +103,20 @@ class CompiledCircuit:
     evaluators/pin indices are resolved once.  The plan is the only state
     simulation keeps between calls.
 
-    Use :meth:`get` rather than the constructor: plans are cached per
-    circuit and invalidated when the circuit's gates or ports change.
+    Use :meth:`get` rather than the constructor: a circuit keeps its
+    plan, which is rebuilt when the circuit's gates or ports change.
+    The plan does not refer to the circuit, so callers that need the
+    gates pass the circuit alongside it.
     """
 
     __slots__ = (
-        "circuit", "cells", "pi_order", "net_index", "n_nets",
+        "cells", "pi_order", "net_index", "n_nets",
         "gate_names", "gate_index", "gate_fn", "gate_in", "gate_out",
         "gate_eval", "loads_of", "is_po", "po_index", "eval_compiles",
-        "_topo_ref", "__weakref__",
+        "_topo_ref",
     )
 
     def __init__(self, circuit: Circuit, cells: Mapping[str, CellDef]):
-        self.circuit = circuit
         self.cells = cells
         topo = circuit.topo_order()
         self._topo_ref = circuit.topology_token()
@@ -179,35 +179,26 @@ class CompiledCircuit:
         self.po_index = po_index
 
     # ------------------------------------------------------------------
-    def valid_for(self, circuit: Circuit, cells: Mapping[str, CellDef]) -> bool:
-        return (
-            self.circuit is circuit
-            and self.cells is cells
-            and self._topo_ref is circuit.topology_token()
-        )
-
     @classmethod
     def get(
         cls, circuit: Circuit, cells: Mapping[str, CellDef]
     ) -> "CompiledCircuit":
-        """Cached plan for (*circuit*, *cells*); rebuilt after mutation.
+        """The plan *circuit* keeps for *cells*; rebuilt after mutation.
 
         *cells* is compared by identity: pass a library's shared
         :attr:`~repro.library.osu018.Library.cells` to reuse a plan.
 
-        Thread-safe: the module-level plan cache is consulted and
-        updated under a lock (WeakKeyDictionary mutation may race with
-        GC callbacks from other threads).  Plan construction runs
-        outside the lock, so two threads may build the same plan
-        concurrently — the plans are identical and the last insert wins.
+        Thread-safe without a lock: two threads may build the same plan
+        concurrently — the plans are identical and the last store wins.
         """
-        with _PLAN_LOCK:
-            plan = _PLAN_CACHE.get(circuit)
-        if plan is not None and plan.valid_for(circuit, cells):
+        plan = circuit._plan
+        if (
+            plan is not None
+            and plan.cells is cells
+            and plan._topo_ref is circuit.topology_token()
+        ):
             return plan
-        plan = cls(circuit, cells)
-        with _PLAN_LOCK:
-            _PLAN_CACHE[circuit] = plan
+        plan = circuit._plan = cls(circuit, cells)
         return plan
 
     # ------------------------------------------------------------------
@@ -232,16 +223,11 @@ class CompiledCircuit:
         return values
 
 
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = (
-    weakref.WeakKeyDictionary()
-)
-_PLAN_LOCK = threading.Lock()
-
-
 def clear_compiled_cache() -> None:
-    """Drop all cached plans and compiled evaluators (test hook)."""
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
+    """Drop the compiled cell evaluators (test hook).
+
+    Plans live on their circuits; a fresh circuit starts without one.
+    """
     compile_cell_eval.cache_clear()
 
 

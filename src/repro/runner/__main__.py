@@ -242,9 +242,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    campaign = CampaignSpec.load(
-        os.path.join(args.out, args.run_id, "campaign.json")
-    )
+    campaign_path = os.path.join(args.out, args.run_id, "campaign.json")
+    if not os.path.exists(campaign_path):
+        print(f"error: no run {args.run_id!r} under {args.out}",
+              file=sys.stderr)
+        return 2
+    campaign = CampaignSpec.load(campaign_path)
     hook = _parse_kill_at(args.kill_at) if args.kill_at else None
     report = Runner(
         campaign, root=args.out, on_task_start=hook, jobs=args.jobs

@@ -51,7 +51,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.runner.journal import Journal, RunLedger, read_journal, replay
 from repro.runner.model import (
@@ -307,7 +307,7 @@ class Runner:
         ) as pool:
             futures = [
                 pool.submit(self._run_timed, spec, self._fps[spec.task_id],
-                            time.perf_counter())
+                            started, time.perf_counter())
                 for spec in todo
             ]
             for fut in as_completed(futures):
@@ -318,9 +318,7 @@ class Runner:
         busy = sum(span["run"] for span in spans.values())
         self.scheduler_info = {
             "run_jobs": jobs,
-            # Submitted futures, not running tasks: every task that was
-            # not cached is in flight from the start.
-            "peak_in_flight": len(futures),
+            "peak_in_flight": _peak_overlap(spans.values()),
             "makespan": makespan,
             "busy_seconds": busy,
             "spans": {s.task_id: spans[s.task_id] for s in todo},
@@ -332,12 +330,13 @@ class Runner:
         })
 
     def _run_timed(
-        self, spec: TaskSpec, fp: str, enqueued: float
+        self, spec: TaskSpec, fp: str, started: float, enqueued: float
     ) -> Tuple[TaskOutcome, Dict[str, float]]:
-        """Worker-thread body: run one task, timing its queue/run span."""
+        """Worker-thread body: run one task, timing its start/queue/run."""
         t0 = time.perf_counter()
         outcome = self._run_attempts(spec, fp)
         return outcome, {
+            "start": t0 - started,
             "queued": t0 - enqueued,
             "run": time.perf_counter() - t0,
         }
@@ -503,6 +502,20 @@ class Runner:
         raise TaskFailure(
             f"worker exited with code {returncode} and wrote no result"
         )
+
+
+def _peak_overlap(spans: Iterable[Mapping[str, float]]) -> int:
+    """The most run spans open at one instant (a span's end does not
+    overlap a start at the same instant)."""
+    edges = sorted(
+        edge for span in spans
+        for edge in ((span["start"], 1), (span["start"] + span["run"], -1))
+    )
+    peak = live = 0
+    for _, step in edges:
+        live += step
+        peak = max(peak, live)
+    return peak
 
 
 # ----------------------------------------------------------------------

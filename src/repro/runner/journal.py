@@ -27,7 +27,8 @@ Event schema (all events carry ``event`` and ``ts`` = epoch seconds):
   previous execution was reused without re-running the task;
 * ``warning``    — ``code``, ``message``, ``task``: a coded runtime
   warning (``RUN-THREAD-ABANDONED``);
-* ``scheduler``  — ``run_id``, ``run_jobs``, ``peak_in_flight``,
+* ``scheduler``  — ``run_id``, ``run_jobs``, ``peak_in_flight`` (the
+  most tasks running at one instant, at most ``run_jobs``),
   ``makespan``, ``busy_seconds``: the pool's utilization;
 * ``report``     — ``report``: the aggregated final report of the run;
 * ``run_end``    — ``run_id``, ``status`` (``ok`` | ``failed``).

@@ -1,8 +1,9 @@
 """Determinism of the engine under concurrent callers.
 
 The campaign runner's inline ``--jobs`` executes tasks on threads of one
-process, so concurrent analyses share the process-wide caches: compiled
-plans, the good-value LRU and the evaluator cache.  The number of such
+process, so concurrent analyses of one circuit share its compiled plan
+(racing workers may each build it; the last store wins) and the
+process-wide evaluator cache.  The number of such
 workers is a throughput knob, never a semantics knob: detect words, ATPG
 classification, generated tests, coverage and every effort counter must
 be byte-identical between a lone serial call and each of ``WORKERS``

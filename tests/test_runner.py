@@ -572,3 +572,10 @@ class TestInvalidCampaignCli:
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not os.path.exists(os.path.join(root, "bad"))
+
+    def test_resume_unknown_run_exits_2_without_run_dir(self, tmp_path):
+        root = str(tmp_path / "runs")
+        proc = _cli(["resume", "nosuch", "--out", root], cwd=str(tmp_path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr == f"error: no run 'nosuch' under {root}\n"
+        assert not os.path.exists(root)

@@ -202,15 +202,33 @@ class TestConcurrentExecution:
         conc = Runner(fan_campaign("s2"), root=root, jobs=3).execute()
         # jobs=1 is a one-worker pool and reports like any other width.
         assert serial["scheduler"]["run_jobs"] == 1
+        assert serial["scheduler"]["peak_in_flight"] == 1
         assert "scheduler" not in normalize_report(serial)
         sched = conc["scheduler"]
         assert sched["run_jobs"] == 3
-        assert sched["peak_in_flight"] >= 2
+        assert 1 <= sched["peak_in_flight"] <= 3
         assert set(sched["spans"]) == {t.task_id
                                        for t in fan_campaign("s2").tasks}
         for span in sched["spans"].values():
             assert span["queued"] >= 0.0 and span["run"] >= 0.0
+            assert span["start"] >= 0.0
         assert "scheduler" not in normalize_report(conc)
+
+    def test_peak_in_flight_counts_overlapping_tasks(self, tmp_path):
+        """Four 0.3 s sleeps on two workers overlap two at a time; on one
+        worker they never overlap."""
+        root = str(tmp_path / "runs")
+
+        def sleeps(run_id):
+            return CampaignSpec(run_id=run_id, tasks=[
+                TaskSpec(f"s{i}", "sleep", {"seconds": 0.3})
+                for i in range(4)
+            ], meta={"kind": "synthetic"})
+
+        pair = Runner(sleeps("p2"), root=root, jobs=2).execute()
+        one = Runner(sleeps("p1"), root=root, jobs=1).execute()
+        assert pair["scheduler"]["peak_in_flight"] == 2
+        assert one["scheduler"]["peak_in_flight"] == 1
 
 
 # ----------------------------------------------------------------------
