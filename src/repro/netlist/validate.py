@@ -2,8 +2,9 @@
 
 :meth:`Circuit.validate` is the fail-fast integrity gate: it raises on
 the first broken invariant.  This module is the *reporting* counterpart
-used by campaign preflight (``repro.runner check``): it walks the whole
-circuit, collects **every** problem as a :class:`Diagnostic` with a
+used by the campaign runner's check of every circuit task (its
+fingerprint hook) and by ``repro.runner check --netlist``: it walks the
+whole circuit, collects **every** problem as a :class:`Diagnostic` with a
 stable machine-readable code, the offending net/gate, and — when the
 circuit came from a netlist file — the source line, so a user fixing a
 hand-written benchmark sees all of its problems at once.

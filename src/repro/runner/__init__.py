@@ -4,8 +4,9 @@ A *campaign* — e.g. "analyze and resynthesize circuits X, Y, Z for
 q = 0..5 with library variants A, B" — is expressed as a list of
 independent, idempotent tasks (:class:`TaskSpec` /
 :class:`CampaignSpec`) and executed by :class:`Runner` on one bounded
-pool with per-task wall-clock timeouts, bounded retries with
-exponential backoff, and optional process isolation for heavy tasks.
+pool with bounded retries with exponential backoff and optional process
+isolation for heavy tasks, whose attempts a wall-clock timeout bounds
+by killing the worker.
 Every task's start/end/result/stats is journaled to an append-only
 JSONL file under ``benchmarks/results/runs/<run_id>/``, so a crash,
 hang or OOM in the middle of a sweep loses at most the tasks that were

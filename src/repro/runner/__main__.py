@@ -12,7 +12,9 @@
 
 ``run`` builds a paper-sweep campaign (or loads ``--campaign file.json``)
 and executes it; ``resume`` continues a crashed or interrupted run from
-its journal, re-executing only missing/failed/changed tasks; ``report``
+its journal, re-executing only missing/failed/changed tasks.  Both check
+every task (kind, execution policy, circuit build and lint) before the
+run directory is touched and exit 2 listing the problems; ``report``
 renders the final report; ``check`` validates journal integrity and the
 zero-re-execution resume discipline; ``diff`` compares two runs'
 normalized reports (exit 1 on mismatch).
@@ -105,7 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--isolation", choices=("inline", "process"), default="inline",
     )
-    run.add_argument("--timeout", type=float, default=None)
+    run.add_argument(
+        "--timeout", type=float, default=None, metavar="S",
+        help="per-attempt wall-clock bound; needs --isolation process "
+             "(the worker is killed)",
+    )
     run.add_argument("--retries", type=int, default=0)
     run.add_argument("--backoff", type=float, default=1.0)
     run.add_argument(
@@ -219,18 +225,6 @@ def _cmd_run(args) -> int:
             f"use `resume {campaign.run_id}`",
             file=sys.stderr,
         )
-        return 2
-    from repro.runner.tasks import preflight_campaign
-
-    problems = preflight_campaign(campaign)
-    if problems:
-        print(
-            f"error: campaign preflight found {len(problems)} problem(s); "
-            "nothing was run:",
-            file=sys.stderr,
-        )
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
         return 2
     hook = _parse_kill_at(args.kill_at) if args.kill_at else None
     runner = Runner(

@@ -18,21 +18,25 @@ interleaving, and outcomes are re-ordered to campaign order before the
 report is built — a ``jobs=4`` report normalizes bit-identical to a
 ``jobs=1`` one.
 
-Execution policy per task:
+Before it touches the run directory, :meth:`Runner.execute` (``run``
+and ``resume`` alike) fingerprints every task.  That pass is the
+campaign's check: an unknown kind or an input its fingerprint hook
+rejects (a circuit that does not build or lint) is collected per task,
+and one :class:`~repro.runner.model.CampaignError` lists them all.
 
-* **timeout** — wall-clock bound per attempt.  Process-isolated tasks
-  are killed preemptively; inline tasks run on a daemon worker thread
-  that is abandoned on timeout (best-effort — use ``isolation:
-  "process"`` for tasks that must be preemptible).  An abandoned
-  inline thread is journaled as the coded ``RUN-THREAD-ABANDONED``
-  warning and counted in the report — the thread still occupies the
-  interpreter until its body returns.
+Execution policy per task (checked by :class:`TaskSpec`):
+
+* **timeout** — wall-clock bound per attempt, enforced one way: the
+  task's worker process is killed.  Only a process-isolated task takes
+  one; an inline task runs to completion on its pool thread.
 * **retries / backoff** — a failed attempt is retried up to ``retries``
   times, sleeping ``backoff * 2**(attempt-1)`` seconds in between; every
   retry is journaled.
 * **isolation** — ``"process"`` runs the task in a fresh interpreter
   (``python -m repro.runner._worker``): heavy tasks cannot corrupt or
   OOM the orchestrator, and their timeouts are enforced with a kill.
+  The attempt's scratch files under ``tmp/`` are deleted once its
+  outcome is known.
 
 Resume replays the journal and re-executes only tasks that are missing,
 failed, interrupted, or whose input fingerprint changed; completed tasks
@@ -46,7 +50,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -55,6 +58,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.runner.journal import Journal, RunLedger, read_journal, replay
 from repro.runner.model import (
+    CampaignError,
     CampaignSpec,
     TaskSpec,
     env_knobs,
@@ -74,11 +78,6 @@ def resolve_run_jobs(jobs: Optional[int] = None) -> int:
     if jobs is None:
         jobs = os.cpu_count() or 1
     return max(1, int(jobs))
-
-# Coded warning: an inline task hit its timeout and its worker thread
-# was abandoned (daemon threads cannot be killed).  Journaled as a
-# ``warning`` event and counted in the report's runtime_warnings.
-CODE_THREAD_ABANDONED = "RUN-THREAD-ABANDONED"
 
 
 class TaskFailure(Exception):
@@ -140,10 +139,6 @@ class Runner:
         self.ledger: RunLedger = RunLedger()
         self._fps: Dict[str, str] = {}
         self._known = {t.task_id for t in self.campaign.tasks}
-        # code -> count of runtime warnings this orchestrator life saw
-        # (abandoned threads, ...); folded into the final report.
-        self.runtime_warnings: Dict[str, int] = {}
-        self._warn_lock = threading.Lock()
         # Scheduler observability for the report's UTILIZATION section
         # (populated by execute(), not by execute_spec()).
         self.scheduler_info: Optional[dict] = None
@@ -186,13 +181,25 @@ class Runner:
     def execute(self) -> dict:
         """Run every task on the pool and finalize the report.
 
-        Task ids are checked and every task fingerprinted (which rejects
-        unknown kinds) before the run directory is touched, so an
-        invalid campaign leaves nothing behind.
+        Task ids are checked and every task fingerprinted before the
+        run directory is touched; the problems of every task that fails
+        its fingerprint (unknown kind, unbuildable or unlinted circuit)
+        are raised as one :class:`CampaignError`, so an invalid campaign
+        leaves nothing behind and a resumed one appends nothing.
         """
         self.campaign.by_id()
+        problems = []
         for spec in self.campaign.tasks:
-            self._fingerprint(spec)
+            try:
+                self._fingerprint(spec)
+            except CampaignError as exc:
+                problems.extend(str(exc).splitlines())
+        if problems:
+            raise CampaignError(
+                f"campaign check found {len(problems)} problem(s); "
+                "nothing was run:\n"
+                + "\n".join(f"  {problem}" for problem in problems)
+            )
         self._ensure_started()
         self._execute_pool(resolve_run_jobs(self.jobs))
         return self.finalize()
@@ -202,8 +209,11 @@ class Runner:
 
         Used by the pytest benchmark harness, which discovers its tasks
         lazily; the campaign file is rewritten on every append so the
-        run stays resumable.
+        run stays resumable.  The task is fingerprinted first, so one
+        that fails its check raises :class:`CampaignError` and is not
+        appended.
         """
+        self._fingerprint(spec)
         if spec.task_id not in self._known:
             self.campaign.tasks.append(spec)
             self._known.add(spec.task_id)
@@ -234,7 +244,6 @@ class Runner:
             OrderedDict(
                 (tid, o.as_dict()) for tid, o in self.outcomes.items()
             ),
-            runtime_warnings=self.runtime_warnings,
             scheduler=self.scheduler_info,
         )
         self.journal.append({"event": "report", "report": report})
@@ -406,55 +415,10 @@ class Runner:
 
     # ------------------------------------------------------------------
     def _attempt_inline(self, spec: TaskSpec, ctx: TaskContext) -> dict:
-        fn = get_task(spec.kind)
-        if spec.timeout is None:
-            try:
-                return fn(spec.params, ctx)
-            except Exception as exc:
-                raise TaskFailure(f"{type(exc).__name__}: {exc}") from exc
-        box: dict = {}
-
-        def body() -> None:
-            try:
-                box["payload"] = fn(spec.params, ctx)
-            except BaseException as exc:  # captured, re-raised below
-                box["error"] = exc
-
-        worker = threading.Thread(
-            target=body, name=f"task-{spec.task_id}", daemon=True
-        )
-        worker.start()
-        worker.join(spec.timeout)
-        if worker.is_alive():
-            self._warn(
-                CODE_THREAD_ABANDONED,
-                f"task {spec.task_id}: inline worker thread abandoned "
-                f"after {spec.timeout}s (daemon thread keeps running "
-                f"until its body returns)",
-                task=spec.task_id,
-            )
-            raise TaskFailure(
-                f"timeout after {spec.timeout}s (inline; thread abandoned)",
-                status="timeout",
-            )
-        if "error" in box:
-            exc = box["error"]
-            raise TaskFailure(f"{type(exc).__name__}: {exc}") from None
-        return box["payload"]
-
-    def _warn(self, code: str, message: str, **extra: object) -> None:
-        """Journal a coded runtime warning and count it for the report.
-
-        Called from scheduler worker threads too, so the counter update
-        is locked (the journal serializes its own writes).
-        """
-        with self._warn_lock:
-            self.runtime_warnings[code] = (
-                self.runtime_warnings.get(code, 0) + 1
-            )
-        event = {"event": "warning", "code": code, "message": message}
-        event.update(extra)
-        self.journal.append(event)
+        try:
+            return get_task(spec.kind)(spec.params, ctx)
+        except Exception as exc:
+            raise TaskFailure(f"{type(exc).__name__}: {exc}") from exc
 
     def _attempt_process(self, spec: TaskSpec, ctx: TaskContext) -> dict:
         tmp_dir = os.path.join(self.run_dir, "tmp")
@@ -462,46 +426,58 @@ class Runner:
         stem = spec.task_id.replace(os.sep, "_")
         in_path = os.path.join(tmp_dir, f"{stem}.{ctx.attempt}.in.json")
         out_path = os.path.join(tmp_dir, f"{stem}.{ctx.attempt}.out.json")
-        if os.path.exists(out_path):
-            os.remove(out_path)
-        with open(in_path, "w") as fh:
-            json.dump({
-                "kind": spec.kind,
-                "params": dict(spec.params),
-                "task_id": spec.task_id,
-                "attempt": ctx.attempt,
-                "run_dir": self.run_dir,
-            }, fh)
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)
-        )))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.runner._worker",
-             in_path, out_path],
-            env=env,
-        )
+        # The attempt's files (with the worker's atomic-write temporary)
+        # go once its outcome is known; files a killed earlier life of
+        # the run left under the same names go before it starts.
+        scratch = (in_path, out_path, out_path + ".tmp")
+        _remove(scratch)
         try:
-            returncode = proc.wait(timeout=spec.timeout)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+            with open(in_path, "w") as fh:
+                json.dump({
+                    "kind": spec.kind,
+                    "params": dict(spec.params),
+                    "task_id": spec.task_id,
+                    "attempt": ctx.attempt,
+                    "run_dir": self.run_dir,
+                }, fh)
+            env = dict(os.environ)
+            src_root = os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)
+            )))
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src_root, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.runner._worker",
+                 in_path, out_path],
+                env=env,
+            )
+            try:
+                returncode = proc.wait(timeout=spec.timeout)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+                raise TaskFailure(
+                    f"timeout after {spec.timeout}s (worker killed)",
+                    status="timeout",
+                ) from None
+            if os.path.exists(out_path):
+                with open(out_path) as fh:
+                    result = json.load(fh)
+                if result.get("status") == "ok":
+                    return result["payload"]
+                raise TaskFailure(str(result.get("error", "worker error")))
             raise TaskFailure(
-                f"timeout after {spec.timeout}s (worker killed)",
-                status="timeout",
-            ) from None
-        if os.path.exists(out_path):
-            with open(out_path) as fh:
-                result = json.load(fh)
-            if result.get("status") == "ok":
-                return result["payload"]
-            raise TaskFailure(str(result.get("error", "worker error")))
-        raise TaskFailure(
-            f"worker exited with code {returncode} and wrote no result"
-        )
+                f"worker exited with code {returncode} and wrote no result"
+            )
+        finally:
+            _remove(scratch)
+
+
+def _remove(paths: Iterable[str]) -> None:
+    for path in paths:
+        if os.path.exists(path):
+            os.remove(path)
 
 
 def _peak_overlap(spans: Iterable[Mapping[str, float]]) -> int:

@@ -25,13 +25,15 @@ Event schema (all events carry ``event`` and ``ts`` = epoch seconds):
   slept before the next attempt);
 * ``task_cached`` — ``task``, ``fingerprint``; the journaled result of a
   previous execution was reused without re-running the task;
-* ``warning``    — ``code``, ``message``, ``task``: a coded runtime
-  warning (``RUN-THREAD-ABANDONED``);
 * ``scheduler``  — ``run_id``, ``run_jobs``, ``peak_in_flight`` (the
   most tasks running at one instant, at most ``run_jobs``),
   ``makespan``, ``busy_seconds``: the pool's utilization;
 * ``report``     — ``report``: the aggregated final report of the run;
 * ``run_end``    — ``run_id``, ``status`` (``ok`` | ``failed``).
+
+Replay reads only the task events, so journals of earlier revisions,
+which may carry ``warning`` events (an inline task's thread abandoned at
+its timeout), still replay and resume.
 """
 
 from __future__ import annotations

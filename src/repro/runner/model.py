@@ -2,9 +2,10 @@
 
 A :class:`TaskSpec` describes one idempotent unit of work: a registered
 task *kind* plus JSON parameters and its execution policy (timeout /
-retries / backoff / isolation).  A :class:`CampaignSpec` is a named list
-of independent tasks; it serializes to ``campaign.json`` inside the run
-directory, and is what ``resume`` reloads after a crash.
+retries / backoff / isolation), which it checks on construction.  A
+:class:`CampaignSpec` is a named list of independent tasks; it
+serializes to ``campaign.json`` inside the run directory, and is what
+``resume`` reloads after a crash.
 
 Fingerprints implement the same content-keying discipline as the
 resynthesis evaluation cache: a task's fingerprint hashes its kind,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
@@ -33,7 +35,16 @@ from repro.atpg.budget import ENV_VARS as ENV_KNOBS
 
 
 class CampaignError(ValueError):
-    """Invalid campaign: duplicate ids, dependencies, unknown kinds."""
+    """Invalid campaign: duplicate ids, dependencies, unknown kinds, an
+    execution policy out of range, or task inputs that fail their check."""
+
+
+def _finite(value: object) -> bool:
+    """A finite int or float (``bool`` is not a number here)."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -43,18 +54,32 @@ class TaskSpec:
     task_id: str
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
-    timeout: Optional[float] = None  # wall-clock seconds per attempt
+    # Wall-clock seconds per attempt, enforced by killing the task's
+    # worker process, so only a process-isolated task takes one.
+    timeout: Optional[float] = None
     retries: int = 0  # extra attempts after the first failure
     backoff: float = 1.0  # base backoff seconds, doubled per retry
     isolation: str = "inline"  # "inline" | "process"
 
     def __post_init__(self):
-        if self.isolation not in ("inline", "process"):
-            raise CampaignError(
-                f"task {self.task_id}: unknown isolation {self.isolation!r}"
-            )
-        if self.retries < 0:
-            raise CampaignError(f"task {self.task_id}: negative retries")
+        retries, backoff, timeout = self.retries, self.backoff, self.timeout
+        checks = (
+            (self.isolation in ("inline", "process"),
+             f"unknown isolation {self.isolation!r}"),
+            (isinstance(retries, int) and not isinstance(retries, bool)
+             and retries >= 0,
+             f"retries must be an integer >= 0, not {retries!r}"),
+            (_finite(backoff) and backoff >= 0,
+             f"backoff must be a finite number >= 0, not {backoff!r}"),
+            (timeout is None or (_finite(timeout) and timeout > 0),
+             f"timeout must be a finite number > 0, not {timeout!r}"),
+            (timeout is None or self.isolation == "process",
+             "a timeout needs isolation 'process' (only a worker process "
+             "can be killed)"),
+        )
+        for ok, problem in checks:
+            if not ok:
+                raise CampaignError(f"task {self.task_id}: {problem}")
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -80,8 +105,8 @@ class TaskSpec:
             kind=str(data["kind"]),
             params=dict(data.get("params", {})),
             timeout=data.get("timeout"),
-            retries=int(data.get("retries", 0)),
-            backoff=float(data.get("backoff", 1.0)),
+            retries=data.get("retries", 0),
+            backoff=data.get("backoff", 1.0),
             isolation=str(data.get("isolation", "inline")),
         )
 

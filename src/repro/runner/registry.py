@@ -7,10 +7,13 @@ process-isolation boundary.  Rich Python results (e.g.
 :class:`~repro.core.flow.DesignState` objects) go into ``ctx.store``,
 which exists only for inline execution in the orchestrating process.
 
-A kind may also register a *fingerprint hook* — extra input-content
-material (e.g. a structural circuit hash) folded into the task's
-fingerprint so resume re-executes when the inputs, not just the
-parameters, changed.
+A kind may also register a *fingerprint hook*, which checks the task's
+inputs and returns extra input-content material (e.g. a structural
+circuit hash) folded into the task's fingerprint, so resume re-executes
+when the inputs, not just the parameters, changed.  A hook raises
+:class:`~repro.runner.model.CampaignError`, one line per problem, when
+the inputs are unusable (a circuit that does not build or lint); the
+runner fingerprints every task before it touches the run directory.
 """
 
 from __future__ import annotations
@@ -62,7 +65,11 @@ def get_task(name: str) -> TaskFn:
 
 
 def fingerprint_extra(spec: TaskSpec) -> object:
-    """Kind-specific input digest folded into *spec*'s fingerprint."""
+    """Kind-specific input digest folded into *spec*'s fingerprint.
+
+    Raises :class:`CampaignError` for an unknown kind or with the
+    problems the kind's hook found, each line naming the task.
+    """
     _ensure_builtin_tasks()
     if spec.kind not in _TASKS:
         raise CampaignError(
@@ -70,7 +77,14 @@ def fingerprint_extra(spec: TaskSpec) -> object:
             f"known: {sorted(_TASKS)}"
         )
     hook = _FINGERPRINTS.get(spec.kind)
-    return hook(spec.params) if hook is not None else None
+    if hook is None:
+        return None
+    try:
+        return hook(spec.params)
+    except CampaignError as exc:
+        raise CampaignError("\n".join(
+            f"task {spec.task_id}: {line}" for line in str(exc).splitlines()
+        )) from None
 
 
 def _ensure_builtin_tasks() -> None:

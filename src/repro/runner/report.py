@@ -31,10 +31,9 @@ VOLATILE_KEYS = frozenset({
     "timings",
     "attempts",
     "run_id",
-    # Process history: whether an inline thread was abandoned, and which
-    # budget happened to trip first on an abort, are wall-clock facts —
-    # the verdicts and tables they annotate are not.
-    "runtime_warnings",
+    # Process history: which budget happened to trip first on an abort
+    # is a wall-clock fact — the verdicts and tables it annotates are
+    # not.
     "sat_abort_reasons",
     "abort_reasons",
     # Scheduler shape: a jobs=4 campaign interleaves differently from a
@@ -48,10 +47,11 @@ VOLATILE_KEYS = frozenset({
     # counters, the campaign's worker settings, the counters of the
     # removed vectorized fault simulator, the removed good-value cache
     # checksum's repair count, the removed internal-fault carry-over
-    # count, and the removed good-value, plan and evaluator cache
-    # counters.  Dropping them keeps those reports
-    # diffable against current ones, and lets a resumed run mix their
-    # cached payloads with fresh ones.
+    # count, the removed good-value, plan and evaluator cache
+    # counters, and the removed count of inline task threads abandoned
+    # at a timeout.  Dropping them keeps those reports diffable against
+    # current ones, and lets a resumed run mix their cached payloads
+    # with fresh ones.
     "parallel_chunks",
     "proc_shards",
     "proc_workers",
@@ -83,6 +83,7 @@ VOLATILE_KEYS = frozenset({
     "eval_compiles",
     "eval_cache_hits",
     "eval_cache_misses",
+    "runtime_warnings",
 })
 
 
@@ -117,7 +118,6 @@ def build_report(
     campaign_meta: Mapping[str, object],
     run_id: str,
     outcomes: Mapping[str, dict],
-    runtime_warnings: Optional[Mapping[str, int]] = None,
     scheduler: Optional[Mapping[str, object]] = None,
 ) -> dict:
     """Aggregate task *outcomes* into the final report.
@@ -125,12 +125,9 @@ def build_report(
     *outcomes* maps task_id to ``{"kind", "status", "payload",
     "duration", "attempts"}`` in campaign order; cached reuses count as
     completed (their recorded payload stands in for a fresh execution).
-    *runtime_warnings* maps warning codes (``RUN-THREAD-ABANDONED``) to
-    counts from this orchestrator life; present in the report only when
-    something actually warned.  *scheduler* is the concurrent
-    scheduler's utilization snapshot (``run_jobs``, ``makespan``,
-    per-task queue/run spans); volatile by definition, so
-    :func:`normalize_report` strips it whole.
+    *scheduler* is the concurrent scheduler's utilization snapshot
+    (``run_jobs``, ``makespan``, per-task queue/run spans); volatile by
+    definition, so :func:`normalize_report` strips it whole.
     """
     from repro.core.metrics import average_rows
 
@@ -201,8 +198,6 @@ def build_report(
         # report shape is unchanged, and every degradation is explicit —
         # never folded silently into the tables.
         report["degradations"] = degradations
-    if runtime_warnings:
-        report["runtime_warnings"] = dict(runtime_warnings)
     if scheduler:
         report["scheduler"] = dict(scheduler)
     return report
@@ -296,13 +291,6 @@ def render_report(report: Mapping[str, object]) -> str:
         lines.append(format_table(
             ["task", "counters", "detail"], rows,
             title="DEGRADATIONS (results usable but not exact — see detail)",
-        ))
-    warnings = report.get("runtime_warnings") or {}
-    if isinstance(warnings, Mapping) and warnings:
-        lines.append(format_table(
-            ["code", "count"],
-            [[code, count] for code, count in sorted(warnings.items())],
-            title="RUNTIME WARNINGS (orchestrator-level, coded)",
         ))
     tasks = report.get("tasks") or {}
     if tasks:

@@ -11,15 +11,22 @@ Campaign task kinds (the paper's sweeps):
   sweep.  Payload: the two Table II rows, q_used, the iteration count,
   and the :class:`~repro.utils.observability.ResynthesisStats` snapshot.
 
-Both carry a fingerprint hook hashing the *built circuit structure* and
-the library variant, so a resume re-runs exactly the circuits whose
-generated netlist (or library) changed.
+Both carry a fingerprint hook that is also the campaign's input check:
+it builds the task's circuit, lints it against the variant's cells and
+hashes its *structure* with the variant's cell names, so a resume
+re-runs exactly the circuits whose generated netlist (or library)
+changed, and a circuit that does not build or lint stops ``run`` and
+``resume`` before the run directory is touched.  Nothing is cached
+between the hook and the task body: each builds its own circuit and
+drops it, so no circuit or compiled plan outlives its task, and an
+inline task builds its circuit twice.
 
 Synthetic task kinds (failure-path tests and CI fault injection):
 
 * ``sum`` — returns its ``value``;
 * ``sleep`` — sleeps ``seconds`` and returns;
-* ``hang`` — sleeps a long time (timeout-path testing);
+* ``hang`` — sleeps a long time (timeout-path testing, which needs
+  ``isolation: "process"``);
 * ``flaky`` — fails its first ``fail_times`` attempts (state is kept in
   a counter file inside the run directory, so it spans retries,
   processes, and resumes);
@@ -89,9 +96,8 @@ def _ingest_source(name: str) -> Optional[str]:
     return None
 
 
-@lru_cache(maxsize=None)
 def _built_circuit(name: str, scale: int, variant: str):
-    """Benchmark netlist mapped on a library variant (process-cached).
+    """Benchmark netlist mapped on a library variant (a fresh build).
 
     Synthetic benchmarks are generated by :func:`repro.bench.
     build_benchmark`; names recognized by :func:`_ingest_source` load
@@ -99,7 +105,7 @@ def _built_circuit(name: str, scale: int, variant: str):
     applies to synthetic benchmarks — an ingested file has one fixed
     size.  Either path raises on failure (:class:`KeyError` for unknown
     names, :class:`~repro.netlist.circuit.NetlistError` for defective
-    files), which campaign preflight reports per affected task.
+    files), which the fingerprint hook reports against the task.
     """
     ingest_path = _ingest_source(name)
     if ingest_path is not None:
@@ -120,15 +126,29 @@ def _circuit_params(params: Mapping[str, object]) -> Tuple[str, int, str]:
 
 
 def _circuit_fingerprint(params: Mapping[str, object]) -> object:
-    """Structural hash of the built circuit + the variant's cell list."""
-    from repro.runner.model import structural_circuit_hash
+    """Check the task's circuit; its structural hash + the variant's cells.
+
+    Builds the circuit and lints it against the variant's cells; raises
+    :class:`~repro.runner.model.CampaignError` with one line per problem
+    when it does not build or has structural errors.  The circuit is
+    dropped on return: the task body builds its own.
+    """
+    from repro.netlist.validate import lint_circuit
+    from repro.runner.model import CampaignError, structural_circuit_hash
 
     name, scale, variant = _circuit_params(params)
-    library = _library_variant(variant)
+    try:
+        library = _library_variant(variant)
+        circuit = _built_circuit(name, scale, variant)
+    except Exception as exc:  # noqa: BLE001 - reported against the task
+        raise CampaignError(
+            f"cannot build circuit {name!r} ({exc})"
+        ) from None
+    errors = lint_circuit(circuit, cells=library.cells).errors
+    if errors:
+        raise CampaignError("\n".join(str(d) for d in errors))
     return {
-        "circuit": structural_circuit_hash(
-            _built_circuit(name, scale, variant)
-        ),
+        "circuit": structural_circuit_hash(circuit),
         "library": library.names(),
     }
 
@@ -268,45 +288,6 @@ def kill_self_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
             fh.write("armed\n")
         os.kill(os.getpid(), signal.SIGKILL)
     return {"value": int(params.get("value", 0)), "survived": True}
-
-
-# ----------------------------------------------------------------------
-# Campaign preflight
-# ----------------------------------------------------------------------
-
-def preflight_campaign(campaign) -> List[str]:
-    """Lint every circuit the campaign will analyze, before any work runs.
-
-    Builds each distinct (circuit, scale, variant) once (the builders
-    are process-cached, so the tasks reuse the same objects later) and
-    runs the structural linter against the variant's cell library.
-    Returns a flat list of problem strings — empty means go.  A bad
-    benchmark or library variant is reported for every affected task id,
-    so the user sees which parts of the sweep are doomed up front
-    instead of after hours of healthy tasks.
-    """
-    from repro.netlist.validate import lint_circuit
-
-    problems: List[str] = []
-    linted: dict = {}
-    for spec in campaign.tasks:
-        if spec.kind not in ("analyze", "resynthesize"):
-            continue
-        key = _circuit_params(spec.params)
-        if key not in linted:
-            name, scale, variant = key
-            found: List[str] = []
-            try:
-                library = _library_variant(variant)
-                circuit = _built_circuit(name, scale, variant)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                found.append(f"cannot build circuit {name!r} ({exc})")
-            else:
-                report = lint_circuit(circuit, cells=library.cells)
-                found.extend(str(d) for d in report.errors)
-            linted[key] = found
-        problems.extend(f"{spec.task_id}: {p}" for p in linted[key])
-    return problems
 
 
 # ----------------------------------------------------------------------

@@ -424,10 +424,12 @@ class TestEntryPoints:
             assert design.scan_cells == 16
 
     def test_campaign_builds_ingested_circuit(self):
-        from repro.runner.tasks import paper_campaign, preflight_campaign
+        from repro.runner.model import fingerprint_campaign
+        from repro.runner.tasks import paper_campaign
 
         campaign = paper_campaign(["c17"], "ing", tables=(1,))
-        assert preflight_campaign(campaign) == []
+        fps = fingerprint_campaign(campaign)
+        assert list(fps) == ["analyze:full:c17"]
 
 
 class TestIngestCLI:

@@ -204,6 +204,33 @@ def test_no_candidate_outlives_its_run(library, monkeypatch):
     assert [ref for ref in refs if ref() is not None] == []
 
 
+def test_no_circuit_outlives_its_campaign_task(monkeypatch, tmp_path):
+    """A campaign task builds its own circuit and drops it: after an
+    inline Table I campaign, no circuit its tasks or their fingerprints
+    built is alive."""
+    from repro import bench
+    from repro.runner import Runner
+    from repro.runner.tasks import paper_campaign
+
+    refs = []
+    real = bench.build_benchmark
+
+    def tracking(*args, **kwargs):
+        circuit = real(*args, **kwargs)
+        refs.append(weakref.ref(circuit))
+        return circuit
+
+    monkeypatch.setattr(bench, "build_benchmark", tracking)
+    names = ["sparc_tlu", "sparc_lsu", "wb_conmax"]
+    campaign = paper_campaign(names, "alive", tables=(1,))
+    report = Runner(campaign, root=str(tmp_path), jobs=1).execute()
+    assert report["status"] == "ok"
+    assert [row["Circuit"] for row in report["table1"]] == names
+    gc.collect()
+    assert refs
+    assert [ref() for ref in refs if ref() is not None] == []
+
+
 # ----------------------------------------------------------------------
 # Why settling is exact: the constraint check is monotone in q
 # ----------------------------------------------------------------------

@@ -103,6 +103,29 @@ class TestCampaignValidation:
         with pytest.raises(CampaignError, match="isolation"):
             TaskSpec("a", "sum", isolation="thread")
 
+    @pytest.mark.parametrize("policy, message", [
+        ({"timeout": 0}, "timeout"),
+        ({"timeout": -1.0}, "timeout"),
+        ({"timeout": float("nan")}, "timeout"),
+        ({"timeout": float("inf")}, "timeout"),
+        ({"timeout": "5"}, "timeout"),
+        ({"timeout": True}, "timeout"),
+        ({"backoff": -1}, "backoff"),
+        ({"backoff": float("nan")}, "backoff"),
+        ({"backoff": "1"}, "backoff"),
+        ({"retries": -1}, "retries"),
+        ({"retries": 1.5}, "retries"),
+        ({"retries": True}, "retries"),
+        ({"retries": "2"}, "retries"),
+    ], ids=["timeout-zero", "timeout-negative", "timeout-nan",
+            "timeout-inf", "timeout-string", "timeout-bool",
+            "backoff-negative", "backoff-nan", "backoff-string",
+            "retries-negative", "retries-float", "retries-bool",
+            "retries-string"])
+    def test_bad_execution_policy_rejected(self, policy, message):
+        with pytest.raises(CampaignError, match=f"task a: {message}"):
+            TaskSpec("a", "sum", isolation="process", **policy)
+
     def test_roundtrips_through_json(self, tmp_path):
         c = sum_campaign("rt")
         path = str(tmp_path / "campaign.json")
@@ -206,6 +229,21 @@ class TestExecution:
         )
         assert [t.task_id for t in loaded.tasks] == ["a", "b"]
 
+    def test_execute_spec_rejects_before_appending(self, tmp_path):
+        """A task that fails its check is not written into the campaign
+        file, so the run still resumes."""
+        root = str(tmp_path)
+        runner = Runner(CampaignSpec("inc"), root=root)
+        assert runner.execute_spec(TaskSpec("a", "sum", {"value": 1})).ok
+        with pytest.raises(CampaignError, match="cannot build circuit"):
+            runner.execute_spec(TaskSpec(
+                "analyze:full:nope", "analyze", {"circuit": "nope"},
+            ))
+        runner.finalize()
+        loaded = CampaignSpec.load(os.path.join(root, "inc", "campaign.json"))
+        assert [t.task_id for t in loaded.tasks] == ["a"]
+        assert resume("inc", root=root)["status"] == "ok"
+
 
 # ----------------------------------------------------------------------
 # Timeouts, retries, backoff
@@ -236,31 +274,38 @@ class TestRetries:
         assert [e["backoff"] for e in retries] == [0.01, 0.02]
 
     def test_inline_timeout(self, tmp_path):
-        c = CampaignSpec("it", [TaskSpec(
-            "h", "hang", {"seconds": 60}, timeout=0.2,
-        )])
-        report = Runner(c, root=str(tmp_path)).execute()
-        assert report["tasks"]["h"]["status"] == "timeout"
+        """A timeout is enforced by killing the task's worker process,
+        so an inline task cannot take one: its campaign is rejected
+        before a run directory exists."""
+        with pytest.raises(CampaignError, match="task h: .*'process'"):
+            TaskSpec("h", "hang", {"seconds": 60}, timeout=0.2)
+        root = str(tmp_path / "runs")
+        proc = _cli(["run", "--circuits", "sparc_tlu", "--tables", "1",
+                     "--timeout", "5", "--run-id", "it", "--out", root],
+                    cwd=str(tmp_path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith(
+            "error: task analyze:full:sparc_tlu: a timeout needs"
+        )
+        assert not os.path.exists(root)
 
-    def test_inline_timeout_warns_thread_abandoned(self, tmp_path):
-        """An abandoned inline worker thread is a coded, visible event:
-        journaled as a warning and counted in the report's
-        runtime_warnings — never just a silent daemon-thread leak."""
+    def test_process_attempts_leave_no_scratch_files(self, tmp_path):
+        """Each process attempt's in/out files go once its outcome is
+        known: a failed, a timed-out and a successful task leave
+        nothing under tmp/."""
         root = str(tmp_path)
-        c = CampaignSpec("ab", [TaskSpec(
-            "h", "hang", {"seconds": 60}, timeout=0.2,
-        )])
+        c = CampaignSpec("scratch", [
+            TaskSpec("bad", "flaky", {"fail_times": 99}, retries=1,
+                     backoff=0.0, isolation="process"),
+            TaskSpec("stuck", "hang", {"seconds": 60}, timeout=0.5,
+                     isolation="process"),
+            TaskSpec("good", "sum", {"value": 4}, isolation="process"),
+        ])
         report = Runner(c, root=root).execute()
-        assert report["tasks"]["h"]["status"] == "timeout"
-        assert report["runtime_warnings"]["RUN-THREAD-ABANDONED"] == 1
-        warnings = [
-            e for e in events_of(root, "ab") if e.get("event") == "warning"
-        ]
-        assert len(warnings) == 1
-        assert warnings[0]["code"] == "RUN-THREAD-ABANDONED"
-        assert warnings[0]["task"] == "h"
-        # A normalized report must not keep process-history facts.
-        assert "runtime_warnings" not in normalize_report(report)
+        assert report["tasks"]["bad"]["status"] == "failed"
+        assert report["tasks"]["stuck"]["status"] == "timeout"
+        assert report["results"]["good"] == {"value": 4}
+        assert os.listdir(os.path.join(root, "scratch", "tmp")) == []
 
     def test_flaky_task_retries_then_succeeds(self, tmp_path):
         root = str(tmp_path)
@@ -558,7 +603,14 @@ class TestInvalidCampaignCli:
         ({"id": "t", "kind": "sum", "isolation": "thread"}, "isolation"),
         ({"id": "t", "kind": "sum", "deps": ["ghost"]}, "deps"),
         ({"id": "a", "kind": "sum"}, "duplicate task id"),
-    ], ids=["unknown-kind", "bad-isolation", "deps", "duplicate-id"])
+        ({"id": "t", "kind": "flaky", "retries": 1, "backoff": -1},
+         "backoff"),
+        ({"id": "t", "kind": "sum", "isolation": "process",
+          "timeout": "5"}, "timeout"),
+        ({"id": "t", "kind": "analyze", "params": {"circuit": "nope"}},
+         "task t: cannot build circuit 'nope'"),
+    ], ids=["unknown-kind", "bad-isolation", "deps", "duplicate-id",
+            "negative-backoff", "string-timeout", "unknown-circuit"])
     def test_run_exits_2_without_run_dir(self, tmp_path, task, message):
         root = str(tmp_path / "runs")
         camp = str(tmp_path / "bad.json")
@@ -579,3 +631,31 @@ class TestInvalidCampaignCli:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stderr == f"error: no run 'nosuch' under {root}\n"
         assert not os.path.exists(root)
+
+    def test_resume_checks_every_task_before_journaling(self, tmp_path):
+        """``resume`` checks the campaign as ``run`` does: a campaign
+        that names a circuit which does not build exits 2, listing every
+        bad task, and the run's journal is left as it was."""
+        root = str(tmp_path / "runs")
+        run_campaign(sum_campaign("stale"), root=root)
+        campaign = CampaignSpec.load(
+            os.path.join(root, "stale", "campaign.json")
+        )
+        for name in ("nope", "gone"):
+            campaign.tasks.append(TaskSpec(
+                f"analyze:full:{name}", "analyze", {"circuit": name},
+            ))
+        campaign.save(os.path.join(root, "stale", "campaign.json"))
+        journal = os.path.join(root, "stale", "journal.jsonl")
+        with open(journal, "rb") as fh:
+            before = fh.read()
+        proc = _cli(["resume", "stale", "--out", root], cwd=str(tmp_path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: campaign check found 2 ")
+        assert "task analyze:full:nope: cannot build circuit 'nope'" \
+            in proc.stderr
+        assert "task analyze:full:gone: cannot build circuit 'gone'" \
+            in proc.stderr
+        assert "Traceback" not in proc.stderr
+        with open(journal, "rb") as fh:
+            assert fh.read() == before

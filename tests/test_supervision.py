@@ -4,12 +4,11 @@ Two layers keep a hang-class failure — work that stops making progress
 without dying — from wedging a campaign or silently skewing its numbers:
 
 * the campaign runner's ``TaskSpec.timeout``: an attempt that overruns
-  is given up on (a process-isolated worker is killed; an inline worker
-  thread is abandoned, journaled as ``RUN-THREAD-ABANDONED``) and the
-  task is retried.  Locked in here on every bundled benchmark circuit: a
-  task whose first attempt hangs mid-simulation — after it has built the
-  circuit's plan and filled its shared caches — is retried, and the
-  retry's detect words are bit-identical to a clean serial run's;
+  has its worker process killed, and the task is retried in a fresh
+  interpreter.  Locked in here on a paper task: an ``analyze`` of
+  sparc_tlu whose first attempt blocks inside fault simulation is
+  killed at its timeout, and the retry's Table I row is that of a clean
+  analysis;
 * the per-fault SAT budget: every abort carries the solver's reason
   (deadline / conflicts / decisions) through ``AtpgResult.abort_reasons``
   into the degradation records and the rendered report.
@@ -17,17 +16,13 @@ without dying — from wedging a campaign or silently skewing its numbers:
 
 from __future__ import annotations
 
-import threading
-
-import pytest
+import os
 
 from repro.atpg.budget import AtpgBudget
 from repro.atpg.engine import run_atpg
-from repro.bench.circuits import BENCHMARKS, build_benchmark
-from repro.faults.fsim import PatternBatch, fault_simulate
+from repro.bench.circuits import build_benchmark
+from repro.core import analyze_design, table1_row
 from repro.runner import CampaignSpec, Runner, TaskSpec, read_journal
-from repro.runner.executor import CODE_THREAD_ABANDONED
-from repro.runner.registry import task
 from tests.conftest import (
     injected_sat_aborts,
     mixed_fault_list,
@@ -35,80 +30,68 @@ from tests.conftest import (
 )
 
 # ----------------------------------------------------------------------
-# End-to-end: hang, give up at the timeout, retry — bit-identical on
-# every bundled benchmark
+# End-to-end: block in fault simulation, killed at the timeout, retried
 # ----------------------------------------------------------------------
 
-# Per-attempt timeout.  The whole simulation takes a few tens of
-# milliseconds on the largest benchmark, so a retry never comes close.
-HANG_TIMEOUT_S = 0.5
+# Per-attempt timeout.  A clean sparc_tlu analysis takes well under a
+# second in a fresh interpreter, so the retry never comes close.
+HANG_TIMEOUT_S = 5.0
 
-# name -> (circuit, cells, faults, batch, events) for the running test.
-_WORKLOADS = {}
+# Put first on a worker's PYTHONPATH (workers inherit the runner's
+# environment): the first ``fault_simulate`` call of the ATPG engine in
+# a process that finds the marker file removes it and blocks, for far
+# longer than the timeout but not forever, so a runner that fails to
+# kill the worker fails the test instead of hanging it.
+_SITECUSTOMIZE = """\
+import os
+import time
 
+import repro.atpg.engine as engine
 
-@task("fsim_hang_once")
-def _fsim_hang_once(params, ctx):
-    """Detect words of a benchmark workload; the first attempt hangs.
-
-    Before hanging, the first attempt simulates half the faults, so the
-    retry runs against a plan and good-value cache that the abandoned
-    attempt built and still holds.
-    """
-    circuit, cells, faults, batch, events = _WORKLOADS[params["name"]]
-    if ctx.attempt == 1:
-        try:
-            fault_simulate(circuit, cells, faults[: len(faults) // 2], batch)
-            events["hung"].set()
-            events["release"].wait(60.0)
-            raise RuntimeError("hung attempt released")
-        finally:
-            events["done"].set()
-    words = fault_simulate(circuit, cells, faults, batch)
-    return {"words": words}
+_real = engine.fault_simulate
 
 
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_hung_worker_reaped_and_retried_bit_identical(
-    cells, library, name, tmp_path
-):
-    """The task runs inline, where a hung worker thread cannot be killed:
-    it is abandoned at the timeout and left blocked while the retry runs
-    on the same circuit object."""
-    # A cold circuit: the hung attempt is the first to touch its plan.
-    circuit = build_benchmark(name, library)
-    faults = mixed_fault_list(circuit, library, seed=0, per_kind=5)
-    batch = PatternBatch.random(circuit, 150, seed=0)
+def fault_simulate(*args, **kwargs):
+    if os.path.exists({marker!r}):
+        os.remove({marker!r})
+        time.sleep(60.0)
+    return _real(*args, **kwargs)
 
-    events = {k: threading.Event() for k in ("hung", "release", "done")}
-    _WORKLOADS[name] = (circuit, cells, faults, batch, events)
-    root = str(tmp_path)
-    campaign = CampaignSpec(f"hung-{name}", [TaskSpec(
-        "sim", "fsim_hang_once", {"name": name},
-        timeout=HANG_TIMEOUT_S, retries=2, backoff=0.0,
+
+engine.fault_simulate = fault_simulate
+"""
+
+
+def test_blocked_analysis_killed_and_retried(library, tmp_path, monkeypatch):
+    marker = str(tmp_path / "block-once")
+    hook_dir = tmp_path / "hook"
+    hook_dir.mkdir()
+    (hook_dir / "sitecustomize.py").write_text(
+        _SITECUSTOMIZE.format(marker=marker)
+    )
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (str(hook_dir), os.environ.get("PYTHONPATH")) if p
+    ))
+    with open(marker, "w") as fh:
+        fh.write("armed\n")
+    root = str(tmp_path / "runs")
+    campaign = CampaignSpec("blocked", [TaskSpec(
+        "analyze:full:sparc_tlu", "analyze",
+        {"circuit": "sparc_tlu", "scale": 1, "seed": 0, "variant": "full"},
+        timeout=HANG_TIMEOUT_S, retries=1, backoff=0.0, isolation="process",
     )])
-    try:
-        report = Runner(campaign, root=root, sleep=lambda _s: None).execute()
-    finally:
-        events["release"].set()
-        # The abandoned attempt unblocks and exits before the next test.
-        assert events["done"].wait(60.0)
-        del _WORKLOADS[name]
+    report = Runner(campaign, root=root).execute()
 
-    # The reference: a clean serial run on an independent build.
-    reference = build_benchmark(name, library)
-    serial = fault_simulate(reference, cells, faults, batch)
-    assert events["hung"].is_set()
+    events = read_journal(os.path.join(root, "blocked", "journal.jsonl"))
+    ends = [e for e in events if e.get("event") == "task_end"]
+    assert [e["status"] for e in ends] == ["timeout", "ok"]
+    assert "worker killed" in ends[0]["error"]
+    assert not os.path.exists(marker)  # the first attempt did block
     assert report["status"] == "ok"
-    assert report["results"]["sim"]["words"] == serial
-    assert report["runtime_warnings"][CODE_THREAD_ABANDONED] >= 1
-    journal = tmp_path / f"hung-{name}" / "journal.jsonl"
-    ends = [
-        e["status"] for e in read_journal(str(journal))
-        if e.get("event") == "task_end"
-    ]
-    assert ends[0] == "timeout"
-    assert ends[-1] == "ok"
+    clean = analyze_design(
+        build_benchmark("sparc_tlu", library), library, seed=0, atpg_seed=0,
+    )
+    assert report["table1"] == [table1_row("sparc_tlu", clean)]
 
 
 # ----------------------------------------------------------------------
@@ -183,20 +166,14 @@ class TestAbortReasons:
                 },
             },
         }
-        report = build_report(
-            {}, "run-x", outcomes,
-            runtime_warnings={"RUN-THREAD-ABANDONED": 1},
-        )
+        report = build_report({}, "run-x", outcomes)
         assert report["degradations"]["analyze:full:x"]["abort_reasons"] \
             == {"deadline": 2, "conflicts": 1}
-        assert report["runtime_warnings"] == {"RUN-THREAD-ABANDONED": 1}
         rendered = render_report(report)
         assert "abort_reasons[deadline]=2" in rendered
         assert "abort_reasons[conflicts]=1" in rendered
-        assert "RUN-THREAD-ABANDONED" in rendered
-        # Both are wall-clock facts: normalization strips them so
-        # straight and resumed runs still compare byte-for-byte.
+        # A wall-clock fact: normalization strips it so straight and
+        # resumed runs still compare byte-for-byte.
         normalized = normalize_report(report)
-        assert "runtime_warnings" not in normalized
         assert "abort_reasons" not in normalized["degradations"][
             "analyze:full:x"]

@@ -346,21 +346,66 @@ class TestRunnerCheckNetlist:
 
 
 class TestPreflight:
+    """The runner checks every circuit task in its fingerprint pass,
+    before the run directory exists: the task's circuit must build and
+    lint clean against the variant's cells."""
+
     def test_preflight_accepts_paper_campaign(self):
-        from repro.runner.tasks import paper_campaign, preflight_campaign
+        from repro.runner.model import fingerprint_campaign
+        from repro.runner.tasks import paper_campaign
 
         campaign = paper_campaign(["sparc_tlu"], "pf", tables=(1,))
-        assert preflight_campaign(campaign) == []
+        assert list(fingerprint_campaign(campaign)) == [
+            "analyze:full:sparc_tlu"
+        ]
 
-    def test_preflight_reports_unbuildable_circuit(self):
-        from repro.runner.model import CampaignSpec, TaskSpec
-        from repro.runner.tasks import preflight_campaign
+    def test_preflight_reports_unbuildable_circuit(self, tmp_path):
+        from repro.runner import Runner
+        from repro.runner.model import CampaignError, CampaignSpec, TaskSpec
 
         campaign = CampaignSpec(run_id="pf2", tasks=[
             TaskSpec("analyze:full:nope", "analyze",
                      {"circuit": "nope", "variant": "full"}),
         ])
-        problems = preflight_campaign(campaign)
+        with pytest.raises(CampaignError) as info:
+            Runner(campaign, root=str(tmp_path)).execute()
+        problems = str(info.value).splitlines()[1:]
         assert len(problems) == 1
         assert "analyze:full:nope" in problems[0]
         assert "nope" in problems[0]
+        assert not (tmp_path / "pf2").exists()
+
+    def test_lint_errors_listed_per_task(self, tmp_path, monkeypatch):
+        """A circuit that builds but uses cells its variant lacks is
+        reported diagnostic by diagnostic, against every task."""
+        from repro.bench import build_benchmark
+        from repro.runner import Runner, tasks
+        from repro.runner.model import CampaignError
+        from repro.runner.tasks import paper_campaign
+
+        full = tasks._library_variant("full")
+        circuit = build_benchmark("sparc_tlu", full)
+        dropped = sorted({gate.cell for gate in circuit.gates.values()})[:2]
+        variant = "exclude:" + ",".join(dropped)
+        monkeypatch.setattr(
+            tasks, "_built_circuit",
+            lambda name, scale, variant: build_benchmark(name, full),
+        )
+        campaign = paper_campaign(
+            ["sparc_tlu"], "pf3", tables=(1,), variants=(variant,),
+        )
+        campaign.tasks += paper_campaign(
+            ["sparc_tlu"], "pf3", tables=(2,), variants=(variant,),
+        ).tasks
+        with pytest.raises(CampaignError) as info:
+            Runner(campaign, root=str(tmp_path)).execute()
+        lines = str(info.value).splitlines()
+        assert lines[0].startswith("campaign check found ")
+        assert lines[0].endswith("problem(s); nothing was run:")
+        problems = lines[1:]
+        assert len(problems) == int(lines[0].split()[3])
+        for task_id in (f"analyze:{variant}:sparc_tlu",
+                        f"resynthesize:{variant}:sparc_tlu"):
+            mine = [p for p in problems if p.startswith(f"  task {task_id}: ")]
+            assert mine and all("[unknown-cell]" in p for p in mine)
+        assert not (tmp_path / "pf3").exists()
