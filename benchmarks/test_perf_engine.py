@@ -6,7 +6,10 @@ per-event evaluator lookups, no compiled plan), checks the optimized
 results are bit-identical to the baseline *and* to the naive
 one-pattern-at-a-time oracle in ``tests/fsim_reference.py``, and appends
 a trajectory point to ``benchmarks/results/BENCH_engine.json`` so
-speedups and engine counters can be tracked across revisions.
+speedups and engine counters can be tracked across revisions.  The
+baseline's good-value simulation, evaluator compiler and cell-aware
+faulty word are the frozen copies in ``tests/fsim_event_reference.py``,
+so no change to the live engine moves the baseline.
 
 Run with: ``PYTHONPATH=src python -m pytest benchmarks/test_perf_engine.py -s``
 
@@ -27,11 +30,7 @@ import pytest
 
 from benchmarks.conftest import emit_report, get_library
 from repro.bench import build_benchmark
-from repro.faults.fsim import (
-    PatternBatch,
-    _cell_faulty_word,
-    fault_simulate,
-)
+from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.model import (
     FALL,
     RISE,
@@ -43,8 +42,12 @@ from repro.faults.model import (
 )
 from repro.faults.sites import enumerate_internal_faults
 from repro.netlist.circuit import Circuit
-from repro.netlist.simulator import compile_cell_eval, simulate
 from repro.utils.observability import EngineStats
+from tests.fsim_event_reference import (
+    _cell_faulty_word,
+    compile_cell_eval,
+    simulate,
+)
 from tests.fsim_reference import reference_fault_simulate
 
 pytestmark = [pytest.mark.perf, pytest.mark.slow]

@@ -123,7 +123,7 @@ def test_resynthesized_circuits_equivalent():
     import random
 
     from benchmarks.conftest import get_library
-    from repro.netlist import simulate_patterns
+    from tests.sim_helpers import simulate_patterns
 
     cells = {c.name: c for c in get_library()}
     rng = random.Random(2024)

@@ -19,7 +19,7 @@ from repro.faults.model import (
 )
 from repro.faults.sites import FaultSet, enumerate_internal_faults
 from repro.faults.collapse import collapse_faults
-from repro.faults.fsim import fault_simulate, detected_by_patterns
+from repro.faults.fsim import fault_simulate
 
 __all__ = [
     "BridgingFault",
@@ -34,5 +34,4 @@ __all__ = [
     "enumerate_internal_faults",
     "collapse_faults",
     "fault_simulate",
-    "detected_by_patterns",
 ]

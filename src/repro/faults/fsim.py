@@ -18,16 +18,20 @@ Detection semantics per model (matching the ATPG encodings):
 * cell-aware dynamic — floating minterms in frame 2 retain the frame-1
   driven faulty value; unknown/undriven cases give no credit.
 
-Performance architecture: all per-gate work (evaluator compilation, pin
-resolution, load lists) is hoisted into the circuit's
+Performance architecture: all per-gate work (evaluator compilation and
+binding, pin resolution, load masks) is hoisted into the circuit's
 :class:`~repro.netlist.simulator.CompiledCircuit` plan, the only state
 kept between calls, and nets are handled as dense integer indices.
+Every fault model seeds one faulty net.  Its event queue is a Python int
+whose bit *k* is gate ``base + k``, *base* being one past the last
+popped gate: a push ORs in the changed net's load mask and a pop takes
+the lowest set bit, so gates are evaluated in ascending topological
+index, each at most once, with one evaluator call per event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults.model import (
@@ -40,15 +44,14 @@ from repro.faults.model import (
 from repro.library.cell import StandardCell
 from repro.library.defects import CellDefect
 from repro.netlist.circuit import Circuit
-from repro.netlist.simulator import CompiledCircuit
+from repro.netlist.simulator import CompiledCircuit, compile_cell_eval
 from repro.utils.observability import EngineStats
 from repro.utils.rng import make_rng
 
 # Pattern pairs per fault-simulation batch: the random-phase batch size
 # of :func:`repro.atpg.engine.run_atpg` and its upper bound, and the
-# chunk size wherever a pair list is graded (compaction,
-# :func:`detected_by_patterns`).  Widening it changes which pairs ATPG
-# draws and keeps, and so Table II's T column.
+# chunk size wherever a pair list is graded (compaction).  Widening it
+# changes which pairs ATPG draws and keeps, and so Table II's T column.
 BATCH_PAIRS = 64
 
 
@@ -111,8 +114,7 @@ class _SimContext:
     """
 
     __slots__ = (
-        "circuit", "plan", "mask", "good1", "good2", "scratch", "inq",
-        "events",
+        "circuit", "plan", "mask", "good1", "good2", "scratch", "events",
     )
 
     def __init__(
@@ -132,77 +134,60 @@ class _SimContext:
         # written in place (direct list indexing beats a side dict on
         # the hot path) and restored from the touched list afterwards.
         self.scratch = list(good2)
-        # In-queue flags per gate; all zero between propagations.
-        self.inq = bytearray(len(plan.gate_out))
         self.events = 0
 
-    def propagate(
-        self, overrides: Dict[int, int], activation: int
-    ) -> int:
-        """Propagate faulty net values (frame 2); return the detect word.
+    def propagate(self, site: int, value: int, activation: int) -> int:
+        """Propagate a faulty value (frame 2); return the detect word.
 
-        *overrides* seeds faulty values on nets (by net index);
-        *activation* masks the patterns for which the fault is active at
-        its site.
+        *value* is the masked faulty word of net *site*; *activation*
+        masks the patterns for which the fault is active at its site.
+        The site's driver precedes every gate its value reaches, so the
+        site keeps *value* throughout.
         """
         if not activation:
             return 0
-        plan = self.plan
         good = self.good2
-        mask = self.mask
-        loads_of = plan.loads_of
+        if value == good[site]:
+            return 0
+        plan = self.plan
+        load_mask = plan.load_mask
         is_po = plan.is_po
-        values = self.scratch  # equals good outside propagation
-        inq = self.inq  # all zero here; zeroed again by the pops below
-        touched: List[int] = []
-        detect = 0
-        heap: List[int] = []
-        push = heappush
-        pop = heappop
-        for net, value in overrides.items():
-            value &= mask
-            if value != values[net]:
-                values[net] = value
-                touched.append(net)
-                if is_po[net]:
-                    detect |= (value ^ good[net])
-                for gi in loads_of[net]:
-                    if not inq[gi]:
-                        inq[gi] = 1
-                        push(heap, gi)
         gate_eval = plan.gate_eval
-        gate_out = plan.gate_out
+        net0 = plan.gate_net0
+        mask = self.mask
+        values = self.scratch  # equals good outside propagation
+        values[site] = value
+        touched = [site]
+        detect = value ^ good[site] if is_po[site] else 0
+        # Bit k of `queue` is gate `gi + 1 + k`, `gi` being the last
+        # popped gate (the site's driver, or -1 for a primary input,
+        # before the first pop): the offset every load mask of a
+        # just-changed net is relative to.
+        queue = load_mask[site]
+        gi = site - net0 if site >= net0 else -1
         events = 0
-        # Pops come in topo order and a gate's fanin is complete before
-        # its index is reached, so each gate is pushed at most once and
-        # clearing its flag at pop time keeps `inq` zeroed for the next
-        # propagation.
-        while heap:
-            gi = pop(heap)
-            inq[gi] = 0
+        # Loads follow their drivers, so pops come in topo order, a
+        # gate's fanin is final when it is popped and each gate is
+        # evaluated at most once, from good values on its own output.
+        while queue:
+            step = (queue & -queue).bit_length()
+            queue >>= step
+            gi += step
             events += 1
-            out = gate_out[gi]
-            if out in overrides:
-                continue  # the fault site itself stays forced
             new = gate_eval[gi](values, mask)
-            old = values[out]
+            out = net0 + gi
+            old = good[out]
             if new == old:
                 continue
-            if old == good[out]:
-                touched.append(out)  # first deviation: remember to restore
             values[out] = new
+            touched.append(out)
             if is_po[out]:
-                detect |= (new ^ good[out])
+                detect |= new ^ old
                 if detect & activation == activation:
                     # Every activated pattern already observed a
                     # difference — nothing downstream can add more.
-                    for gj in heap:
-                        inq[gj] = 0
                     break
-            for gj in loads_of[out]:
-                if not inq[gj]:
-                    inq[gj] = 1
-                    push(heap, gj)
+            queue |= load_mask[out]
         for net in touched:
             values[net] = good[net]
         self.events += events
@@ -224,96 +209,78 @@ def _make_context(
     )
 
 
-def _branch_overrides(
-    ctx: _SimContext, net: str, branch: Optional[Tuple[str, str]],
-    forced: int,
-) -> Tuple[Dict[int, int], bool]:
-    """Faulty seed values for a stem or branch fault forced to *forced*.
+def _seed(
+    ctx: _SimContext, fault: Fault, idx: int, forced: int,
+) -> Optional[Tuple[int, int]]:
+    """Faulty site and value of a stuck-at or transition fault.
 
-    For a branch fault only the branch gate sees the forced value: we
-    recompute that gate's output with the forced input and seed it.
-    Returns (overrides by net index, ok) — ok is False if the branch no
-    longer exists.
+    *idx* is the fault's net and *forced* its frame-2 value.  For a
+    branch fault only the branch gate sees the forced value: the site is
+    that gate's output, recomputed with the forced input.  Returns None
+    if the branch no longer exists.
     """
-    plan = ctx.plan
-    if branch is None:
-        return {plan.net_index[net]: forced}, True
-    gname, pin = branch
+    if fault.branch is None:
+        return idx, forced
+    gname, pin = fault.branch
     gate = ctx.circuit.gates.get(gname)
-    if gate is None or gate.pins.get(pin) != net:
-        return {}, False
+    if gate is None or gate.pins.get(pin) != fault.net:
+        return None
+    plan = ctx.plan
     gi = plan.gate_index[gname]
     cell = plan.cells[gate.cell]
-    fn = plan.gate_fn[gi]
-    ins = []
-    for p, idx in zip(cell.input_pins, plan.gate_in[gi]):
-        if p == pin:
-            ins.append(forced & ctx.mask)
-        else:
-            ins.append(ctx.good2[idx])
-    return {plan.gate_out[gi]: fn(*ins, ctx.mask)}, True
+    good = ctx.good2
+    ins = [
+        forced if p == pin else good[i]
+        for p, i in zip(cell.input_pins, plan.gate_in[gi])
+    ]
+    fn = compile_cell_eval(len(ins), cell.tt)
+    return plan.gate_out[gi], fn(*ins, ctx.mask)
 
 
 def _cell_faulty_word(
-    defect: CellDefect,
-    input_words: Sequence[int],
+    ctx: _SimContext, defect: CellDefect, in_idx: Sequence[int],
     good_out: int,
-    mask: int,
-    frame1_words: Optional[Sequence[int]] = None,
-    frame1_good_out: int = 0,
 ) -> int:
-    """Frame-2 faulty output word of a defective cell instance."""
-    n = len(input_words)
+    """Frame-2 faulty output word of a defective cell instance.
 
-    def match(words: Sequence[int], m: int) -> int:
-        w = mask
-        for i in range(n):
-            w &= words[i] if (m >> i) & 1 else ~words[i]
-        return w & mask
-
-    out = 0
-    if frame1_words is not None and defect.floating:
-        retained = 0
-        valid1 = 0
-        for m, fval in enumerate(defect.faulty):
-            if fval is None:
-                continue
-            m1 = match(frame1_words, m)
-            valid1 |= m1
-            if fval:
-                retained |= m1
-    for m, fval in enumerate(defect.faulty):
-        w = match(input_words, m)
-        if not w:
-            continue
-        if fval is not None:
-            if fval:
-                out |= w
-        elif m in defect.floating and frame1_words is not None:
-            # Retain the frame-1 driven faulty value; undriven frame-1
-            # initialization gives no detection credit (follow good).
-            out |= w & valid1 & retained
-            out |= w & ~valid1 & good_out
-        else:
-            out |= w & good_out  # unknown response: no credit
-    return out & mask
+    *in_idx* are the cell's input nets.  Minterms with a strong faulty
+    value drive it and unknown ones follow *good_out* (no detection
+    credit).  A floating minterm retains the value frame 1's minterm
+    drove, or follows *good_out* if frame 1 drove none.
+    """
+    strong1, unknown, floating, defined = defect.minterm_classes
+    mask = ctx.mask
+    n = len(in_idx)
+    good2 = ctx.good2
+    words2 = [good2[i] for i in in_idx]
+    out = compile_cell_eval(n, strong1)(*words2, mask)
+    out |= compile_cell_eval(n, unknown)(*words2, mask) & good_out
+    if floating:
+        held = compile_cell_eval(n, floating)(*words2, mask)
+        if held:
+            good1 = ctx.good1
+            words1 = [good1[i] for i in in_idx]
+            retained = compile_cell_eval(n, strong1)(*words1, mask)
+            valid1 = compile_cell_eval(n, defined)(*words1, mask)
+            out |= held & (retained | (~valid1 & good_out))
+    return out
 
 
 def _simulate_one(ctx: _SimContext, fault: Fault) -> int:
     mask = ctx.mask
     plan = ctx.plan
     net_index = plan.net_index
+    good2 = ctx.good2
     if isinstance(fault, StuckAtFault):
         idx = net_index.get(fault.net)
         if idx is None:
             return 0
         forced = mask if fault.value else 0
-        overrides, ok = _branch_overrides(ctx, fault.net, fault.branch, forced)
-        if not ok:
+        seed = _seed(ctx, fault, idx, forced)
+        if seed is None:
             return 0
-        good = ctx.good2[idx]
-        activation = (good ^ forced) & mask
-        return ctx.propagate(overrides, activation)
+        activation = (good2[idx] ^ forced) & mask
+        return ctx.propagate(*seed, activation)
     if isinstance(fault, TransitionFault):
         idx = net_index.get(fault.net)
         if idx is None:
@@ -323,36 +290,28 @@ def _simulate_one(ctx: _SimContext, fault: Fault) -> int:
         if not initialized:
             return 0
         forced = mask if fault.stuck_value else 0
-        overrides, ok = _branch_overrides(ctx, fault.net, fault.branch, forced)
-        if not ok:
+        seed = _seed(ctx, fault, idx, forced)
+        if seed is None:
             return 0
-        activation = (ctx.good2[idx] ^ forced) & initialized
-        return ctx.propagate(overrides, activation)
+        activation = (good2[idx] ^ forced) & initialized
+        return ctx.propagate(*seed, activation)
     if isinstance(fault, BridgingFault):
         vi = net_index.get(fault.victim)
         ai = net_index.get(fault.aggressor)
         if vi is None or ai is None:
             return 0
-        aggr = ctx.good2[ai]
-        activation = (ctx.good2[vi] ^ aggr) & mask
-        return ctx.propagate({vi: aggr}, activation)
+        aggr = good2[ai]
+        activation = (good2[vi] ^ aggr) & mask
+        return ctx.propagate(vi, aggr, activation)
     if isinstance(fault, CellAwareFault):
-        gate = ctx.circuit.gates.get(fault.gate)
-        if gate is None:
+        gi = plan.gate_index.get(fault.gate)
+        if gi is None:
             return 0
-        gi = plan.gate_index[fault.gate]
-        in_idx = plan.gate_in[gi]
-        out_idx = plan.gate_out[gi]
-        in2 = [ctx.good2[i] for i in in_idx]
-        good_out = ctx.good2[out_idx]
-        frame1 = None
-        if fault.defect.floating:
-            frame1 = [ctx.good1[i] for i in in_idx]
-        faulty = _cell_faulty_word(
-            fault.defect, in2, good_out, mask, frame1_words=frame1,
-        )
+        out = plan.gate_out[gi]
+        good_out = good2[out]
+        faulty = _cell_faulty_word(ctx, fault.defect, plan.gate_in[gi], good_out)
         activation = (faulty ^ good_out) & mask
-        return ctx.propagate({out_idx: faulty}, activation)
+        return ctx.propagate(out, faulty, activation)
     raise TypeError(type(fault).__name__)
 
 
@@ -375,29 +334,3 @@ def fault_simulate(
         stats.faults_simulated += len(faults)
         stats.events_propagated += ctx.events
     return results
-
-
-def detected_by_patterns(
-    circuit: Circuit,
-    cells: Mapping[str, StandardCell],
-    faults: Sequence[Fault],
-    pairs: Sequence[Tuple[Mapping[str, int], Mapping[str, int]]],
-    *,
-    stats: Optional[EngineStats] = None,
-) -> List[bool]:
-    """Convenience wrapper: which faults do these test pairs detect?
-
-    Pairs are simulated in chunks of :data:`BATCH_PAIRS`.
-    """
-    if not pairs:
-        return [False] * len(faults)
-    flags = [False] * len(faults)
-    for start in range(0, len(pairs), BATCH_PAIRS):
-        batch = PatternBatch.from_pairs(
-            circuit, pairs[start:start + BATCH_PAIRS]
-        )
-        words = fault_simulate(circuit, cells, faults, batch, stats=stats)
-        for i, w in enumerate(words):
-            if w:
-                flags[i] = True
-    return flags

@@ -31,6 +31,7 @@ denser/larger cells flagged at a higher rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.library.transistor import V0, V1, VZ, SwitchNetwork
@@ -65,6 +66,22 @@ class CellDefect:
     def signature(self) -> Tuple:
         """Equivalence key: defects with equal signatures behave alike."""
         return (self.kind, self.faulty, self.floating)
+
+    @cached_property
+    def minterm_classes(self) -> Tuple[int, int, int, int]:
+        """Truth tables of the minterms whose faulty output is strong 1,
+        unknown, floating and defined (strong 0 or 1), in that order."""
+        strong1 = unknown = floating = defined = 0
+        for m, fv in enumerate(self.faulty):
+            if fv is not None:
+                defined |= 1 << m
+                if fv:
+                    strong1 |= 1 << m
+            elif m in self.floating:
+                floating |= 1 << m
+            else:
+                unknown |= 1 << m
+        return strong1, unknown, floating, defined
 
     def static_detecting_minterms(self, good_tt: int) -> List[int]:
         """Minterms whose strong faulty value differs from the good value."""

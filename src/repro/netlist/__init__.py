@@ -21,7 +21,6 @@ from repro.netlist.simulator import (
     clear_compiled_cache,
     compile_cell_eval,
     simulate,
-    simulate_patterns,
 )
 from repro.netlist.io import parse_netlist, write_netlist
 from repro.netlist.validate import (
@@ -44,7 +43,6 @@ __all__ = [
     "replace_subcircuit",
     "compile_cell_eval",
     "simulate",
-    "simulate_patterns",
     "parse_netlist",
     "write_netlist",
     "Diagnostic",

@@ -7,32 +7,60 @@ which is what makes Python-side fault simulation practical.
 
 Cell functions are given as truth tables (bit *m* of ``tt`` is the output
 for input minterm *m*, with ``input_pins[0]`` as the least significant bit).
-For speed, each (arity, tt) pair is compiled once into a Python lambda in
-sum-of-products (or product-of-sums, whichever is smaller) form and cached.
+Each (arity, tt) pair becomes one sum-of-products (or product-of-sums,
+whichever is smaller) bitwise expression, compiled and cached in two
+forms: :func:`compile_cell_eval` takes the input words as arguments, and
+:func:`compile_gate_eval` makes, for one gate's input net indices, a
+closure that reads them straight from a value vector, so evaluating a
+gate is one Python call.
 
 :class:`CompiledCircuit` hoists every per-gate cost out of the simulation
 loops: nets are mapped to dense integer indices, each gate's evaluator is
-resolved exactly once, and load/PO structure is precomputed.  A circuit
-keeps its plan (rebuilt automatically when the circuit mutates), so
-repeated simulation of the same design — the normal case inside the
-resynthesis loop — pays the compile cost once.  The plan holds no
-reference back to its circuit, so it dies with the circuit.
+bound exactly once, and each net's loads are precomputed as a bit mask
+over gate indices, which the fault simulator ORs into its event queue.
+A circuit keeps its plan (rebuilt automatically when the circuit
+mutates), so repeated simulation of the same design — the normal case
+inside the resynthesis loop — pays the compile cost once.  The plan
+holds no reference back to its circuit, so it dies with the circuit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.netlist.circuit import CONST0, CONST1, CellDef, Circuit, NetlistError
 
 Evaluator = Callable[..., int]
+# A gate's bound evaluator: ``(values, mask) -> output word``.
+GateEval = Callable[[List[int], int], int]
 
-# Bound of the global (n_inputs, truth_table) -> evaluator cache.  Real
+# Bound of each global (n_inputs, truth_table) compile cache.  Real
 # libraries have a few dozen distinct cell functions, so the bound only
 # matters for adversarial workloads (e.g. fuzzing over random truth
 # tables) where an unbounded cache is a slow leak.
 EVAL_CACHE_SIZE = 1024
+
+
+def _tt_expr(n_inputs: int, tt: int) -> str:
+    """Masked bitwise expression of *tt* over ``v0``.. and ``mask``."""
+    size = 1 << n_inputs
+    if n_inputs and not 0 <= tt < (1 << size):
+        raise ValueError(f"truth table 0x{tt:x} out of range for {n_inputs} inputs")
+    minterms = [m for m in range(size) if (tt >> m) & 1]
+    use_complement = len(minterms) > size // 2
+    terms = (
+        [m for m in range(size) if not (tt >> m) & 1] if use_complement else minterms
+    )
+    if not terms:
+        return "mask" if use_complement else "0"
+    sop = " | ".join(
+        "(" + " & ".join(
+            f"v{i}" if (m >> i) & 1 else f"~v{i}" for i in range(n_inputs)
+        ) + ")"
+        for m in terms
+    )
+    return f"~({sop}) & mask" if use_complement else f"({sop}) & mask"
 
 
 @lru_cache(maxsize=EVAL_CACHE_SIZE)
@@ -43,65 +71,51 @@ def compile_cell_eval(n_inputs: int, tt: int) -> Evaluator:
     a ``mask`` keyword-only-by-position final argument and returns the output
     bit vector (already masked).
     """
-    if n_inputs == 0:
-        if tt & 1:
-            return lambda mask: mask
-        return lambda mask: 0
-    size = 1 << n_inputs
-    if tt >= (1 << size) or tt < 0:
-        raise ValueError(f"truth table 0x{tt:x} out of range for {n_inputs} inputs")
-    minterms = [m for m in range(size) if (tt >> m) & 1]
-    use_complement = len(minterms) > size // 2
-    terms = (
-        [m for m in range(size) if not (tt >> m) & 1] if use_complement else minterms
-    )
-    args = [f"v{i}" for i in range(n_inputs)]
-
-    def term_expr(m: int) -> str:
-        lits = []
-        for i in range(n_inputs):
-            lits.append(args[i] if (m >> i) & 1 else f"~{args[i]}")
-        return "(" + " & ".join(lits) + ")"
-
-    if not terms:
-        body = "0" if not use_complement else "mask"
-    else:
-        sop = " | ".join(term_expr(m) for m in terms)
-        body = f"~({sop}) & mask" if use_complement else f"({sop}) & mask"
-    src = f"lambda {', '.join(args)}, mask: {body}"
+    args = "".join(f"v{i}, " for i in range(n_inputs))
+    src = f"lambda {args}mask: {_tt_expr(n_inputs, tt)}"
     return eval(src)  # noqa: S307 - source is generated from integers only
 
 
-def _bind_gate_eval(fn: Evaluator, ins: Tuple[int, ...]) -> Callable:
-    """Specialize a cell evaluator to one gate's input net indices.
+@lru_cache(maxsize=EVAL_CACHE_SIZE)
+def compile_gate_eval(n_inputs: int, tt: int) -> Callable[..., GateEval]:
+    """Compile a truth table into a factory of per-gate evaluators.
 
-    The returned closure takes ``(values, mask)`` and indexes the value
-    vector directly — the event loop avoids building an argument list
-    and unpacking it per evaluation.  Common arities are unrolled.
+    ``compile_gate_eval(n, tt)(*ins)`` returns the gate's evaluator: a
+    closure taking ``(values, mask)`` that reads its inputs at the net
+    indices *ins* of the value vector and returns the output bit vector
+    (already masked).
     """
-    n = len(ins)
-    if n == 1:
-        a, = ins
-        return lambda v, mask: fn(v[a], mask)
-    if n == 2:
-        a, b = ins
-        return lambda v, mask: fn(v[a], v[b], mask)
-    if n == 3:
-        a, b, c = ins
-        return lambda v, mask: fn(v[a], v[b], v[c], mask)
-    if n == 4:
-        a, b, c, d = ins
-        return lambda v, mask: fn(v[a], v[b], v[c], v[d], mask)
-    return lambda v, mask: fn(*[v[i] for i in ins], mask)
+    ins = ", ".join(f"i{i}" for i in range(n_inputs))
+    reads = "".join(
+        f"        v{i} = values[i{i}]\n" for i in range(n_inputs)
+    )
+    src = (
+        f"def bind({ins}):\n"
+        f"    def evaluate(values, mask):\n"
+        f"{reads}"
+        f"        return {_tt_expr(n_inputs, tt)}\n"
+        f"    return evaluate\n"
+    )
+    namespace: Dict[str, Callable[..., GateEval]] = {}
+    code = compile(src, f"<gate_eval {n_inputs}:{tt:#x}>", "exec")
+    exec(code, namespace)  # noqa: S102 - source is generated from integers only
+    return namespace["bind"]
 
 
 class CompiledCircuit:
     """A circuit prepared for repeated simulation.
 
     Nets are assigned dense indices (``CONST0`` = 0, ``CONST1`` = 1, then
-    primary inputs, then gate outputs in topological order), and per-gate
-    evaluators/pin indices are resolved once.  The plan is the only state
-    simulation keeps between calls.
+    primary inputs, then gate outputs in topological order: gate *gi*
+    drives net ``gate_net0 + gi``), and per-gate evaluators/pin indices
+    are resolved once.  The plan is the only state simulation keeps
+    between calls.
+
+    ``load_mask[net]`` holds the gates the net feeds as a bit mask
+    relative to its driver: bit *k* is gate ``base + k``, where *base*
+    is the driver's index + 1 (0 for constants and primary inputs).
+    Every load follows its driver in topological order, so the masks
+    are non-negative.
 
     Use :meth:`get` rather than the constructor: a circuit keeps its
     plan, which is rebuilt when the circuit's gates or ports change.
@@ -110,10 +124,9 @@ class CompiledCircuit:
     """
 
     __slots__ = (
-        "cells", "pi_order", "net_index", "n_nets",
-        "gate_names", "gate_index", "gate_fn", "gate_in", "gate_out",
-        "gate_eval", "loads_of", "is_po", "po_index", "eval_compiles",
-        "_topo_ref",
+        "cells", "pi_order", "net_index", "n_nets", "gate_net0",
+        "gate_index", "gate_in", "gate_out", "gate_eval", "load_mask",
+        "is_po", "po_index", "eval_compiles", "_topo_ref",
     )
 
     def __init__(self, circuit: Circuit, cells: Mapping[str, CellDef]):
@@ -123,50 +136,43 @@ class CompiledCircuit:
         net_index: Dict[str, int] = {CONST0: 0, CONST1: 1}
         for pi in circuit.inputs:
             net_index[pi] = len(net_index)
+        self.gate_net0 = gate_net0 = len(net_index)
         for gname in topo:
             net_index[circuit.gates[gname].output] = len(net_index)
         self.net_index = net_index
         self.n_nets = len(net_index)
         self.pi_order = list(circuit.inputs)
 
-        gate_fn: List[Evaluator] = []
         gate_in: List[Tuple[int, ...]] = []
-        gate_out: List[int] = []
-        compiled: Dict[Tuple[int, int], Evaluator] = {}
+        gate_eval: List[GateEval] = []
+        compiled: Dict[Tuple[int, int], Callable[..., GateEval]] = {}
         for gname in topo:
             gate = circuit.gates[gname]
             cell = cells[gate.cell]
             key = (len(cell.input_pins), cell.tt)
-            fn = compiled.get(key)
-            if fn is None:
-                fn = compile_cell_eval(*key)
-                compiled[key] = fn
-            gate_fn.append(fn)
+            bind = compiled.get(key)
+            if bind is None:
+                bind = compiled[key] = compile_gate_eval(*key)
             try:
-                gate_in.append(
-                    tuple(net_index[gate.pins[p]] for p in cell.input_pins)
-                )
+                ins = tuple(net_index[gate.pins[p]] for p in cell.input_pins)
             except KeyError as exc:
                 raise NetlistError(
                     f"gate {gname}: input net {exc.args[0]} undriven"
                 ) from None
-            gate_out.append(net_index[gate.output])
-        self.gate_names = list(topo)
+            gate_in.append(ins)
+            gate_eval.append(bind(*ins))
         self.gate_index = {g: i for i, g in enumerate(topo)}
-        self.gate_fn = gate_fn
         self.gate_in = gate_in
-        self.gate_out = gate_out
-        self.gate_eval = [
-            _bind_gate_eval(fn, ins)
-            for fn, ins in zip(gate_fn, gate_in)
-        ]
+        self.gate_out = list(range(gate_net0, gate_net0 + len(topo)))
+        self.gate_eval = gate_eval
         self.eval_compiles = len(compiled)
 
-        loads_of: List[List[int]] = [[] for _ in range(self.n_nets)]
+        load_mask = [0] * self.n_nets
         for gi, ins in enumerate(gate_in):
-            for idx in set(ins):
-                loads_of[idx].append(gi)
-        self.loads_of = loads_of
+            for idx in ins:
+                base = idx - gate_net0 + 1 if idx >= gate_net0 else 0
+                load_mask[idx] |= 1 << (gi - base)
+        self.load_mask = load_mask
 
         self.is_po = bytearray(self.n_nets)
         po_index: List[int] = []
@@ -216,19 +222,18 @@ class CompiledCircuit:
                 raise NetlistError(
                     f"missing value for primary input {pi}"
                 ) from None
-        gate_eval = self.gate_eval
-        gate_out = self.gate_out
-        for gi in range(len(gate_out)):
-            values[gate_out[gi]] = gate_eval[gi](values, mask)
+        for out, evaluate in zip(self.gate_out, self.gate_eval):
+            values[out] = evaluate(values, mask)
         return values
 
 
 def clear_compiled_cache() -> None:
-    """Drop the compiled cell evaluators (test hook).
+    """Drop the compiled evaluators and gate factories (test hook).
 
     Plans live on their circuits; a fresh circuit starts without one.
     """
     compile_cell_eval.cache_clear()
+    compile_gate_eval.cache_clear()
 
 
 def simulate(
@@ -245,31 +250,3 @@ def simulate(
     plan = CompiledCircuit.get(circuit, cells)
     values = plan.simulate_values(pi_values, mask)
     return {net: values[i] for net, i in plan.net_index.items()}
-
-
-def simulate_patterns(
-    circuit: Circuit,
-    cells: Mapping[str, CellDef],
-    patterns: Sequence[Mapping[str, int]],
-) -> List[Dict[str, int]]:
-    """Simulate scalar patterns; return one {net: 0/1} dict per pattern.
-
-    Convenience wrapper that packs the patterns into bit vectors, runs one
-    bit-parallel simulation, and unpacks the results.
-    """
-    n = len(patterns)
-    if n == 0:
-        return []
-    mask = (1 << n) - 1
-    packed: Dict[str, int] = {}
-    for pi in circuit.inputs:
-        word = 0
-        for i, pat in enumerate(patterns):
-            if pat[pi]:
-                word |= 1 << i
-        packed[pi] = word
-    values = simulate(circuit, cells, packed, mask)
-    out: List[Dict[str, int]] = []
-    for i in range(n):
-        out.append({net: (val >> i) & 1 for net, val in values.items()})
-    return out

@@ -19,12 +19,12 @@ from repro.faults import (
     CellAwareFault,
     StuckAtFault,
     TransitionFault,
-    detected_by_patterns,
     enumerate_internal_faults,
 )
 from repro.faults.model import RISE, FALL
 from repro.netlist import Circuit
 from tests.conftest import mixed_fault_list, random_mapped_circuit
+from tests.sim_helpers import detected_by_patterns
 
 
 @pytest.fixture()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench import BENCHMARKS, NetBuilder, build_benchmark
 from repro.bench.circuits import DES_S1, DES_S2, PRESENT_SBOX
-from repro.netlist import simulate_patterns
+from tests.sim_helpers import simulate_patterns
 
 
 class TestBuilderPrimitives:

@@ -1,10 +1,10 @@
 """Engine observability counters and the compile-count regression.
 
 The original hot path recompiled a cell evaluator for every gate popped
-off the propagation heap; ``test_compile_count_stays_bounded`` pins the
-fix by asserting the compile count is O(#distinct cells) for the first
-batch and zero afterwards, no matter how many faults or events a batch
-propagates.
+off the propagation queue; ``test_compile_count_stays_bounded`` pins the
+fix by asserting the plan compiles one gate-evaluator factory per
+distinct (arity, truth table) for the first batch and none afterwards,
+no matter how many faults or events a batch propagates.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ def test_compile_count_stays_bounded(cells, monkeypatch):
     }
     sim.clear_compiled_cache()
     calls = []
-    real = sim.compile_cell_eval
+    real = sim.compile_gate_eval
 
     def counting(n_inputs, tt):
         calls.append((n_inputs, tt))
         return real(n_inputs, tt)
 
-    monkeypatch.setattr(sim, "compile_cell_eval", counting)
+    monkeypatch.setattr(sim, "compile_gate_eval", counting)
     stats = EngineStats()
     batch = PatternBatch.random(circuit, 32, seed=1)
     fault_simulate(circuit, cells, faults, batch, stats=stats)

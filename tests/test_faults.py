@@ -11,13 +11,13 @@ from repro.faults import (
     TransitionFault,
     collapse_faults,
     corresponding_gates,
-    detected_by_patterns,
     enumerate_internal_faults,
     fault_simulate,
 )
 from repro.faults.fsim import PatternBatch
 from repro.faults.model import FALL, RISE
 from repro.netlist import Circuit
+from tests.sim_helpers import detected_by_patterns
 
 
 @pytest.fixture()

@@ -15,7 +15,7 @@ from repro.core import (
     table2_row,
 )
 from repro.core.metrics import average_rows
-from repro.faults import detected_by_patterns
+from tests.sim_helpers import detected_by_patterns
 from repro.physical.pdesign import pdesign
 
 
@@ -115,7 +115,7 @@ class TestResynthesisProcedure:
     def test_functional_equivalence_preserved(self, result, cells):
         import random
 
-        from repro.netlist import simulate_patterns
+        from tests.sim_helpers import simulate_patterns
 
         a, b = result.original.circuit, result.final.circuit
         assert a.inputs == b.inputs

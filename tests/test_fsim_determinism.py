@@ -18,11 +18,12 @@ import random
 import pytest
 
 from repro.atpg.engine import run_atpg
-from repro.faults.fsim import PatternBatch, detected_by_patterns, fault_simulate
+from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.sites import enumerate_internal_faults
 from repro.utils.observability import EngineStats
 from tests.conftest import mixed_fault_list, on_workers, random_mapped_circuit
 from tests.fsim_reference import reference_detect_words
+from tests.sim_helpers import detected_by_patterns
 
 WORKERS = 4
 

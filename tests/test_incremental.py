@@ -11,11 +11,11 @@ from repro.faults import (
     BridgingFault,
     StuckAtFault,
     TransitionFault,
-    detected_by_patterns,
     enumerate_internal_faults,
     collapse_faults,
 )
 from repro.faults.model import FALL, RISE
+from tests.sim_helpers import detected_by_patterns
 
 
 def _external_faults(circuit):

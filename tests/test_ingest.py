@@ -37,10 +37,10 @@ from repro.netlist.ingest import (
     parse_bench,
     parse_verilog,
 )
-from repro.netlist.simulator import simulate_patterns
 from repro.runner.__main__ import main as runner_main
 from tests.conftest import mixed_fault_list
 from tests.fsim_reference import reference_fault_simulate
+from tests.sim_helpers import simulate_patterns
 
 FUZZ = settings(
     max_examples=40,

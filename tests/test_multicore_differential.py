@@ -28,7 +28,6 @@ from repro.atpg.engine import run_atpg
 from repro.bench.circuits import BENCHMARKS, build_benchmark
 from repro.faults.fsim import (
     PatternBatch,
-    detected_by_patterns,
     fault_simulate,
 )
 from repro.library import osu018_library
@@ -38,6 +37,7 @@ from tests.conftest import (
     mixed_fault_list,
     random_mapped_circuit,
 )
+from tests.sim_helpers import detected_by_patterns
 
 SEEDS = [0, 1, 2]
 

@@ -117,7 +117,7 @@ class TestSurgery:
 
     def test_replace_identity_roundtrip(self, adder4, cells):
         """Extract a region and stitch it back unchanged: equivalent."""
-        from repro.netlist import simulate_patterns
+        from tests.sim_helpers import simulate_patterns
         import random
 
         gates = list(adder4.topo_order())[2:9]

@@ -7,8 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netlist import CONST0, CONST1, Circuit, simulate, simulate_patterns
-from repro.netlist.simulator import compile_cell_eval
+from repro.netlist import CONST0, CONST1, Circuit, simulate
+from repro.netlist.simulator import compile_cell_eval, compile_gate_eval
+from tests.sim_helpers import simulate_patterns
 
 
 class TestCompileCellEval:
@@ -45,6 +46,19 @@ class TestCompileCellEval:
                     word |= 1 << m
             ins.append(word)
         assert fn(*ins, mask) == tt
+
+    @given(st.integers(0, 5), st.data())
+    @settings(max_examples=60)
+    def test_gate_eval_reads_its_nets(self, n, data):
+        """A bound gate evaluator equals the cell evaluator applied to
+        the words at its input indices, repeated indices included."""
+        tt = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+        values = data.draw(st.lists(st.integers(0, 255), min_size=6,
+                                    max_size=6))
+        idx = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        evaluate = compile_gate_eval(n, tt)(*idx)
+        want = compile_cell_eval(n, tt)(*[values[i] for i in idx], 255)
+        assert evaluate(values, 255) == want
 
 
 class TestSimulate:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.library import osu018_library
-from repro.netlist import Circuit, simulate_patterns
+from repro.netlist import Circuit
 from repro.synthesis import techmap
 from repro.synthesis import (
     Aig,
@@ -32,6 +32,7 @@ from repro.synthesis.rewrite import (
     tt_support,
 )
 from tests.conftest import random_mapped_circuit
+from tests.sim_helpers import simulate_patterns
 
 
 class TestAig:
@@ -293,7 +294,7 @@ class TestBoundaryNameCollision:
         extraction (bug found during the resynthesis benchmarks)."""
         import random
 
-        from repro.netlist import simulate_patterns
+        from tests.sim_helpers import simulate_patterns
         from tests.conftest import random_mapped_circuit
 
         base = random_mapped_circuit(cells, n_pi=6, n_gates=40, seed=77)
