@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import pytest
 

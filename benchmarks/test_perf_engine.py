@@ -24,7 +24,7 @@ import json
 import os
 import random
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 

@@ -422,9 +422,7 @@ def test_resynthesis_speedup_and_identical_trace():
         f"{opt.stats.candidate_cache_hits} cache hits",
         f"  verdicts: {eng.verdicts_inherited} inherited, "
         f"{eng.verdicts_proved} proved; "
-        f"faults: {eng.faults_extracted} extracted; "
-        f"clusters: {eng.clusters_reused} reused, "
-        f"{eng.clusters_recomputed} recomputed",
+        f"faults: {eng.faults_extracted} extracted",
     ]
     emit_report("BENCH_resynthesis", "\n".join(lines))
 

@@ -30,7 +30,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from repro.atpg.budget import ABORTED, DETECTED, UNDETECTABLE, AtpgBudget
@@ -55,10 +54,6 @@ class AtpgResult:
     # Faults whose SAT decision ran out of its resource budget: neither
     # detected nor proved undetectable.  Empty unless a budget was set.
     aborted: Set[str] = field(default_factory=set)
-    # Which budget tripped each aborted fault's decision — fault id to
-    # "deadline" / "conflicts" / "decisions".  Keyed per member fault
-    # like ``aborted``; surfaced in the report's DEGRADATIONS section.
-    abort_reasons: Dict[str, str] = field(default_factory=dict)
     # True when the aborted fraction exceeded the budget's global
     # tolerance: the run completed, but its U/Cov numbers are bounds,
     # not exact values.
@@ -318,15 +313,14 @@ def run_atpg(
         and f.fault_id not in aborted_reps
     }
     undetectable_reps |= inherited_undet
+    # Aborted member faults by the budget their class's decision tripped
+    # (the degradation message's breakdown).
+    reason_counts: Dict[str, int] = {}
     for rep, members in classes.items():
         if rep.fault_id in aborted_reps:
             bucket = result.aborted
-            # Every member of an aborted class shares the one decision
-            # that tripped the budget, so the reason fans out with it.
-            reason = abort_reason_reps.get(rep.fault_id)
-            if reason:
-                for member in members:
-                    result.abort_reasons[member.fault_id] = reason
+            reason = abort_reason_reps[rep.fault_id]
+            reason_counts[reason] = reason_counts.get(reason, 0) + len(members)
         elif rep.fault_id in undetectable_reps:
             bucket = result.undetectable
         else:
@@ -343,16 +337,12 @@ def run_atpg(
         result.approximate = (
             n_aborted > budget.abort_fraction * result.n_faults
         )
-        reason_counts: Dict[str, int] = {}
-        for reason in result.abort_reasons.values():
-            reason_counts[reason] = reason_counts.get(reason, 0) + 1
         by_reason = ", ".join(
             f"{k}={v}" for k, v in sorted(reason_counts.items())
         )
         message = (
             f"atpg[{circuit.name}]: {n_aborted}/{result.n_faults} faults "
-            f"aborted under the resource budget"
-            + (f" ({by_reason})" if by_reason else "")
+            f"aborted under the resource budget ({by_reason})"
         )
         if result.approximate:
             message += (

@@ -18,7 +18,6 @@ the two-phase, constraint-aware resynthesis procedure.
 from repro.core.clustering import (
     ClusterReport,
     cluster_undetectable,
-    cluster_undetectable_incremental,
     are_adjacent,
 )
 from repro.core.flow import (
@@ -38,7 +37,6 @@ from repro.core.metrics import table1_row, table2_row
 __all__ = [
     "ClusterReport",
     "cluster_undetectable",
-    "cluster_undetectable_incremental",
     "are_adjacent",
     "DesignState",
     "analyze_design",

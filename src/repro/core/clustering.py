@@ -14,17 +14,18 @@ Definitions implemented exactly as in the paper:
 The partition is computed with a union-find over the faults: all faults
 corresponding to one gate are merged, then faults across each
 driver->load gate edge are merged — which yields exactly the fixpoint of
-the paper's pairwise merge loop.
+the paper's pairwise merge loop.  Every analysis clusters its U this way
+from scratch, a resynthesis candidate's included: partitioning a few
+hundred faults takes a few milliseconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 from repro.faults.model import Fault, INTERNAL, corresponding_gates
 from repro.netlist.circuit import Circuit
-from repro.utils.observability import EngineStats
 from repro.utils.unionfind import UnionFind
 
 
@@ -82,15 +83,16 @@ def are_adjacent(fa: Fault, fb: Fault, circuit: Circuit) -> bool:
     return False
 
 
-def _cluster_components(
-    circuit: Circuit,
-    faults: Sequence[Fault],
-    fault_gates: Dict[str, FrozenSet[str]],
-) -> List[List[Fault]]:
-    """Union-find partition of *faults* into adjacency components."""
+def cluster_undetectable(
+    circuit: Circuit, undetectable: Sequence[Fault]
+) -> ClusterReport:
+    """Partition *undetectable* into subsets of adjacent faults."""
+    fault_gates: Dict[str, FrozenSet[str]] = {
+        f.fault_id: corresponding_gates(f, circuit) for f in undetectable
+    }
     by_gate: Dict[str, List[Fault]] = {}
     uf: UnionFind = UnionFind()
-    for fault in faults:
+    for fault in undetectable:
         uf.add(fault.fault_id)
         for g in fault_gates[fault.fault_id]:
             by_gate.setdefault(g, []).append(fault)
@@ -107,127 +109,10 @@ def _cluster_components(
         for h in circuit.gate_fanout_gates(g):
             if h in by_gate:
                 uf.union(rep, by_gate[h][0].fault_id)
-    by_id = {f.fault_id: f for f in faults}
-    return [
+    by_id = {f.fault_id: f for f in undetectable}
+    clusters = [
         sorted((by_id[fid] for fid in group), key=lambda f: f.fault_id)
         for group in uf.groups()
     ]
-
-
-def _sorted_report(
-    clusters: List[List[Fault]], fault_gates: Dict[str, FrozenSet[str]]
-) -> ClusterReport:
     clusters.sort(key=lambda c: (-len(c), c[0].fault_id if c else ""))
     return ClusterReport(clusters=clusters, fault_gates=fault_gates)
-
-
-def cluster_undetectable(
-    circuit: Circuit, undetectable: Sequence[Fault]
-) -> ClusterReport:
-    """Partition *undetectable* into subsets of adjacent faults."""
-    fault_gates: Dict[str, FrozenSet[str]] = {
-        f.fault_id: corresponding_gates(f, circuit) for f in undetectable
-    }
-    clusters = _cluster_components(circuit, undetectable, fault_gates)
-    return _sorted_report(clusters, fault_gates)
-
-
-def cluster_undetectable_incremental(
-    circuit: Circuit,
-    undetectable: Sequence[Fault],
-    prev_circuit: Circuit,
-    prev_report: ClusterReport,
-    stats: Optional[EngineStats] = None,
-) -> ClusterReport:
-    """Update *prev_report* after a local change instead of re-clustering.
-
-    Precondition: *circuit* differs from *prev_circuit* only by gate
-    additions/removals — every surviving gate keeps its pin connections
-    (the contract of ``replace_subcircuit``).  Under it, a previous
-    cluster is still a maximal adjacency component iff (a) every member
-    is still undetectable with unchanged corresponding gates and (b) its
-    gates avoid the *dirty zone* — gates added or with a changed
-    neighbourhood, gates of faults new to U or with moved sites, and the
-    new-circuit neighbours of all of those.  Such clusters are carried
-    over verbatim; only the remaining faults go through the union-find.
-    The result is identical to :func:`cluster_undetectable`.
-    """
-    if not undetectable:
-        # Nothing undetectable (e.g. every fault of the new state was
-        # detected or aborted): the partition is empty, regardless of
-        # what the previous report held — skip the dirty-zone walk.
-        return ClusterReport(clusters=[], fault_gates={})
-    by_id = {f.fault_id: f for f in undetectable}
-
-    # Gate-level dirt: added gates + gates whose neighbourhood changed
-    # (the surviving neighbours of removed gates land in the latter).
-    zone: Set[str] = set()
-    for g in circuit.gates:
-        if g not in prev_circuit.gates:
-            zone.add(g)
-        elif (
-            circuit.gate_fanin_gates(g) != prev_circuit.gate_fanin_gates(g)
-            or circuit.gate_fanout_gates(g)
-            != prev_circuit.gate_fanout_gates(g)
-        ):
-            zone.add(g)
-
-    # Fault-level dirt: ids new to U, or surviving ids whose gates moved.
-    # A surviving fault none of whose gates saw a connectivity change
-    # keeps its corresponding gates, so the previous set is reused.
-    #
-    # External fault ids embed layout coordinates, so after the
-    # placement shifts each external fault dies and a twin with the same
-    # corresponding gates reappears under a new id.  Such a *covered*
-    # fault cannot touch a reusable cluster: any previous cluster
-    # adjacent to its gates merged the dead twin and therefore already
-    # fails the member-survival test — so covered faults need not poison
-    # the dirty zone.
-    prev_gates = prev_report.fault_gates
-    new_ids = set(by_id)
-    dead_gate_sets: Set[FrozenSet[str]] = {
-        gates for pid, gates in prev_gates.items() if pid not in new_ids
-    }
-    fault_gates: Dict[str, FrozenSet[str]] = {}
-    clean: Set[str] = set()
-    dirty_gates: Set[str] = set()
-    for fault in undetectable:
-        fid = fault.fault_id
-        pg = prev_gates.get(fid)
-        if pg is not None and not (pg & zone):
-            fault_gates[fid] = pg
-            clean.add(fid)
-            continue
-        gates = corresponding_gates(fault, circuit)
-        fault_gates[fid] = gates
-        if pg is not None and gates == pg:
-            clean.add(fid)
-        elif gates not in dead_gate_sets:
-            dirty_gates |= gates
-
-    hot = zone | dirty_gates
-    hot_plus = set(hot)
-    for g in hot:
-        if g in circuit.gates:
-            hot_plus |= circuit.gate_fanout_gates(g)
-            hot_plus |= circuit.gate_fanin_gates(g)
-
-    reused: List[List[Fault]] = []
-    reused_ids: Set[str] = set()
-    for cluster in prev_report.clusters:
-        if not all(f.fault_id in clean for f in cluster):
-            continue
-        cluster_gates: Set[str] = set()
-        for f in cluster:
-            cluster_gates |= fault_gates[f.fault_id]
-        if cluster_gates & hot_plus:
-            continue
-        reused.append([by_id[f.fault_id] for f in cluster])
-        reused_ids.update(f.fault_id for f in cluster)
-
-    rest = [f for f in undetectable if f.fault_id not in reused_ids]
-    recomputed = _cluster_components(circuit, rest, fault_gates)
-    if stats is not None:
-        stats.clusters_reused += len(reused)
-        stats.clusters_recomputed += len(recomputed)
-    return _sorted_report(reused + recomputed, fault_gates)

@@ -16,7 +16,7 @@ the switch-level simulation step of refs [7]-[9] of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 # Four-valued logic constants.
 V0, V1, VZ, VX = 0, 1, 2, 3

@@ -9,9 +9,8 @@ per-cell leakage numbers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.library.cell import StandardCell
 from repro.netlist.circuit import CONST0, CONST1, Circuit
@@ -54,12 +53,12 @@ def signal_probabilities(
 def power_analysis(
     circuit: Circuit,
     cells: Mapping[str, StandardCell],
-    layout: Optional[Layout] = None,
+    layout: Layout,
     seed: int = 0,
 ) -> PowerReport:
     """Total power of the placed-and-routed design."""
     probs = signal_probabilities(circuit, cells, seed=seed)
-    lengths = layout.net_lengths() if layout is not None else Counter()
+    lengths = layout.net_lengths()
     dynamic = 0.0
     for net, p in probs.items():
         if net in (CONST0, CONST1):

@@ -8,7 +8,6 @@ critical path delay is the maximum PO arrival.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -56,12 +55,13 @@ def net_load_cap(
 def static_timing(
     circuit: Circuit,
     cells: Mapping[str, StandardCell],
-    layout: Optional[Layout] = None,
+    layout: Layout,
 ) -> TimingReport:
-    """Compute arrival times and the critical path."""
+    """Compute arrival times and the critical path of the routed
+    *layout*."""
     arrival: Dict[str, float] = {CONST0: 0.0, CONST1: 0.0}
     from_gate: Dict[str, Optional[str]] = {}
-    lengths = layout.net_lengths() if layout is not None else Counter()
+    lengths = layout.net_lengths()
     for pi in circuit.inputs:
         arrival[pi] = 0.0
         from_gate[pi] = None

@@ -48,10 +48,10 @@ VOLATILE_KEYS = frozenset({
     # removed vectorized fault simulator, the removed good-value cache
     # checksum's repair count, the removed internal-fault carry-over
     # count, the removed good-value, plan and evaluator cache
-    # counters, and the removed count of inline task threads abandoned
-    # at a timeout.  Dropping them keeps those reports diffable against
-    # current ones, and lets a resumed run mix their cached payloads
-    # with fresh ones.
+    # counters, the removed count of inline task threads abandoned at a
+    # timeout, and the removed delta-clustering counters.  Dropping
+    # them keeps those reports diffable against current ones, and lets
+    # a resumed run mix their cached payloads with fresh ones.
     "parallel_chunks",
     "proc_shards",
     "proc_workers",
@@ -84,6 +84,8 @@ VOLATILE_KEYS = frozenset({
     "eval_cache_hits",
     "eval_cache_misses",
     "runtime_warnings",
+    "clusters_reused",
+    "clusters_recomputed",
 })
 
 

@@ -153,6 +153,28 @@ def _circuit_fingerprint(params: Mapping[str, object]) -> object:
     }
 
 
+def _add_degradation(payload: dict, engine, **counts: object) -> None:
+    """Add ``payload["degradation"]`` when the run recorded a degradation.
+
+    Absent otherwise, so clean-run reports (and their resume-diff
+    comparisons) are untouched.  *counts* name the task's aborted
+    quantities.  ``abort_reasons`` counts aborted SAT decisions by the
+    budget that tripped (deadline / conflicts / decisions), summing to
+    the engine's ``sat_aborts``: a deadline-dominated histogram points
+    at the machine or the per-fault deadline, a conflicts-dominated one
+    at genuinely hard faults.
+    """
+    if not engine.degradations:
+        return
+    payload["degradation"] = {
+        **counts, "records": list(engine.degradations),
+    }
+    if engine.sat_abort_reasons:
+        payload["degradation"]["abort_reasons"] = dict(
+            engine.sat_abort_reasons
+        )
+
+
 @task("analyze", fingerprint=_circuit_fingerprint)
 def analyze_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
     from repro.core import analyze_design, table1_row
@@ -174,23 +196,11 @@ def analyze_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
         "engine": state.stats.as_dict(),
         "timings": dict(state.timings),
     }
-    # Only present when something degraded, so clean-run reports (and
-    # their resume-diff comparisons) are untouched.
-    if state.degraded or state.stats.degradations:
-        payload["degradation"] = {
-            "aborted_faults": state.n_aborted,
-            "approximate": state.atpg.approximate,
-            "records": list(state.stats.degradations),
-        }
-        # Which budget tripped each abort (deadline / conflicts /
-        # decisions): a deadline-dominated histogram points at the
-        # machine or the per-fault deadline, a conflicts-dominated one
-        # at genuinely hard faults.
-        reasons: dict = {}
-        for reason in state.atpg.abort_reasons.values():
-            reasons[reason] = reasons.get(reason, 0) + 1
-        if reasons:
-            payload["degradation"]["abort_reasons"] = reasons
+    _add_degradation(
+        payload, state.stats,
+        aborted_faults=state.n_aborted,
+        approximate=state.atpg.approximate,
+    )
     return payload
 
 
@@ -229,15 +239,9 @@ def resynthesize_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
         "baseline_runtime": result.baseline_runtime,
     }
     engine = result.stats.engine
-    if engine.degradations or engine.verdicts_aborted:
-        payload["degradation"] = {
-            "aborted_verdicts": engine.verdicts_aborted,
-            "records": list(engine.degradations),
-        }
-        if engine.sat_abort_reasons:
-            payload["degradation"]["abort_reasons"] = dict(
-                engine.sat_abort_reasons
-            )
+    _add_degradation(
+        payload, engine, aborted_verdicts=engine.verdicts_aborted,
+    )
     return payload
 
 

@@ -38,9 +38,6 @@ class EngineStats:
       functionally-equivalent prior analysis vs. proved in this run;
     * ``faults_extracted`` — fault objects built by DFM fault
       extraction (internal and external);
-    * ``clusters_reused`` / ``clusters_recomputed`` — undetectable-fault
-      clusters carried over unchanged by the incremental union-find
-      update vs. re-derived after a local circuit change;
     * ``batches`` — pattern batches fault-simulated;
     * ``sat_calls`` / ``sat_conflicts`` / ``sat_propagations`` — exact
       ATPG solver effort;
@@ -54,7 +51,7 @@ class EngineStats:
       resource budget (deadline / conflict / decision limits);
     * ``sat_abort_reasons`` — occurrences per tripped budget
       (``deadline`` / ``conflicts`` / ``decisions``), summing to
-      ``sat_aborts``;
+      ``sat_aborts``; a campaign task reports it as ``abort_reasons``;
     * ``verdicts_aborted`` — behaviour classes left unclassified by an
       aborted decision (never counted as undetectable);
     * ``degradations`` — human-readable records of every graceful
@@ -69,8 +66,6 @@ class EngineStats:
     verdicts_inherited: int = 0
     verdicts_proved: int = 0
     faults_extracted: int = 0
-    clusters_reused: int = 0
-    clusters_recomputed: int = 0
     batches: int = 0
     sat_calls: int = 0
     sat_conflicts: int = 0
@@ -123,8 +118,8 @@ class ResynthesisStats:
     * ``backtrack_attempts`` — attempts issued by the Section III-C
       backtracking search;
     * ``engine`` — :class:`EngineStats` accumulated over every
-      fault-analysis run the procedure triggered (verdicts inherited vs. proved, faults
-      extracted, incremental cluster updates, ...).
+      fault-analysis run the procedure triggered (verdicts inherited
+      vs. proved, faults extracted, SAT effort, ...).
     """
 
     candidates_evaluated: int = 0

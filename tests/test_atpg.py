@@ -16,7 +16,6 @@ from repro.atpg import DetectionEncoder, run_atpg
 from repro.atpg.compaction import compact_tests
 from repro.faults import (
     BridgingFault,
-    CellAwareFault,
     StuckAtFault,
     TransitionFault,
     enumerate_internal_faults,

@@ -3,8 +3,6 @@ attempt function, so the control flow is exercised deterministically)."""
 
 from __future__ import annotations
 
-import math
-
 from repro.core import backtrack_resynthesis
 
 

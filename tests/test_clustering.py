@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ClusterReport, are_adjacent, cluster_undetectable
+from repro.core import are_adjacent, cluster_undetectable
 from repro.faults import CellAwareFault, StuckAtFault
 from repro.netlist import Circuit
 
@@ -120,28 +120,6 @@ class TestClusterPartition:
         internal = report.smax_internal()
         assert all(f.origin == "internal" for f in internal)
         assert len(internal) == 1
-
-    def test_incremental_empty_undetectable_set(self, chain5, library):
-        """Regression: the incremental update with an empty U must return
-        an empty partition (and skip the dirty-zone walk) regardless of
-        what the previous report held — e.g. after a resynthesis step
-        whose new state detected or aborted every previously
-        undetectable fault."""
-        from repro.core import cluster_undetectable_incremental
-
-        faults = [_internal(f"g{i}", library) for i in (1, 2, 4)]
-        prev = cluster_undetectable(chain5, faults)
-        assert prev.clusters  # the previous state had clusters to drop
-        report = cluster_undetectable_incremental(
-            chain5.clone(), [], chain5, prev,
-        )
-        assert report.clusters == []
-        assert report.fault_gates == {}
-        assert report.smax == []
-        assert report.gmax == set()
-        # Matches the from-scratch result exactly.
-        scratch = cluster_undetectable(chain5, [])
-        assert report.clusters == scratch.clusters
 
     def test_deterministic_order(self, chain5, library):
         faults = [_internal(f"g{i}", library) for i in (1, 2, 4, 5)]

@@ -14,7 +14,7 @@ from repro.dfm import (
     external_faults_from_violations,
 )
 from repro.dfm.checker import BRIDGE, OPEN, LayoutViolation
-from repro.faults.model import BridgingFault, StuckAtFault, TransitionFault
+from repro.faults.model import StuckAtFault, TransitionFault
 from repro.physical import make_floorplan, place, route
 from tests.conftest import random_mapped_circuit
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-import pytest
-
 import repro.netlist.simulator as sim
 from repro.atpg.engine import run_atpg
 from repro.faults.fsim import PatternBatch, fault_simulate
@@ -104,7 +102,7 @@ def test_stats_merge_and_as_dict():
     assert list(snap) == [
         "faults_simulated", "events_propagated",
         "verdicts_inherited", "verdicts_proved",
-        "faults_extracted", "clusters_reused", "clusters_recomputed",
+        "faults_extracted",
         "batches", "sat_calls", "sat_conflicts", "sat_propagations", "sat_learned",
         "sat_restarts", "sat_lemmas_reused", "sat_aborts",
         "sat_abort_reasons", "verdicts_aborted", "degradations",

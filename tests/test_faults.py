@@ -12,10 +12,8 @@ from repro.faults import (
     collapse_faults,
     corresponding_gates,
     enumerate_internal_faults,
-    fault_simulate,
 )
-from repro.faults.fsim import PatternBatch
-from repro.faults.model import FALL, RISE
+from repro.faults.model import RISE
 from repro.netlist import Circuit
 from tests.sim_helpers import detected_by_patterns
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,7 +32,6 @@ from repro.netlist.ingest import (
     ingest_file,
     ingest_text,
     load_file,
-    lower_graph,
     parse_bench,
     parse_verilog,
 )

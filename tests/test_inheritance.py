@@ -12,7 +12,7 @@ from repro.atpg import run_atpg
 from repro.faults import enumerate_internal_faults
 from repro.faults.collapse import behaviour_key
 from repro.faults.model import StuckAtFault
-from repro.netlist import Circuit, extract_subcircuit, replace_subcircuit
+from repro.netlist import extract_subcircuit, replace_subcircuit
 from repro.synthesis import synthesize
 
 

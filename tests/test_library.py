@@ -2,16 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.library import (
-    Library,
-    StandardCell,
-    UdfmEntry,
-    extract_udfm,
-    osu018_library,
-)
+from repro.library import extract_udfm, osu018_library
 from repro.library.defects import DYNAMIC, STATIC
 from repro.library.transistor import (
     V0,
@@ -21,7 +12,6 @@ from repro.library.transistor import (
     SwitchNetwork,
     Stage,
     lit,
-    par,
     ser,
 )
 

@@ -46,7 +46,7 @@ def _row(circuit, inc, f, u, smax, smax_i, t, cov, smax_all, smax_i_pct,
 
 def _stats(evaluated, hits, backtracks, **engine):
     base = dict(
-        clusters_reused=0, degradations=[], sat_abort_reasons={},
+        degradations=[], sat_abort_reasons={},
         sat_aborts=0, sat_restarts=0, verdicts_aborted=0,
     )
     return {
@@ -68,7 +68,7 @@ GOLDEN = {
     ("sparc_tlu", 0, 2): (
         [_TLU_ORIG, dict(_TLU_ORIG, MaxInc="0%")],
         "44bee0ecc5dc26cafed949c6e745e3cb424e24cacd1c455667d91ee903a50fef",
-        _stats(50, 0, 39, batches=96, clusters_recomputed=23,
+        _stats(50, 0, 39, batches=96,
                events_propagated=141532, faults_extracted=20271,
                faults_simulated=15486, sat_calls=144, sat_conflicts=383,
                sat_learned=278, sat_lemmas_reused=6993,
@@ -81,7 +81,7 @@ GOLDEN = {
               86.31132646880678, 9.327680193821926, 39.61038961038961,
               delay=97.5363280961865, power=100.33103277573056)],
         "58eb538abd79bc6538cdf1cc0760f63101465dc9800a3ffcb9bf33b5c995b325",
-        _stats(90, 35, 95, batches=280, clusters_recomputed=56,
+        _stats(90, 35, 95, batches=280,
                events_propagated=376633, faults_extracted=53157,
                faults_simulated=42347, sat_calls=20, sat_conflicts=136,
                sat_learned=118, sat_lemmas_reused=479,
@@ -95,7 +95,7 @@ GOLDEN = {
               95.43230016313214, 2.2838499184339316, 72.85714285714286,
               delay=100.55121331524667, power=99.07085772715054)],
         "9553774fcd4c84d3061e8f3129727c380bbda34e2cf4c06743779324a413d180",
-        _stats(74, 29, 86, batches=116, clusters_recomputed=12,
+        _stats(74, 29, 86, batches=116,
                events_propagated=689993, faults_extracted=73717,
                faults_simulated=46066, sat_calls=19, sat_conflicts=1060,
                sat_learned=1041, sat_lemmas_reused=12712,

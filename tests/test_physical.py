@@ -15,7 +15,7 @@ from repro.physical import (
 )
 from repro.physical.floorplan import cell_tracks, total_tracks
 from repro.physical.placement import PlacementError
-from repro.physical.layout import M2, M3
+from repro.physical.layout import M2, Layout
 from tests.conftest import random_mapped_circuit
 
 
@@ -135,7 +135,9 @@ class TestTimingPower:
     def test_wire_load_increases_delay(self, placed, circuit_mod, cells_mod):
         _fp, layout = placed
         with_wires = static_timing(circuit_mod, cells_mod, layout)
-        without = static_timing(circuit_mod, cells_mod, None)
+        # A layout without segments: every wire length reads 0.
+        unrouted = Layout(die_width=1, die_rows=1)
+        without = static_timing(circuit_mod, cells_mod, unrouted)
         assert with_wires.critical_path_delay > without.critical_path_delay
 
     def test_power_positive_and_deterministic(self, placed, circuit_mod, cells_mod):
@@ -147,7 +149,8 @@ class TestTimingPower:
         assert p1.leakage == p2.leakage
 
     def test_leakage_is_cell_sum(self, circuit_mod, cells_mod):
-        p = power_analysis(circuit_mod, cells_mod, None)
+        p = power_analysis(circuit_mod, cells_mod,
+                           Layout(die_width=1, die_rows=1))
         expected = sum(cells_mod[g.cell].leakage for g in circuit_mod)
         assert p.leakage == pytest.approx(expected)
 

@@ -20,15 +20,13 @@ from repro.core import (
     ResynthesisConfig,
     analyze_design,
     classify_internal,
-    cluster_undetectable,
-    cluster_undetectable_incremental,
     resynthesis,
     resynthesize_for_coverage,
 )
 from repro.faults import enumerate_internal_faults
 from repro.faults.collapse import behaviour_key
 from repro.faults.model import StuckAtFault
-from repro.netlist import Circuit, extract_subcircuit, replace_subcircuit
+from repro.netlist import extract_subcircuit, replace_subcircuit
 from repro.synthesis import synthesize
 from repro.utils.observability import EngineStats
 
@@ -124,7 +122,6 @@ class TestFullProcedureDifferential:
         assert stats.engine.verdicts_inherited > 0
         assert stats.engine.verdicts_proved > 0
         assert stats.engine.faults_extracted > 0
-        assert stats.engine.clusters_recomputed > 0
         as_dict = stats.as_dict()
         assert as_dict["candidates_evaluated"] == stats.candidates_evaluated
         assert as_dict["engine"]["verdicts_inherited"] > 0
@@ -164,65 +161,6 @@ class TestIncrementalAnalyze:
         assert inc.undetectable == full.undetectable
         assert inc.detected == full.detected
         assert stats.verdicts_inherited > 0
-
-
-class TestIncrementalClustering:
-    def _chains(self, second_inv: str) -> Circuit:
-        """Two disconnected chains; the second one's inverter varies."""
-        c = Circuit("pair")
-        for pi in ("a", "b", "cc", "d"):
-            c.add_input(pi)
-        c.add_gate("g1", "NAND2X1", {"A": "a", "B": "b"}, "n1")
-        c.add_gate("g2", "INVX1", {"A": "n1"}, "o1")
-        c.add_gate("g3", "NAND2X1", {"A": "cc", "B": "d"}, "n2")
-        c.add_gate(second_inv, "INVX1", {"A": "n2"}, "o2")
-        c.set_outputs(["o1", "o2"])
-        c.validate()
-        return c
-
-    def test_reuses_untouched_cluster(self, cells):
-        prev_circuit = self._chains("g4")
-        new_circuit = self._chains("g5")
-
-        def stem(net, circuit_tag):
-            return StuckAtFault(
-                f"sa0:{net}@{circuit_tag}", "VIA-01", net=net, value=0
-            )
-
-        prev_undet = [stem("n1", "p"), stem("o1", "p"), stem("n2", "p")]
-        prev_report = cluster_undetectable(prev_circuit, prev_undet)
-        assert len(prev_report.clusters) == 2
-
-        # After the local change, the chain-2 fault reappears at a new
-        # site (new id); the chain-1 faults survive verbatim.
-        new_undet = [stem("n1", "p"), stem("o1", "p"), stem("n2", "n")]
-        stats = EngineStats()
-        inc = cluster_undetectable_incremental(
-            new_circuit, new_undet, prev_circuit, prev_report, stats=stats
-        )
-        full = cluster_undetectable(new_circuit, new_undet)
-        assert [[f.fault_id for f in c] for c in inc.clusters] == [
-            [f.fault_id for f in c] for c in full.clusters
-        ]
-        assert inc.fault_gates == full.fault_gates
-        assert stats.clusters_reused == 1  # the untouched chain-1 cluster
-        assert stats.clusters_recomputed == 1
-
-    def test_matches_full_on_designed_state(self, tlu, library):
-        prev = analyze_design(tlu, library, seed=0, atpg_seed=0)
-        region = set(sorted(prev.clusters.gmax)[:3])
-        sub = extract_subcircuit(prev.circuit, region, name="csub")
-        new_sub = synthesize(sub, library, objective="faults")
-        candidate = replace_subcircuit(prev.circuit, region, new_sub)
-        full_state = analyze_design(candidate, library, seed=0, atpg_seed=0)
-        undet = full_state.undetectable_faults
-        inc = cluster_undetectable_incremental(
-            candidate, undet, prev.circuit, prev.clusters
-        )
-        assert [[f.fault_id for f in c] for c in inc.clusters] == (
-            _cluster_ids(full_state)
-        )
-        assert inc.fault_gates == full_state.clusters.fault_gates
 
 
 def test_assume_detected_short_circuits(adder4, cells, library):

@@ -9,9 +9,10 @@ without dying — from wedging a campaign or silently skewing its numbers:
   sparc_tlu whose first attempt blocks inside fault simulation is
   killed at its timeout, and the retry's Table I row is that of a clean
   analysis;
-* the per-fault SAT budget: every abort carries the solver's reason
-  (deadline / conflicts / decisions) through ``AtpgResult.abort_reasons``
-  into the degradation records and the rendered report.
+* the per-fault SAT budget: every aborted decision carries the solver's
+  reason (deadline / conflicts / decisions) through
+  ``EngineStats.sat_abort_reasons`` into the degradation records and
+  the rendered report.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ class TestAbortReasons:
             budget=AtpgBudget(decision_budget=0),
         )
         if result.aborted:
-            assert set(result.abort_reasons) == result.aborted
-            assert set(result.abort_reasons.values()) <= {"decisions"}
-            assert result.stats.sat_abort_reasons.get("decisions", 0) > 0
+            reasons = result.stats.sat_abort_reasons
+            assert set(reasons) == {"decisions"}
+            assert sum(reasons.values()) == result.stats.sat_aborts
             assert any("decisions=" in record
                        for record in result.stats.degradations)
 
@@ -126,7 +127,7 @@ class TestAbortReasons:
             budget=AtpgBudget(deadline_ms=0.0),
         )
         if result.aborted:
-            assert set(result.abort_reasons.values()) <= {"deadline"}
+            assert set(result.stats.sat_abort_reasons) <= {"deadline"}
             assert any("deadline=" in record
                        for record in result.stats.degradations)
 
@@ -137,14 +138,34 @@ class TestAbortReasons:
                 circuit, cells, list(faults), seed=5, random_rounds=2,
             )
         if result.aborted:
-            assert set(result.abort_reasons.values()) <= {"injected"}
+            assert set(result.stats.sat_abort_reasons) <= {"injected"}
 
     def test_clean_run_has_no_reasons(self, cells, library):
         circuit, faults = _abort_scenario(cells, library)
         result = run_atpg(circuit, cells, list(faults), seed=5,
                           random_rounds=2)
-        assert result.abort_reasons == {}
+        assert result.stats.sat_aborts == 0
         assert result.stats.sat_abort_reasons == {}
+
+    def test_analyze_task_reasons_count_decisions(self, tmp_path,
+                                                  monkeypatch):
+        """An ``analyze`` task's ``abort_reasons`` counts aborted SAT
+        decisions, as a ``resynthesize`` task's does, so it sums to the
+        payload's ``sat_aborts`` and not to its aborted member faults."""
+        from repro.runner.registry import TaskContext, get_task
+
+        monkeypatch.setenv("REPRO_ATPG_CONFLICT_BUDGET", "2")
+        payload = get_task("analyze")(
+            {"circuit": "sparc_tlu", "scale": 1, "seed": 0,
+             "variant": "full"},
+            TaskContext(run_dir=str(tmp_path), task_id="analyze:x"),
+        )
+        degradation = payload["degradation"]
+        sat_aborts = payload["engine"]["sat_aborts"]
+        # The budget leaves aborted classes of several faults, so the
+        # two counts differ.
+        assert degradation["aborted_faults"] != sat_aborts
+        assert sum(degradation["abort_reasons"].values()) == sat_aborts > 0
 
     def test_reasons_reach_report_degradations(self):
         from repro.runner.report import (
