@@ -120,7 +120,7 @@ def test_ingested_benchmark_throughput():
             "undetectable": len(serial_res.undetectable),
             "aborted": len(serial_res.aborted),
             "tests": len(serial_res.tests),
-            "sat_calls": serial_res.sat_calls,
+            "sat_calls": serial_res.stats.sat_calls,
         },
     }
 

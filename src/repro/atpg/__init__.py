@@ -9,13 +9,7 @@ deterministic SAT per remaining fault class, with test set compaction.
 """
 
 from repro.atpg.sat import Solver, SAT, UNSAT, UNKNOWN
-from repro.atpg.budget import (
-    ABORTED,
-    DETECTED,
-    UNDETECTABLE,
-    AtpgBudget,
-    verdict_name,
-)
+from repro.atpg.budget import AtpgBudget
 from repro.atpg.cnf import DetectionEncoder
 from repro.atpg.engine import AtpgResult, run_atpg
 from repro.atpg.compaction import compact_tests
@@ -25,11 +19,7 @@ __all__ = [
     "SAT",
     "UNSAT",
     "UNKNOWN",
-    "ABORTED",
-    "DETECTED",
-    "UNDETECTABLE",
     "AtpgBudget",
-    "verdict_name",
     "DetectionEncoder",
     "AtpgResult",
     "run_atpg",

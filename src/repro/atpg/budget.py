@@ -13,11 +13,11 @@ engine; limits are opt-in, per call or through the environment:
 * ``REPRO_ATPG_ABORT_FRACTION`` — tolerated fraction of aborted faults
   before the run is flagged approximate (default 0.05).
 
-A budgeted decision has three outcomes instead of two — the verdict
-constants :data:`DETECTED` / :data:`UNDETECTABLE` / :data:`ABORTED`
-name them.  An aborted fault is *unclassified*: it is never counted as
-undetectable (the paper's acceptance criterion), never dropped from F,
-and is reported separately (see :class:`repro.atpg.engine.AtpgResult`).
+A budgeted decision has three outcomes instead of two: detected,
+undetectable or aborted.  An aborted fault is *unclassified*: it is
+never counted as undetectable (the paper's acceptance criterion), never
+dropped from F, and is reported separately (see
+:class:`repro.atpg.engine.AtpgResult`).
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
-
-DETECTED = "detected"
-UNDETECTABLE = "undetectable"
-ABORTED = "aborted"
 
 #: Default tolerated fraction of aborted faults before a run is flagged
 #: approximate (see :attr:`AtpgBudget.abort_fraction`).
@@ -74,20 +70,6 @@ def _env_number(
     return value
 
 
-def verdict_name(flag: Optional[bool]) -> str:
-    """Map a three-valued solve result to its verdict constant.
-
-    ``True`` (SAT: a test exists) -> :data:`DETECTED`; ``False`` (UNSAT:
-    proved undetectable) -> :data:`UNDETECTABLE`; ``None`` (resource
-    budget exhausted before a proof) -> :data:`ABORTED`.
-    """
-    if flag is True:
-        return DETECTED
-    if flag is False:
-        return UNDETECTABLE
-    return ABORTED
-
-
 @dataclass(frozen=True)
 class AtpgBudget:
     """Per-fault resource limits plus the global abort tolerance.
@@ -101,15 +83,6 @@ class AtpgBudget:
     conflict_budget: Optional[int] = None
     decision_budget: Optional[int] = None
     abort_fraction: float = DEFAULT_ABORT_FRACTION
-
-    @property
-    def unlimited(self) -> bool:
-        """True iff no per-fault limit is set (the exact default path)."""
-        return (
-            self.deadline_ms is None
-            and self.conflict_budget is None
-            and self.decision_budget is None
-        )
 
     @classmethod
     def from_env(

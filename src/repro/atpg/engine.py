@@ -32,7 +32,7 @@ from typing import (
     Set,
 )
 
-from repro.atpg.budget import ABORTED, DETECTED, UNDETECTABLE, AtpgBudget
+from repro.atpg.budget import AtpgBudget
 from repro.atpg.compaction import TestPair, compact_tests
 from repro.atpg.incremental import IncrementalAtpg
 from repro.faults.collapse import behaviour_key, collapse_faults
@@ -59,8 +59,7 @@ class AtpgResult:
     # not exact values.
     approximate: bool = False
     tests: List[TestPair] = field(default_factory=list)
-    runtime: float = 0.0
-    sat_calls: int = 0
+    # This run's effort alone: every call gets a fresh instance.
     stats: EngineStats = field(default_factory=EngineStats)
 
     @property
@@ -68,34 +67,11 @@ class AtpgResult:
         """Cov = 1 - U/F (the paper's definition).
 
         With a nonempty abort bucket this is an *upper* bound on the
-        true coverage (aborted faults might still be undetectable); see
-        :attr:`coverage_lower_bound` for the other side.
+        true coverage: aborted faults might still be undetectable.
         """
         if self.n_faults == 0:
             return 1.0
         return 1.0 - len(self.undetectable) / self.n_faults
-
-    @property
-    def coverage_lower_bound(self) -> float:
-        """Coverage if every aborted fault turned out undetectable."""
-        if self.n_faults == 0:
-            return 1.0
-        pessimistic = len(self.undetectable) + len(self.aborted)
-        return 1.0 - pessimistic / self.n_faults
-
-    @property
-    def n_aborted(self) -> int:
-        return len(self.aborted)
-
-    def verdict_of(self, fault_id: str) -> Optional[str]:
-        """Three-valued verdict of one fault id (None if unknown id)."""
-        if fault_id in self.detected:
-            return DETECTED
-        if fault_id in self.undetectable:
-            return UNDETECTABLE
-        if fault_id in self.aborted:
-            return ABORTED
-        return None
 
 
 def run_atpg(
@@ -109,7 +85,6 @@ def run_atpg(
     initial_tests: Optional[Sequence[TestPair]] = None,
     assume_undetectable: Optional[AbstractSet] = None,
     assume_detected: Optional[AbstractSet] = None,
-    stats: Optional[EngineStats] = None,
     budget: Optional[AtpgBudget] = None,
 ) -> AtpgResult:
     """Classify *faults* on *circuit* and build a test set.
@@ -144,10 +119,10 @@ def run_atpg(
     keys (the changed region's cone) are re-proved.
 
     Engine effort counters and per-phase wall times are recorded on
-    ``result.stats`` (pass *stats* to accumulate into a caller-owned
-    instance instead).
+    ``result.stats``, a fresh :class:`EngineStats` that holds this
+    call's effort alone; a caller running several analyses sums them
+    with :meth:`EngineStats.add`.
     """
-    start = time.perf_counter()
     if not 1 <= batch_size <= BATCH_PAIRS:
         raise ValueError(
             f"batch_size must be between 1 and {BATCH_PAIRS} pattern "
@@ -156,8 +131,6 @@ def run_atpg(
     if budget is None:
         budget = AtpgBudget.from_env()
     result = AtpgResult(n_faults=len(faults))
-    if stats is not None:
-        result.stats = stats
     stats = result.stats
     classes = collapse_faults(faults)
     reps: List[Fault] = list(classes)
@@ -252,7 +225,7 @@ def run_atpg(
         i += 1
         if fault.fault_id in detected_reps:
             continue
-        result.sat_calls += 1
+        stats.sat_calls += 1
         detectable, pair = engine.decide(fault, budget)
         if detectable:
             tests.append(pair)
@@ -297,13 +270,8 @@ def run_atpg(
                         aborted_reps.discard(f.fault_id)
                         abort_reason_reps.pop(f.fault_id, None)
             pending_drop = []
-    stats.sat_calls = result.sat_calls
-    effort = engine.effort()
-    stats.sat_conflicts = effort["sat_conflicts"]
-    stats.sat_propagations = effort["sat_propagations"]
-    stats.sat_learned = effort["sat_learned"]
-    stats.sat_restarts = effort["sat_restarts"]
-    stats.sat_lemmas_reused = effort["sat_lemmas_reused"]
+    for key, value in engine.effort().items():
+        setattr(stats, key, value)
     stats.add_phase("atpg.sat", time.perf_counter() - sat_start)
 
     # ---- expand classes to all member faults ----------------------------
@@ -361,7 +329,6 @@ def run_atpg(
                 circuit, cells, detected_rep_faults, tests, stats=stats,
             )
     result.tests = tests
-    result.runtime = time.perf_counter() - start
     return result
 
 

@@ -63,7 +63,7 @@ class DesignState:
 
     @property
     def stats(self) -> EngineStats:
-        """Engine effort counters of the ATPG run (see EngineStats)."""
+        """Effort counters of this analysis's ATPG run (see EngineStats)."""
         return self.atpg.stats
 
     @property
@@ -198,7 +198,6 @@ def analyze_design(
     physical: Optional[PhysicalDesign] = None,
     prev: Optional[DesignState] = None,
     internal_atpg: Optional[AtpgResult] = None,
-    stats: Optional[EngineStats] = None,
 ) -> DesignState:
     """Run physical design + DFM fault extraction + ATPG + clustering.
 
@@ -231,9 +230,10 @@ def analyze_design(
     the inherited ones and its tests to the initial test set, so the
     internal ATPG work is not repeated.
 
-    Per-stage wall times land in ``DesignState.timings``; engine
-    counters in ``DesignState.stats`` (pass *stats* to accumulate into a
-    caller-owned instance).
+    Per-stage wall times land in ``DesignState.timings``.  The engine
+    counters in ``DesignState.stats`` are this analysis's own: its ATPG
+    run's effort, with ``faults_extracted`` set to the size of F.  The
+    internal classification behind *internal_atpg* is not included.
     """
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
@@ -244,9 +244,7 @@ def analyze_design(
     initial_tests, assume_undet, assume_det = _inherited(prev)
 
     t0 = time.perf_counter()
-    fault_set = build_fault_set(
-        circuit, library, physical.layout, stats=stats,
-    )
+    fault_set = build_fault_set(circuit, library, physical.layout)
     timings["fault_extraction"] = time.perf_counter() - t0
 
     if internal_atpg is not None:
@@ -266,9 +264,9 @@ def analyze_design(
         seed=atpg_seed, initial_tests=initial_tests,
         assume_undetectable=assume_undet,
         assume_detected=assume_det,
-        stats=stats,
     )
     timings["atpg"] = time.perf_counter() - t0
+    atpg.stats.faults_extracted = len(fault_set)
     t0 = time.perf_counter()
     undetectable = [
         f for f in fault_set if f.fault_id in atpg.undetectable
@@ -290,7 +288,6 @@ def classify_internal(
     library: Library,
     prev: Optional[DesignState] = None,
     atpg_seed: int = 0,
-    stats: Optional[EngineStats] = None,
 ) -> AtpgResult:
     """Classify the internal faults of the bare netlist (no compaction).
 
@@ -308,5 +305,4 @@ def classify_internal(
         seed=atpg_seed, initial_tests=initial_tests, compaction=False,
         assume_undetectable=assume_undet,
         assume_detected=assume_det,
-        stats=stats,
     )

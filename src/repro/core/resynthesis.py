@@ -216,8 +216,9 @@ class _Evaluation:
             driver = self.driver
             self.internal_atpg = classify_internal(
                 self.candidate, driver.library, prev=self.state,
-                atpg_seed=driver.cfg.seed, stats=driver.stats.engine,
+                atpg_seed=driver.cfg.seed,
             )
+            driver.stats.engine.add(self.internal_atpg.stats)
         return (
             len(self.internal_atpg.undetectable)
             + len(self.internal_atpg.aborted)
@@ -233,8 +234,8 @@ class _Evaluation:
                 physical=self.physical,
                 prev=self.state,
                 internal_atpg=self.internal_atpg,
-                stats=driver.stats.engine,
             )
+            driver.stats.engine.add(self.cand_state.stats)
         return self.cand_state
 
 
@@ -246,12 +247,11 @@ class _Resynthesizer:
         library: Library,
         orig: DesignState,
         cfg: ResynthesisConfig,
-        stats: Optional[ResynthesisStats] = None,
     ):
         self.library = library
         self.orig = orig
         self.cfg = cfg
-        self.stats = stats if stats is not None else ResynthesisStats()
+        self.stats = ResynthesisStats()
         self.history: List[IterationRecord] = []
         self._order = library.order_by_internal_faults()
         self._state: Optional[DesignState] = None  # owner of _candidates
@@ -484,14 +484,13 @@ def resynthesize_for_coverage(
 ) -> ResynthesisResult:
     """Apply the full procedure (both phases, q swept 0..q_max)."""
     cfg = config or ResynthesisConfig()
-    stats = ResynthesisStats()
     t0 = time.perf_counter()
-    orig = analyze_design(
-        circuit, library, seed=cfg.seed, atpg_seed=cfg.seed,
-        stats=stats.engine,
-    )
+    orig = analyze_design(circuit, library, seed=cfg.seed, atpg_seed=cfg.seed)
     baseline = time.perf_counter() - t0
-    driver = _Resynthesizer(library, orig, cfg, stats=stats)
+    driver = _Resynthesizer(library, orig, cfg)
+    # The driver owns the run's counters; its engine record is the sum
+    # of every analysis the run makes, this one first.
+    driver.stats.engine.add(orig.stats)
     state = orig
     per_q: Dict[int, DesignState] = {}
     for q in range(cfg.q_max + 1):

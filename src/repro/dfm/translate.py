@@ -40,7 +40,6 @@ from repro.faults.sites import FaultSet, enumerate_internal_faults
 from repro.library.osu018 import Library
 from repro.netlist.circuit import CONST0, CONST1, Circuit
 from repro.physical.layout import Layout
-from repro.utils.observability import EngineStats
 
 
 from repro.utils.hashing import stable_hash as _stable_hash
@@ -105,19 +104,15 @@ def build_fault_set(
     circuit: Circuit,
     library: Library,
     layout: Layout,
-    stats: Optional[EngineStats] = None,
 ) -> FaultSet:
     """Assemble the full DFM fault set F (internal + external).
 
     Internal fault ids are deterministic in (gate, defect); external
     fault ids embed layout coordinates, which shift with every
-    placement.  *stats* counts the faults built (``faults_extracted``).
+    placement.
     """
     fault_set = FaultSet()
-    fault_set.extend(enumerate_internal_faults(circuit, library, stats=stats))
+    fault_set.extend(enumerate_internal_faults(circuit, library))
     violations = check_layout(layout)
-    external = external_faults_from_violations(circuit, violations)
-    fault_set.extend(external)
-    if stats is not None:
-        stats.faults_extracted += len(external)
+    fault_set.extend(external_faults_from_violations(circuit, violations))
     return fault_set

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 from repro.faults.model import CellAwareFault, Fault, INTERNAL
 from repro.library.osu018 import Library
 from repro.netlist.circuit import Circuit
-from repro.utils.observability import EngineStats
 
 
 @dataclass
@@ -51,9 +50,7 @@ class FaultSet:
 
 
 def enumerate_internal_faults(
-    circuit: Circuit,
-    library: Library,
-    stats: Optional[EngineStats] = None,
+    circuit: Circuit, library: Library
 ) -> List[CellAwareFault]:
     """Internal DFM faults: every defect of every cell instance.
 
@@ -61,8 +58,7 @@ def enumerate_internal_faults(
     population (Section I of the paper) — the reason resynthesis toward
     cells with fewer internal faults reduces the fault set.  Fault ids
     are deterministic in (gate, defect), so two enumerations of the
-    same gates give the same ids.  *stats* counts the faults built
-    (``faults_extracted``).
+    same gates give the same ids.
     """
     out: List[CellAwareFault] = []
     for gname in circuit.topo_order():
@@ -77,6 +73,4 @@ def enumerate_internal_faults(
                     defect=defect,
                 )
             )
-    if stats is not None:
-        stats.faults_extracted += len(out)
     return out

@@ -1,12 +1,13 @@
 """Lightweight observability counters for the fault-analysis engine.
 
 :class:`EngineStats` is a plain bag of monotonically increasing counters
-plus per-phase wall-clock accumulators.  One instance travels through a
-whole analysis (fault simulation, ATPG, compaction) and is surfaced on
+plus per-phase wall-clock accumulators.  Each ATPG run owns one instance
+(fault simulation, SAT, compaction record into it) and surfaces it on
 :class:`repro.atpg.engine.AtpgResult` / :class:`repro.core.flow.DesignState`
 so benchmarks and regression tests can assert on engine behaviour
 (e.g. "a re-analysis proves only the classes it did not inherit")
-instead of re-deriving it from timing alone.
+instead of re-deriving it from timing alone.  A caller that runs several
+analyses sums their records with :meth:`EngineStats.add`.
 
 This module sits in the ``utils`` layer on purpose: every layer above it
 (netlist simulation, fault simulation, ATPG, flow) records into it, so it
@@ -27,7 +28,7 @@ from typing import Dict, Iterator, List
 
 @dataclass
 class EngineStats:
-    """Counters for one fault-analysis run (all additive).
+    """Counters for one ATPG run (all additive; see :meth:`add`).
 
     * ``faults_simulated`` — fault/batch simulations performed (one count
       per fault per :func:`repro.faults.fsim.fault_simulate` call);
@@ -36,8 +37,9 @@ class EngineStats:
     * ``verdicts_inherited`` / ``verdicts_proved`` — behaviour classes
       whose detected/undetectable verdict was carried over from a
       functionally-equivalent prior analysis vs. proved in this run;
-    * ``faults_extracted`` — fault objects built by DFM fault
-      extraction (internal and external);
+    * ``faults_extracted`` — faults in the DFM fault set F (internal
+      and external) of the analysis the run belongs to, set by
+      :func:`repro.core.flow.analyze_design` (0 for a bare ATPG run);
     * ``batches`` — pattern batches fault-simulated;
     * ``sat_calls`` / ``sat_conflicts`` / ``sat_propagations`` — exact
       ATPG solver effort;
@@ -79,6 +81,19 @@ class EngineStats:
     degradations: List[str] = field(default_factory=list)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
+    def add(self, other: "EngineStats") -> None:
+        """Add *other*'s counters into this one: numbers add, the
+        per-key maps add per key, and degradation records append."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, f.name, mine + theirs)
+
     def add_phase(self, name: str, seconds: float) -> None:
         self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
@@ -117,9 +132,11 @@ class ResynthesisStats:
       into the (state, replacement, allowed-cells) evaluation cache;
     * ``backtrack_attempts`` — attempts issued by the Section III-C
       backtracking search;
-    * ``engine`` — :class:`EngineStats` accumulated over every
-      fault-analysis run the procedure triggered (verdicts inherited
-      vs. proved, faults extracted, SAT effort, ...).
+    * ``engine`` — the sum (:meth:`EngineStats.add`) of the stats of
+      every ATPG run the procedure made: the original analysis, each
+      candidate's internal classification and each candidate
+      re-analysis (verdicts inherited vs. proved, faults extracted, SAT
+      effort, ...).
     """
 
     candidates_evaluated: int = 0

@@ -3,6 +3,7 @@ the helpers tests use to inject SAT aborts and analysis crashes."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pickle
 import random
@@ -211,6 +212,16 @@ def on_workers(fn, n):
 
 _TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 _REPO_ROOT = os.path.dirname(_TESTS_DIR)
+
+
+def load_perfbench_spans():
+    """The benchmark's tracer module, ``perfbench/spans.py``, loaded
+    unedited from its file (``perfbench/`` is not a package)."""
+    path = os.path.join(_REPO_ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 # Child side of call_in_fresh_process: argv = [in.pkl, out.pkl].
 _CHILD_MAIN = (

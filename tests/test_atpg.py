@@ -166,7 +166,7 @@ class TestEngine:
             adder4, cells, faults, seed=2, initial_tests=first.tests
         )
         assert second.undetectable == first.undetectable
-        assert second.sat_calls <= first.sat_calls
+        assert second.stats.sat_calls <= first.stats.sat_calls
 
     def test_all_faults_classified_exactly_once(self, adder4, cells, library):
         faults = enumerate_internal_faults(adder4, library)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import importlib.util
 import os
 import re
 import subprocess
@@ -17,6 +16,7 @@ import sys
 
 import repro
 from repro.atpg.budget import ENV_VARS
+from tests.conftest import load_perfbench_spans
 
 _SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -78,10 +78,7 @@ def test_perfbench_tracer_installs():
     """The benchmark's tracer (``perfbench/spans.py``) finds every
     function its ``WRAPS`` names, wraps it, and puts it back: a change
     to ``src/`` that drops a wrapped name fails here."""
-    path = os.path.join(_REPO_ROOT, "perfbench", "spans.py")
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_perfbench_spans()
     modules = {m: importlib.import_module(m) for m, _a, _l in spans.WRAPS}
     before = {
         (m, a): getattr(modules[m], a, None) for m, a, _l in spans.WRAPS

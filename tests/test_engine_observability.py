@@ -5,6 +5,11 @@ off the propagation queue; ``test_compile_count_stays_bounded`` pins the
 fix by asserting the plan compiles one gate-evaluator factory per
 distinct (arity, truth table) for the first batch and none afterwards,
 no matter how many faults or events a batch propagates.
+
+Each ATPG call owns its counters, and a campaign task reports the sum
+over its calls: ``test_task_effort_sums_its_atpg_calls`` checks that
+against the benchmark's tracer, which sums each call's effort from
+outside the program.
 """
 
 from __future__ import annotations
@@ -13,10 +18,18 @@ from dataclasses import fields
 
 import repro.netlist.simulator as sim
 from repro.atpg.engine import run_atpg
+from repro.bench import build_benchmark
+from repro.core import ResynthesisConfig, resynthesize_for_coverage, table2_row
 from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.sites import enumerate_internal_faults
+from repro.runner import Runner
+from repro.runner.tasks import paper_campaign
 from repro.utils.observability import EngineStats, ResynthesisStats
-from tests.conftest import mixed_fault_list, random_mapped_circuit
+from tests.conftest import (
+    load_perfbench_spans,
+    mixed_fault_list,
+    random_mapped_circuit,
+)
 
 
 def test_compile_count_stays_bounded(cells, monkeypatch):
@@ -58,7 +71,7 @@ def test_run_atpg_populates_stats(adder4, cells, library):
     assert stats.faults_simulated > 0
     assert stats.events_propagated > 0
     assert stats.batches > 0
-    assert stats.sat_calls == result.sat_calls > 0
+    assert stats.sat_calls > 0
     assert stats.sat_propagations >= stats.sat_conflicts >= 0
     assert stats.sat_propagations > 0
     for phase in ("atpg.random", "atpg.sat", "atpg.compaction"):
@@ -123,6 +136,78 @@ def test_stats_merge_and_as_dict():
     ]
     assert resyn_snap["candidates_evaluated"] == 2
     assert resyn_snap["engine"] == full.as_dict()
+
+
+def test_stats_add_sums_every_field():
+    one = _populated()
+    total = _populated()
+    total.add(one)
+    for f in fields(EngineStats):
+        value, got = getattr(one, f.name), getattr(total, f.name)
+        if isinstance(value, dict):
+            assert got == {key: 2 * v for key, v in value.items()}
+        elif isinstance(value, list):
+            assert got == value + value
+        else:
+            assert got == 2 * value
+    # Per-key maps add key by key; the added record is left as it was.
+    part = EngineStats(sat_abort_reasons={"conflicts": 2})
+    part.add_phase("atpg.sat", 0.5)
+    total = EngineStats(sat_abort_reasons={"deadline": 1})
+    total.add(part)
+    total.add(part)
+    assert total.sat_abort_reasons == {"deadline": 1, "conflicts": 4}
+    assert total.phase_seconds == {"atpg.sat": 1.0}
+    assert part.sat_abort_reasons == {"conflicts": 2}
+
+
+def _traced_task(spans, tmp_path, tables, **settings):
+    """Run the one sparc_tlu task of a Table *tables* campaign inline
+    under the benchmark's tracer: its payload, and the tracer's sums of
+    each ``run_atpg`` call's SAT effort."""
+    campaign = paper_campaign(
+        ["sparc_tlu"], f"effort-t{tables[0]}", tables=tables, **settings
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = Runner(campaign, root=str(tmp_path), jobs=1).execute()
+    finally:
+        tracer.uninstall()
+    assert report["status"] == "ok"
+    (payload,) = report["results"].values()
+    return payload, tracer.counts
+
+
+def _without_rtime(rows):
+    return [{k: v for k, v in row.items() if k != "Rtime"} for row in rows]
+
+
+def test_task_effort_sums_its_atpg_calls(library, tmp_path):
+    """A resynthesize task's engine record sums every analysis the run
+    made, and an analyze task counts the faults of its F."""
+    spans = load_perfbench_spans()
+    settings = dict(q_max=0, max_iterations_per_phase=1)
+    resyn, resyn_calls = _traced_task(spans, tmp_path, (2,), **settings)
+    analysis, analysis_calls = _traced_task(spans, tmp_path, (1,))
+    for engine, calls in (
+        (resyn["stats"]["engine"], resyn_calls),
+        (analysis["engine"], analysis_calls),
+    ):
+        assert {key: engine[key] for key in spans.SAT_EFFORT} == {
+            key: calls[key] for key in spans.SAT_EFFORT
+        }
+    # The resynthesis run made many ATPG calls, not just the last one.
+    assert resyn_calls["sat_calls"] > analysis_calls["sat_calls"] > 0
+    direct = resynthesize_for_coverage(
+        build_benchmark("sparc_tlu", library), library,
+        ResynthesisConfig(**settings),
+    )
+    assert _without_rtime(resyn["rows"]) == _without_rtime(
+        table2_row("sparc_tlu", direct)
+    )
+    row = analysis["row"]
+    assert analysis["engine"]["faults_extracted"] == row["F_In"] + row["F_Ex"]
 
 
 def test_one_plan_per_circuit(library, adder4, monkeypatch):

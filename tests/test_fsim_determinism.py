@@ -100,7 +100,7 @@ def test_run_atpg_workers_byte_identical(adder4, cells, library):
         assert result.detected == serial.detected
         assert result.undetectable == serial.undetectable
         assert result.coverage == serial.coverage
-        assert result.sat_calls == serial.sat_calls
+        assert result.stats.sat_calls == serial.stats.sat_calls
     assert serial.detected  # non-degenerate run
 
 

@@ -29,7 +29,7 @@ def test_assume_undetectable_short_circuits(adder4, cells, library):
     )
     assert again.undetectable == base.undetectable
     assert again.detected == base.detected
-    assert again.sat_calls <= base.sat_calls
+    assert again.stats.sat_calls <= base.stats.sat_calls
 
 
 def test_inherited_status_matches_recomputation(cells, library):
@@ -58,7 +58,7 @@ def test_inherited_status_matches_recomputation(cells, library):
         assume_undetectable=keys, initial_tests=base.tests,
     )
     assert inherited.undetectable == fresh.undetectable
-    assert inherited.sat_calls <= fresh.sat_calls
+    assert inherited.stats.sat_calls <= fresh.stats.sat_calls
 
 
 def test_unknown_keys_are_ignored(adder4, cells, library):

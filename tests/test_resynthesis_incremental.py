@@ -28,7 +28,6 @@ from repro.faults.collapse import behaviour_key
 from repro.faults.model import StuckAtFault
 from repro.netlist import extract_subcircuit, replace_subcircuit
 from repro.synthesis import synthesize
-from repro.utils.observability import EngineStats
 
 
 def _trace(result):
@@ -139,9 +138,8 @@ class TestIncrementalAnalyze:
 
     def test_matches_full_reanalysis(self, replaced, library):
         prev, candidate = replaced
-        stats = EngineStats()
         inc = analyze_design(
-            candidate, library, seed=0, atpg_seed=0, prev=prev, stats=stats
+            candidate, library, seed=0, atpg_seed=0, prev=prev
         )
         full = analyze_design(candidate, library, seed=0, atpg_seed=0)
         assert inc.atpg.undetectable == full.atpg.undetectable
@@ -151,16 +149,15 @@ class TestIncrementalAnalyze:
         ]
         assert _cluster_ids(inc) == _cluster_ids(full)
         assert inc.clusters.fault_gates == full.clusters.fault_gates
-        assert stats.verdicts_inherited > 0
+        assert inc.stats.verdicts_inherited > 0
 
     def test_classify_internal_matches_from_scratch(self, replaced, library):
         prev, candidate = replaced
-        stats = EngineStats()
-        inc = classify_internal(candidate, library, prev=prev, stats=stats)
+        inc = classify_internal(candidate, library, prev=prev)
         full = classify_internal(candidate, library)
         assert inc.undetectable == full.undetectable
         assert inc.detected == full.detected
-        assert stats.verdicts_inherited > 0
+        assert inc.stats.verdicts_inherited > 0
 
 
 def test_assume_detected_short_circuits(adder4, cells, library):
@@ -174,14 +171,13 @@ def test_assume_detected_short_circuits(adder4, cells, library):
     undet_keys = {
         behaviour_key(f) for f in faults if f.fault_id in base.undetectable
     }
-    stats = EngineStats()
     again = run_atpg(
         adder4, cells, faults, seed=1,
         assume_undetectable=undet_keys, assume_detected=det_keys,
-        stats=stats,
     )
     assert again.undetectable == base.undetectable
     assert again.detected == base.detected
-    assert again.sat_calls == 0  # every class verdict was inherited
-    assert stats.verdicts_inherited > 0
-    assert stats.verdicts_proved == 0
+    # Every class verdict was inherited.
+    assert again.stats.sat_calls == 0
+    assert again.stats.verdicts_inherited > 0
+    assert again.stats.verdicts_proved == 0

@@ -20,13 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.atpg import AtpgBudget, run_atpg
-from repro.atpg.budget import (
-    ABORTED,
-    DEFAULT_ABORT_FRACTION,
-    DETECTED,
-    UNDETECTABLE,
-    verdict_name,
-)
+from repro.atpg.budget import DEFAULT_ABORT_FRACTION
 from repro.library import osu018_library
 from tests.conftest import (
     injected_sat_aborts,
@@ -57,11 +51,14 @@ def _assert_partition(result, faults):
 class TestBudget:
     def test_default_is_unlimited(self):
         budget = AtpgBudget()
-        assert budget.unlimited
+        assert (
+            budget.deadline_ms, budget.conflict_budget,
+            budget.decision_budget,
+        ) == (None, None, None)
         assert budget.abort_fraction == DEFAULT_ABORT_FRACTION
 
     def test_from_env_unset_is_unlimited(self):
-        assert AtpgBudget.from_env({}).unlimited
+        assert AtpgBudget.from_env({}) == AtpgBudget()
 
     def test_from_env_reads_all_knobs(self):
         budget = AtpgBudget.from_env({
@@ -74,7 +71,7 @@ class TestBudget:
         assert budget.conflict_budget == 1000
         assert budget.decision_budget == 5000
         assert budget.abort_fraction == 0.25
-        assert not budget.unlimited
+        assert budget != AtpgBudget()
 
     @pytest.mark.parametrize("name", [
         "REPRO_ATPG_DEADLINE_MS", "REPRO_ATPG_ABORT_FRACTION",
@@ -110,11 +107,6 @@ class TestBudget:
         assert AtpgBudget.from_env(
             {"REPRO_ATPG_ABORT_FRACTION": "1"}).abort_fraction == 1.0
 
-    def test_verdict_names(self):
-        assert verdict_name(True) == DETECTED
-        assert verdict_name(False) == UNDETECTABLE
-        assert verdict_name(None) == ABORTED
-
 
 class TestUnlimitedIdentity:
     def test_huge_budget_bit_identical_to_unlimited(self):
@@ -139,7 +131,9 @@ class TestUnlimitedIdentity:
         _circuit, _cells, faults, clean = _scenario()
         _assert_partition(clean, faults)
         assert clean.aborted == set()
-        assert clean.coverage == clean.coverage_lower_bound
+        # The pessimistic coverage (every abort undetectable) is exact.
+        pessimistic = len(clean.undetectable) + len(clean.aborted)
+        assert clean.coverage == 1.0 - pessimistic / clean.n_faults
 
 
 class TestBudgetedRun:
@@ -152,7 +146,8 @@ class TestBudgetedRun:
         _assert_partition(starved, faults)
         # Aborts are never laundered into undetectability proofs.
         assert starved.undetectable <= clean.undetectable
-        assert starved.coverage_lower_bound <= starved.coverage
+        pessimistic = len(starved.undetectable) + len(starved.aborted)
+        assert 1.0 - pessimistic / starved.n_faults <= starved.coverage
         if starved.aborted:
             assert starved.stats.sat_aborts > 0
             assert starved.stats.verdicts_aborted > 0
@@ -193,17 +188,6 @@ class TestBudgetedRun:
         )
         assert via_env.aborted == explicit.aborted
         assert via_env.undetectable == explicit.undetectable
-
-    def test_verdict_of(self):
-        circuit, cells, faults, _clean = _scenario()
-        result = run_atpg(
-            circuit, cells, list(faults), seed=5, random_rounds=2,
-            budget=AtpgBudget(decision_budget=0),
-        )
-        for fault in faults:
-            verdict = result.verdict_of(fault.fault_id)
-            assert verdict in (DETECTED, UNDETECTABLE, ABORTED)
-        assert result.verdict_of("no-such-fault") is None
 
 
 class TestAbortPatternProperty:
