@@ -2,9 +2,9 @@
 
 Runs the paper's Table-I campaign over the bench circuits at
 ``jobs=1/2/4`` and measures wall-clock makespan.  Tasks run with
-``isolation="process"`` (each analyze in its own interpreter, so the
-scheduler's concurrency is real parallelism, not GIL-interleaved
-threads).  The normalized
+``isolation="process"`` (each lane's analyses in that lane's worker
+interpreter, one per ``jobs`` lane, so the scheduler's concurrency is
+real parallelism, not GIL-interleaved threads).  The normalized
 report must be bit-identical at every jobs level — the scaling is only
 meaningful if concurrency changes nothing but the clock — and a
 trajectory point is appended to

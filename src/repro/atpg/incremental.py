@@ -27,6 +27,7 @@ standalone encoder (both are exact); the test suite cross-checks them.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.atpg.budget import UNLIMITED, AtpgBudget
@@ -223,14 +224,17 @@ class IncrementalAtpg:
         solver = self.solver
         solver.delete_clauses(range(cone.clause_start, cone.clause_end))
         lo, hi = cone.var_start + 1, cone.var_end
-        stale = [
-            ci for ci in solver._learnt
+        # A clause learned before the cone was built cannot mention its
+        # variables, and _learnt is ascending: scan only the later ones.
+        first = bisect_left(solver._learnt, cone.clause_end)
+        later = solver._learnt[first:]
+        solver.delete_clauses([
+            ci for ci in later
             if solver.clauses[ci] is not None
             and any(lo <= (elit >> 1) <= hi for elit in solver.clauses[ci])
-        ]
-        solver.delete_clauses(stale)
-        solver._learnt = [
-            ci for ci in solver._learnt if solver.clauses[ci] is not None
+        ])
+        solver._learnt[first:] = [
+            ci for ci in later if solver.clauses[ci] is not None
         ]
         for v in range(lo, hi + 1):
             if solver._val[v << 1] == 2:  # unassigned
@@ -287,6 +291,7 @@ class IncrementalAtpg:
         solver = self.solver
         var_mark = solver.num_vars
         clause_mark = len(solver.clauses)
+        trail_mark = len(solver._trail)
         act = solver.new_var()
         built = self._build_fault(fault, act)
         result: Optional[bool] = False
@@ -322,9 +327,12 @@ class IncrementalAtpg:
         # drop lazily) and pin its private variables at level 0 so they
         # are never decided again.
         solver.add_clause([-act])
+        # Only clauses from clause_mark on are deleted below, and a
+        # level-0 literal assigned before the mark has an older reason,
+        # so only the literals assigned since can protect one.
         protected = {
             solver._reason[elit >> 1]
-            for elit in solver._trail
+            for elit in solver._trail[trail_mark:]
             if solver._reason[elit >> 1] is not None
         }
         # Learned clauses in this range are kept: they are the reusable

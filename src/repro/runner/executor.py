@@ -32,11 +32,16 @@ Execution policy per task (checked by :class:`TaskSpec`):
 * **retries / backoff** — a failed attempt is retried up to ``retries``
   times, sleeping ``backoff * 2**(attempt-1)`` seconds in between; every
   retry is journaled.
-* **isolation** — ``"process"`` runs the task in a fresh interpreter
-  (``python -m repro.runner._worker``): heavy tasks cannot corrupt or
-  OOM the orchestrator, and their timeouts are enforced with a kill.
-  The attempt's scratch files under ``tmp/`` are deleted once its
-  outcome is known.
+* **isolation** — ``"process"`` runs the task in its pool lane's
+  worker interpreter (``python -m repro.runner._worker``), one
+  long-lived process per lane, started by the lane's first process
+  attempt: heavy tasks cannot corrupt or OOM the orchestrator, and
+  their timeouts are enforced with a kill.  A killed or crashed worker,
+  or one started under other ``REPRO_ATPG_*`` knobs, is replaced by a
+  fresh one at the lane's next attempt; every worker is closed (stdin
+  EOF) and waited for when the pool finishes and in :meth:`finalize`,
+  so none outlives the run.  The attempt's scratch files under ``tmp/``
+  are deleted once its outcome is known.
 
 Resume replays the journal and re-executes only tasks that are missing,
 failed, interrupted, or whose input fingerprint changed; completed tasks
@@ -48,8 +53,10 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import sys
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -68,6 +75,9 @@ from repro.runner.registry import TaskContext, fingerprint_extra, get_task
 from repro.runner.report import build_report, write_report
 
 DEFAULT_RUNS_ROOT = os.path.join("benchmarks", "results", "runs")
+_SRC_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
 
 
 def resolve_run_jobs(jobs: Optional[int] = None) -> int:
@@ -86,6 +96,60 @@ class TaskFailure(Exception):
     def __init__(self, message: str, status: str = "failed"):
         super().__init__(message)
         self.status = status
+
+
+class _Worker:
+    """One pool lane's worker interpreter (``repro.runner._worker``).
+
+    It keeps the ``REPRO_ATPG_*`` knobs it started with for its life.
+    Each task is one request line on its stdin; it answers with one
+    byte on a completion pipe of its own, so the task's stdout and
+    stderr stay the orchestrator's.
+    """
+
+    def __init__(self) -> None:
+        self.knobs = env_knobs()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_SRC_ROOT, env.get("PYTHONPATH")) if p
+        )
+        done_r, done_w = os.pipe()
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.runner._worker", str(done_w)],
+                stdin=subprocess.PIPE, bufsize=0, env=env,
+                pass_fds=(done_w,),
+            )
+        except BaseException:
+            os.close(done_r)
+            raise
+        finally:
+            os.close(done_w)
+        self.done = done_r
+
+    def run(self, in_path: str, out_path: str,
+            timeout: Optional[float]) -> Optional[bool]:
+        """Hand the worker one task: True once it reports the task done,
+        False if it exited first, None after *timeout* seconds."""
+        try:
+            self.proc.stdin.write(
+                (json.dumps([in_path, out_path]) + "\n").encode()
+            )
+        except BrokenPipeError:
+            return False
+        ready, _, _ = select.select([self.done], [], [], timeout)
+        if not ready:
+            return None
+        return os.read(self.done, 1) == b"."
+
+    def close(self, kill: bool = False) -> int:
+        """End the worker (killed, or at stdin EOF once idle), wait for
+        it and return its exit code."""
+        if kill:
+            self.proc.kill()
+        self.proc.stdin.close()
+        os.close(self.done)
+        return self.proc.wait()
 
 
 @dataclass
@@ -142,6 +206,8 @@ class Runner:
         # Scheduler observability for the report's UTILIZATION section
         # (populated by execute(), not by execute_spec()).
         self.scheduler_info: Optional[dict] = None
+        # Each pool lane's worker interpreter, keyed by thread id.
+        self._workers: Dict[int, _Worker] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -227,7 +293,9 @@ class Runner:
         return outcome
 
     def finalize(self) -> dict:
-        """Journal the aggregated report and the run_end event."""
+        """Close every worker, then journal the aggregated report and
+        the run_end event."""
+        self._close_workers()
         self._ensure_started()
         # Report determinism under concurrency: outcomes settle in
         # completion order, which interleaving makes nondeterministic;
@@ -311,18 +379,22 @@ class Runner:
         started = time.perf_counter()
         todo = [s for s in self.campaign.tasks if self._settle_fast(s) is None]
         spans: Dict[str, Dict[str, float]] = {}
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="repro-sched"
-        ) as pool:
-            futures = [
-                pool.submit(self._run_timed, spec, self._fps[spec.task_id],
-                            started, time.perf_counter())
-                for spec in todo
-            ]
-            for fut in as_completed(futures):
-                outcome, span = fut.result()
-                self.outcomes[outcome.task_id] = outcome
-                spans[outcome.task_id] = span
+        try:
+            with ThreadPoolExecutor(
+                max_workers=jobs, thread_name_prefix="repro-sched"
+            ) as pool:
+                futures = [
+                    pool.submit(self._run_timed, spec,
+                                self._fps[spec.task_id], started,
+                                time.perf_counter())
+                    for spec in todo
+                ]
+                for fut in as_completed(futures):
+                    outcome, span = fut.result()
+                    self.outcomes[outcome.task_id] = outcome
+                    spans[outcome.task_id] = span
+        finally:
+            self._close_workers()
         makespan = time.perf_counter() - started
         busy = sum(span["run"] for span in spans.values())
         self.scheduler_info = {
@@ -440,38 +512,42 @@ class Runner:
                     "attempt": ctx.attempt,
                     "run_dir": self.run_dir,
                 }, fh)
-            env = dict(os.environ)
-            src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)
-            )))
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src_root, env.get("PYTHONPATH")) if p
-            )
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.runner._worker",
-                 in_path, out_path],
-                env=env,
-            )
-            try:
-                returncode = proc.wait(timeout=spec.timeout)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+            done = self._lane_worker().run(in_path, out_path, spec.timeout)
+            if done is None:
+                self._workers.pop(threading.get_ident()).close(kill=True)
                 raise TaskFailure(
                     f"timeout after {spec.timeout}s (worker killed)",
                     status="timeout",
-                ) from None
-            if os.path.exists(out_path):
-                with open(out_path) as fh:
-                    result = json.load(fh)
-                if result.get("status") == "ok":
-                    return result["payload"]
-                raise TaskFailure(str(result.get("error", "worker error")))
-            raise TaskFailure(
-                f"worker exited with code {returncode} and wrote no result"
-            )
+                )
+            if not done:
+                returncode = self._workers.pop(threading.get_ident()).close()
+                raise TaskFailure(
+                    f"worker exited with code {returncode} and wrote no result"
+                )
+            with open(out_path) as fh:
+                result = json.load(fh)
+            if result.get("status") == "ok":
+                return result["payload"]
+            raise TaskFailure(str(result.get("error", "worker error")))
         finally:
             _remove(scratch)
+
+    def _lane_worker(self) -> _Worker:
+        """The calling lane's worker, started fresh when the lane has
+        none or the ATPG knobs changed since its worker started."""
+        lane = threading.get_ident()
+        worker = self._workers.get(lane)
+        if worker is not None and worker.knobs != env_knobs():
+            worker.close()
+            worker = None
+        if worker is None:
+            worker = self._workers[lane] = _Worker()
+        return worker
+
+    def _close_workers(self) -> None:
+        """Close every lane's worker and wait for it to exit."""
+        while self._workers:
+            self._workers.popitem()[1].close()
 
 
 def _remove(paths: Iterable[str]) -> None:

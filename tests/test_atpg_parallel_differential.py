@@ -1,7 +1,8 @@
 """Differential tests: the exact SAT phase in a fresh process vs in-process.
 
 Under campaign-level ``--jobs`` with ``--isolation process`` each
-analysis runs in its own fresh interpreter, and its verdicts must not
+analysis runs in its pool lane's worker interpreter (one long-lived
+process per lane, not the orchestrator), and its verdicts must not
 depend on that: exact SAT decisions are schedule-independent, so the
 DETECTED / UNDETECTABLE / ABORTED partition computed in a child
 interpreter (:func:`tests.conftest.call_in_fresh_process`) is

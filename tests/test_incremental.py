@@ -7,6 +7,8 @@ import pytest
 
 from repro.atpg import DetectionEncoder
 from repro.atpg.incremental import IncrementalAtpg
+from repro.bench.circuits import build_benchmark
+from repro.core.flow import analyze_design
 from repro.faults import (
     BridgingFault,
     StuckAtFault,
@@ -106,3 +108,38 @@ def test_redundant_checker_region(cells, library):
     got1, pair = incremental.decide(fault1)
     assert got1 is True
     assert detected_by_patterns(circuit, cells, [fault1], [pair]) == [True]
+
+
+def test_retire_deletes_what_a_full_scan_would(library, monkeypatch):
+    """``retire_site`` scans only the clauses learned after its cone was
+    built.  Over a sparc_tlu fault scan, each retire deletes exactly the
+    learned clauses a scan of the whole history finds and leaves the
+    same learned-clause list."""
+    real = IncrementalAtpg.retire_site
+    deleted = []
+
+    def checked(self, net):
+        cone = self._cones.get(net)
+        solver = self.solver
+        before = list(solver._learnt)
+        if cone is not None:
+            lo, hi = cone.var_start + 1, cone.var_end
+            stale = {
+                ci for ci in before
+                if solver.clauses[ci] is not None
+                and any(lo <= (e >> 1) <= hi for e in solver.clauses[ci])
+            }
+            keep = [ci for ci in before
+                    if ci not in stale and solver.clauses[ci] is not None]
+        real(self, net)
+        if cone is not None:
+            assert {ci for ci in before if solver.clauses[ci] is None} \
+                == stale
+            assert solver._learnt == keep
+            deleted.append(len(stale))
+
+    monkeypatch.setattr(IncrementalAtpg, "retire_site", checked)
+    analyze_design(build_benchmark("sparc_tlu", library), library,
+                   seed=0, atpg_seed=0)
+    assert len(deleted) > 10
+    assert sum(deleted) > 0

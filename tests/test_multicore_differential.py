@@ -1,10 +1,12 @@
 """Differential tests: fault simulation in a fresh process vs in-process.
 
 The project's one parallel layer is the campaign runner's ``--jobs``;
-with ``--isolation process`` every task runs in a fresh interpreter —
-its own imports, cold caches and its own hash seed — and its Table I/II
-numbers must equal an inline run's bit for bit.  This suite locks that
-in at the engine level by computing in a child interpreter
+with ``--isolation process`` every task runs in its pool lane's worker
+interpreter — one long-lived process per lane, with its own imports and
+hash seed, whose memo tables the lane's earlier tasks may have warmed —
+and its Table I/II numbers must equal an inline run's bit for bit.
+This suite locks that in at the engine level by computing in a child
+interpreter
 (:func:`tests.conftest.call_in_fresh_process`) and comparing against the
 in-process serial path:
 

@@ -333,6 +333,109 @@ class TestRetries:
 
 
 # ----------------------------------------------------------------------
+# Worker interpreters: one per pool lane
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every worker interpreter the runner starts, in start order."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def task_ends(root, run_id):
+    return [e for e in events_of(root, run_id) if e["event"] == "task_end"]
+
+
+@posix_only
+class TestLaneWorkers:
+    """A process-isolated task runs in its pool lane's long-lived worker
+    interpreter.  A worker that timed out, died, or started under other
+    ATPG knobs is replaced at the lane's next attempt, and no worker
+    outlives the run."""
+
+    def test_one_worker_serves_a_lane(self, tmp_path, workers):
+        root = str(tmp_path)
+        report = Runner(
+            sum_campaign("lane", isolation="process"), root=root, jobs=1,
+        ).execute()
+        assert report["status"] == "ok"
+        assert [report["results"][t]["value"] for t in "abc"] == [1, 2, 3]
+        assert len(workers) == 1
+        assert workers[0].poll() == 0
+
+    def test_timed_out_worker_is_replaced(self, tmp_path, workers):
+        root = str(tmp_path)
+        c = CampaignSpec("tl", [
+            TaskSpec("stuck", "hang", {"seconds": 60}, timeout=0.5,
+                     isolation="process"),
+            TaskSpec("next", "sum", {"value": 7}, isolation="process"),
+        ])
+        report = Runner(c, root=root, jobs=1).execute()
+        assert [e["status"] for e in task_ends(root, "tl")] == [
+            "timeout", "ok"]
+        assert report["results"]["next"] == {"value": 7}
+        assert len(workers) == 2
+        assert workers[0].poll() == -signal.SIGKILL
+        assert workers[1].poll() == 0
+
+    def test_dead_worker_is_replaced_for_the_retry(self, tmp_path, workers):
+        root = str(tmp_path)
+        c = CampaignSpec("ks", [TaskSpec(
+            "boom", "kill_self", {"value": 5}, retries=1, backoff=0.0,
+            isolation="process",
+        )])
+        report = Runner(c, root=root, jobs=1).execute()
+        assert report["tasks"]["boom"]["status"] == "ok"
+        assert report["tasks"]["boom"]["attempts"] == 2
+        assert report["results"]["boom"]["survived"] is True
+        first = task_ends(root, "ks")[0]
+        assert first["status"] == "failed"
+        assert first["error"] == (
+            f"worker exited with code {-signal.SIGKILL} and wrote no result"
+        )
+        assert len(workers) == 2
+        assert all(w.poll() is not None for w in workers)
+
+    def test_knob_change_starts_a_fresh_worker(
+        self, tmp_path, workers, monkeypatch
+    ):
+        """A worker keeps the ATPG knobs it started with, so a knob set
+        between two ``execute_spec`` calls takes a fresh worker."""
+        for knob in ("REPRO_ATPG_CONFLICT_BUDGET", "REPRO_ATPG_DEADLINE_MS",
+                     "REPRO_ATPG_DECISION_BUDGET",
+                     "REPRO_ATPG_ABORT_FRACTION"):
+            monkeypatch.delenv(knob, raising=False)
+        runner = Runner(CampaignSpec("knob"), root=str(tmp_path))
+        params = {"circuit": "sparc_tlu", "scale": 1, "seed": 0,
+                  "variant": "full"}
+        clean = runner.execute_spec(TaskSpec(
+            "analyze:full:sparc_tlu", "analyze", params,
+            isolation="process",
+        ))
+        assert len(workers) == 1 and workers[0].poll() is None
+        monkeypatch.setenv("REPRO_ATPG_CONFLICT_BUDGET", "2")
+        budgeted = runner.execute_spec(TaskSpec(
+            "analyze:budget:sparc_tlu", "analyze", params,
+            isolation="process",
+        ))
+        assert clean.payload["row"]["Aborted"] == 0
+        assert budgeted.payload["row"]["Aborted"] > 0
+        assert len(workers) == 2
+        assert workers[0].poll() == 0
+        assert workers[1].poll() is None
+        assert runner.finalize()["status"] == "ok"
+        assert workers[1].poll() == 0
+
+
+# ----------------------------------------------------------------------
 # Resume semantics
 # ----------------------------------------------------------------------
 
