@@ -15,12 +15,7 @@ Python-ATPG-sized; see DESIGN.md), but these shape properties must hold.
 
 from __future__ import annotations
 
-from benchmarks.conftest import (
-    bench_circuits,
-    get_analysis,
-    get_table1_row,
-    journal_payload,
-)
+from benchmarks.conftest import bench_circuits, get_analysis
 from repro.core import table1_row
 from repro.utils import format_table
 
@@ -28,15 +23,12 @@ TABLE1_CIRCUITS = ["aes_core", "des_perf", "sparc_exu", "sparc_fpu"]
 
 
 def _rows():
-    """(DesignState, journaled Table I row) per circuit.
-
-    The analysis runs as an orchestrator task; the row asserted on is
-    the one recorded in the run journal, not a recomputation.
-    """
-    return {
-        name: (get_analysis(name), get_table1_row(name))
-        for name in bench_circuits(TABLE1_CIRCUITS)
-    }
+    """(DesignState, Table I row) per circuit."""
+    rows = {}
+    for name in bench_circuits(TABLE1_CIRCUITS):
+        state = get_analysis(name)
+        rows[name] = (state, table1_row(name, state))
+    return rows
 
 
 def test_table1_report(benchmark):
@@ -77,16 +69,3 @@ def test_gmax_is_subset_of_gu():
         assert row["Gmax"] <= row["G_U"], name
         assert state.clusters.gmax <= state.clusters.gates_u, name
 
-
-def test_rows_match_journal_and_recomputation():
-    """The on-disk journal recorded exactly the rows asserted above,
-    and they agree with a recomputation from the in-memory state."""
-    for name, (state, row) in _rows().items():
-        payload = journal_payload(f"analyze:full:{name}")
-        if payload is None:  # analysis was seeded by a resynthesize task
-            payload = journal_payload(f"resynthesize:full:{name}")
-            assert payload is not None, name
-            assert payload["original_row"] == row, name
-        else:
-            assert payload["row"] == row, name
-        assert table1_row(name, state) == row, name

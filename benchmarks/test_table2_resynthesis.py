@@ -17,12 +17,7 @@ Set ``REPRO_BENCH_CIRCUITS=sparc_tlu,sparc_lsu`` for a quick run.
 
 from __future__ import annotations
 
-from benchmarks.conftest import (
-    bench_circuits,
-    get_resynthesis,
-    get_table2_rows,
-    journal_payload,
-)
+from benchmarks.conftest import bench_circuits, get_resynthesis
 from repro.core import table2_row
 from repro.core.metrics import average_rows
 from repro.utils import format_table
@@ -46,9 +41,8 @@ def test_table2_report(benchmark):
     all_rows = []
     orig_rows = []
     resyn_rows = []
-    for name in results:
-        # The rows the orchestrator journaled for this circuit's task.
-        rows = get_table2_rows(name)
+    for name, result in results.items():
+        rows = table2_row(name, result)
         all_rows.extend(rows)
         orig_rows.append(rows[0])
         resyn_rows.append(rows[1])
@@ -106,16 +100,6 @@ def test_constraints_hold_on_original_floorplan():
         assert final.physical.floorplan == orig.physical.floorplan, name
         assert final.delay <= orig.delay * limit, name
         assert final.power <= orig.power * limit, name
-
-
-def test_rows_match_journal_and_recomputation():
-    """The on-disk journal recorded exactly the row pairs used for
-    Table II, and they agree with a recomputation from the result."""
-    for name, result in _results().items():
-        payload = journal_payload(f"resynthesize:full:{name}")
-        assert payload is not None, name
-        assert payload["rows"] == get_table2_rows(name), name
-        assert table2_row(name, result) == get_table2_rows(name), name
 
 
 def test_resynthesized_circuits_equivalent():

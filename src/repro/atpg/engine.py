@@ -80,7 +80,6 @@ def run_atpg(
     faults: Sequence[Fault],
     seed: int = 0,
     random_rounds: int = 8,
-    batch_size: int = BATCH_PAIRS,
     compaction: bool = True,
     initial_tests: Optional[Sequence[TestPair]] = None,
     assume_undetectable: Optional[AbstractSet] = None,
@@ -93,11 +92,6 @@ def run_atpg(
     unlimited when unset) bounds each deterministic SAT decision; faults
     whose decision runs out land in ``result.aborted`` with the
     conservative semantics described in the module docstring.
-
-    *batch_size* is the number of random pattern pairs simulated per
-    round and the chunk size for initial-test replay: 1 to
-    :data:`~repro.faults.fsim.BATCH_PAIRS` (the default); any other
-    value raises :class:`ValueError`.
 
     Strategy: seeded random pattern pairs with bit-parallel fault
     simulation drop the easy faults; each remaining behaviour class gets
@@ -123,11 +117,6 @@ def run_atpg(
     call's effort alone; a caller running several analyses sums them
     with :meth:`EngineStats.add`.
     """
-    if not 1 <= batch_size <= BATCH_PAIRS:
-        raise ValueError(
-            f"batch_size must be between 1 and {BATCH_PAIRS} pattern "
-            f"pairs, got {batch_size}"
-        )
     if budget is None:
         budget = AtpgBudget.from_env()
     result = AtpgResult(n_faults=len(faults))
@@ -159,8 +148,8 @@ def run_atpg(
     # ---- seed with inherited tests --------------------------------------
     if initial_tests:
         with stats.phase("atpg.initial_tests"):
-            for start_i in range(0, len(initial_tests), batch_size):
-                chunk = list(initial_tests[start_i:start_i + batch_size])
+            for start_i in range(0, len(initial_tests), BATCH_PAIRS):
+                chunk = list(initial_tests[start_i:start_i + BATCH_PAIRS])
                 batch = PatternBatch.from_pairs(circuit, chunk)
                 words = fault_simulate(
                     circuit, cells, remaining, batch, stats=stats,
@@ -184,7 +173,7 @@ def run_atpg(
             if not remaining or quiet >= 2:
                 break
             batch = PatternBatch.random(
-                circuit, batch_size, seed=rng.getrandbits(32)
+                circuit, BATCH_PAIRS, seed=rng.getrandbits(32)
             )
             words = fault_simulate(
                 circuit, cells, remaining, batch, stats=stats,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List
+from typing import Iterable, Iterator, List
 
 from repro.faults.model import CellAwareFault, Fault, INTERNAL
 from repro.library.osu018 import Library
@@ -22,9 +22,6 @@ class FaultSet:
     def __iter__(self) -> Iterator[Fault]:
         return iter(self.faults)
 
-    def add(self, fault: Fault) -> None:
-        self.faults.append(fault)
-
     def extend(self, faults: Iterable[Fault]) -> None:
         self.faults.extend(faults)
 
@@ -35,18 +32,6 @@ class FaultSet:
     @property
     def external(self) -> List[Fault]:
         return [f for f in self.faults if f.origin != INTERNAL]
-
-    def by_id(self) -> Dict[str, Fault]:
-        return {f.fault_id: f for f in self.faults}
-
-    def counts(self) -> Dict[str, int]:
-        """Summary: total / internal / external fault counts."""
-        n_int = len(self.internal)
-        return {
-            "total": len(self.faults),
-            "internal": n_int,
-            "external": len(self.faults) - n_int,
-        }
 
 
 def enumerate_internal_faults(

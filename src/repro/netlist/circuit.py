@@ -280,59 +280,6 @@ class Circuit:
         """
         return self.topo_order()
 
-    def levelize(self) -> Dict[str, int]:
-        """Map each gate to its logic level (PIs/constants are level 0)."""
-        level: Dict[str, int] = {}
-        for name in self.topo_order():
-            gate = self.gates[name]
-            lvl = 0
-            for net in gate.pins.values():
-                drv = self._driver.get(net)
-                if drv is not None:
-                    lvl = max(lvl, level[drv] + 1)
-                else:
-                    lvl = max(lvl, 1)
-            level[name] = lvl
-        return level
-
-    def fanout_cone(self, net: str) -> Set[str]:
-        """All gates transitively reachable from *net* (inclusive of loads)."""
-        cone: Set[str] = set()
-        frontier = [gname for gname, _pin in self._loads.get(net, ())]
-        while frontier:
-            gname = frontier.pop()
-            if gname in cone:
-                continue
-            cone.add(gname)
-            out_net = self.gates[gname].output
-            frontier.extend(g for g, _p in self._loads.get(out_net, ()))
-        return cone
-
-    def fanin_cone(self, net: str) -> Set[str]:
-        """All gates transitively feeding *net* (inclusive of its driver)."""
-        cone: Set[str] = set()
-        frontier = []
-        drv = self._driver.get(net)
-        if drv is not None:
-            frontier.append(drv)
-        while frontier:
-            gname = frontier.pop()
-            if gname in cone:
-                continue
-            cone.add(gname)
-            for in_net in self.gates[gname].pins.values():
-                d = self._driver.get(in_net)
-                if d is not None:
-                    frontier.append(d)
-        return cone
-
-    def cell_histogram(self) -> Dict[str, int]:
-        """Count of gate instances per cell type."""
-        hist: Dict[str, int] = {}
-        for gate in self.gates.values():
-            hist[gate.cell] = hist.get(gate.cell, 0) + 1
-        return hist
-
     def __len__(self) -> int:
         return len(self.gates)
 

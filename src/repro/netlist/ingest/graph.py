@@ -111,13 +111,6 @@ class NetGraph:
         self.nodes.append(Node(op, output, inputs, line))
 
     # ------------------------------------------------------------------
-    def drivers(self) -> Dict[str, Node]:
-        """Map of signal -> defining node (first definition wins)."""
-        out: Dict[str, Node] = {}
-        for node in self.nodes:
-            out.setdefault(node.output, node)
-        return out
-
     def link(self) -> ValidationReport:
         """Cross-reference the graph; append link diagnostics to report.
 

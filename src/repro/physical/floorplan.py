@@ -34,10 +34,6 @@ class Floorplan:
     def capacity_tracks(self) -> int:
         return self.width * self.rows
 
-    def fits(self, circuit: Circuit, cells: Mapping[str, StandardCell]) -> bool:
-        """True if the circuit's cells fit on this die at 100% packing."""
-        return total_tracks(circuit, cells) <= self.capacity_tracks
-
 
 def cell_tracks(cell: StandardCell) -> int:
     """Placement width of *cell* in tracks."""

@@ -99,18 +99,6 @@ class Layout:
         """Total routed wirelength of the design."""
         return sum(s.length for s in self.segments)
 
-    def utilization(self) -> float:
-        """Fraction of die sites occupied by cells."""
-        used = sum(g.width for g in self.gates.values())
-        return used / float(self.die_width * self.die_rows)
-
-    def row_occupancy(self) -> List[int]:
-        """Occupied tracks per row."""
-        occ = [0] * self.die_rows
-        for g in self.gates.values():
-            occ[g.y] += g.width
-        return occ
-
     def check_legal(self) -> List[str]:
         """Return a list of placement legality violations (empty = legal)."""
         problems: List[str] = []

@@ -8,9 +8,8 @@ setting: each task itself runs serially.  Around every task it journals
 ``task_start`` / ``task_end`` events (each fsync'd before proceeding),
 so the run directory always reflects exactly what has finished — a
 SIGKILL, OOM, or power cut mid-campaign loses at most the tasks that
-were running.  ``campaign.json`` is written whenever the
-campaign changes: at start, and each time :meth:`Runner.execute_spec`
-appends a task.
+were running.  ``campaign.json`` is written when the run starts.  A
+task's journaled payload is its only result.
 
 Concurrency changes *when* tasks run, never *what* they compute: journal
 events are task-keyed so replay / ``diff`` / resume are insensitive to
@@ -36,12 +35,12 @@ Execution policy per task (checked by :class:`TaskSpec`):
   worker interpreter (``python -m repro.runner._worker``), one
   long-lived process per lane, started by the lane's first process
   attempt: heavy tasks cannot corrupt or OOM the orchestrator, and
-  their timeouts are enforced with a kill.  A killed or crashed worker,
-  or one started under other ``REPRO_ATPG_*`` knobs, is replaced by a
-  fresh one at the lane's next attempt; every worker is closed (stdin
-  EOF) and waited for when the pool finishes and in :meth:`finalize`,
-  so none outlives the run.  The attempt's scratch files under ``tmp/``
-  are deleted once its outcome is known.
+  their timeouts are enforced with a kill.  An attempt writes its task
+  as one JSON line on the worker's stdin and reads the result as one
+  JSON line from the worker's result pipe.  A killed or crashed worker
+  is replaced by a fresh one at the lane's next attempt; every worker
+  is closed (stdin EOF) and waited for when the pool finishes, so none
+  outlives the run.
 
 Resume replays the journal and re-executes only tasks that are missing,
 failed, interrupted, or whose input fingerprint changed; completed tasks
@@ -101,46 +100,51 @@ class TaskFailure(Exception):
 class _Worker:
     """One pool lane's worker interpreter (``repro.runner._worker``).
 
-    It keeps the ``REPRO_ATPG_*`` knobs it started with for its life.
-    Each task is one request line on its stdin; it answers with one
-    byte on a completion pipe of its own, so the task's stdout and
-    stderr stay the orchestrator's.
+    Each task is one JSON line on its stdin, answered by one JSON line
+    on a result pipe of its own, so the task's stdout and stderr stay
+    the orchestrator's.
     """
 
     def __init__(self) -> None:
-        self.knobs = env_knobs()
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (_SRC_ROOT, env.get("PYTHONPATH")) if p
         )
-        done_r, done_w = os.pipe()
+        out_r, out_w = os.pipe()
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.runner._worker", str(done_w)],
+                [sys.executable, "-m", "repro.runner._worker", str(out_w)],
                 stdin=subprocess.PIPE, bufsize=0, env=env,
-                pass_fds=(done_w,),
+                pass_fds=(out_w,),
             )
         except BaseException:
-            os.close(done_r)
+            os.close(out_r)
             raise
         finally:
-            os.close(done_w)
-        self.done = done_r
+            os.close(out_w)
+        self.out = out_r
 
-    def run(self, in_path: str, out_path: str,
-            timeout: Optional[float]) -> Optional[bool]:
-        """Hand the worker one task: True once it reports the task done,
-        False if it exited first, None after *timeout* seconds."""
+    def run(self, request: dict, timeout: Optional[float]) -> Optional[bytes]:
+        """Hand the worker one task and return its result line: empty
+        if the worker exited before a full line, None after *timeout*
+        seconds."""
         try:
-            self.proc.stdin.write(
-                (json.dumps([in_path, out_path]) + "\n").encode()
-            )
+            self.proc.stdin.write((json.dumps(request) + "\n").encode())
         except BrokenPipeError:
-            return False
-        ready, _, _ = select.select([self.done], [], [], timeout)
-        if not ready:
-            return None
-        return os.read(self.done, 1) == b"."
+            return b""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        line = b""
+        while not line.endswith(b"\n"):
+            left = (None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+            ready, _, _ = select.select([self.out], [], [], left)
+            if not ready:
+                return None
+            chunk = os.read(self.out, 1 << 16)
+            if not chunk:
+                return b""
+            line += chunk
+        return line
 
     def close(self, kill: bool = False) -> int:
         """End the worker (killed, or at stdin EOF once idle), wait for
@@ -148,7 +152,7 @@ class _Worker:
         if kill:
             self.proc.kill()
         self.proc.stdin.close()
-        os.close(self.done)
+        os.close(self.out)
         return self.proc.wait()
 
 
@@ -184,7 +188,6 @@ class Runner:
 
     campaign: CampaignSpec
     root: str = DEFAULT_RUNS_ROOT
-    store: Optional[dict] = None
     # Failure-injection hook: called right after a task_start event is
     # journaled, before the task body runs (used by tests/CI to SIGKILL
     # the orchestrator mid-task).
@@ -202,9 +205,7 @@ class Runner:
         self.journal: Optional[Journal] = None
         self.ledger: RunLedger = RunLedger()
         self._fps: Dict[str, str] = {}
-        self._known = {t.task_id for t in self.campaign.tasks}
-        # Scheduler observability for the report's UTILIZATION section
-        # (populated by execute(), not by execute_spec()).
+        # Scheduler observability for the report's UTILIZATION section.
         self.scheduler_info: Optional[dict] = None
         # Each pool lane's worker interpreter, keyed by thread id.
         self._workers: Dict[int, _Worker] = {}
@@ -218,9 +219,7 @@ class Runner:
     def campaign_path(self) -> str:
         return os.path.join(self.run_dir, "campaign.json")
 
-    def _ensure_started(self) -> None:
-        if self.journal is not None:
-            return
+    def _start(self) -> None:
         os.makedirs(self.run_dir, exist_ok=True)
         prior = (
             read_journal(self.journal_path)
@@ -266,37 +265,12 @@ class Runner:
                 "nothing was run:\n"
                 + "\n".join(f"  {problem}" for problem in problems)
             )
-        self._ensure_started()
+        self._start()
         self._execute_pool(resolve_run_jobs(self.jobs))
         return self.finalize()
 
-    def execute_spec(self, spec: TaskSpec) -> TaskOutcome:
-        """Incremental API: append *spec* to the campaign and run it.
-
-        Used by the pytest benchmark harness, which discovers its tasks
-        lazily; the campaign file is rewritten on every append so the
-        run stays resumable.  The task is fingerprinted first, so one
-        that fails its check raises :class:`CampaignError` and is not
-        appended.
-        """
-        self._fingerprint(spec)
-        if spec.task_id not in self._known:
-            self.campaign.tasks.append(spec)
-            self._known.add(spec.task_id)
-            if self.journal is not None:  # else _ensure_started saves it
-                self.campaign.save(self.campaign_path)
-        self._ensure_started()
-        outcome = self._settle_fast(spec)
-        if outcome is None:
-            outcome = self._run_attempts(spec, self._fps[spec.task_id])
-            self.outcomes[spec.task_id] = outcome
-        return outcome
-
     def finalize(self) -> dict:
-        """Close every worker, then journal the aggregated report and
-        the run_end event."""
-        self._close_workers()
-        self._ensure_started()
+        """Journal the aggregated report and the run_end event."""
         # Report determinism under concurrency: outcomes settle in
         # completion order, which interleaving makes nondeterministic;
         # the report always presents them in campaign order.
@@ -336,15 +310,12 @@ class Runner:
     def _settle_fast(self, spec: TaskSpec) -> Optional[TaskOutcome]:
         """Settle *spec* without running it, if possible.
 
-        Fingerprints the task, then resolves the no-execution outcomes:
-        already done this life, or journaled-complete with a matching
-        fingerprint (``task_cached``).  Returns ``None`` when the task
-        needs an execution attempt.  Runs on the scheduler thread only,
-        so fingerprint and outcome bookkeeping stay single-writer.
+        Fingerprints the task, then resolves the no-execution outcome:
+        journaled-complete with a matching fingerprint (``task_cached``).
+        Returns ``None`` when the task needs an execution attempt.  Runs
+        on the scheduler thread only, so fingerprint and outcome
+        bookkeeping stay single-writer.
         """
-        done = self.outcomes.get(spec.task_id)
-        if done is not None:
-            return done
         fp = self._fingerprint(spec)
 
         # Completed in a previous orchestrator life with the same
@@ -423,13 +394,9 @@ class Runner:
         }
 
     def _run_attempts(self, spec: TaskSpec, fp: str) -> TaskOutcome:
-        ctx = TaskContext(
-            run_dir=self.run_dir, task_id=spec.task_id, store=self.store,
-        )
         attempts = spec.retries + 1
         last_error: Optional[TaskFailure] = None
         for attempt in range(1, attempts + 1):
-            ctx.attempt = attempt
             self.journal.append({
                 "event": "task_start",
                 "task": spec.task_id,
@@ -442,9 +409,9 @@ class Runner:
             t0 = time.perf_counter()
             try:
                 if spec.isolation == "process":
-                    payload = self._attempt_process(spec, ctx)
+                    payload = self._attempt_process(spec)
                 else:
-                    payload = self._attempt_inline(spec, ctx)
+                    payload = self._attempt_inline(spec)
             except TaskFailure as exc:
                 duration = time.perf_counter() - t0
                 last_error = exc
@@ -486,74 +453,44 @@ class Runner:
         )
 
     # ------------------------------------------------------------------
-    def _attempt_inline(self, spec: TaskSpec, ctx: TaskContext) -> dict:
+    def _attempt_inline(self, spec: TaskSpec) -> dict:
+        ctx = TaskContext(run_dir=self.run_dir, task_id=spec.task_id)
         try:
             return get_task(spec.kind)(spec.params, ctx)
         except Exception as exc:
             raise TaskFailure(f"{type(exc).__name__}: {exc}") from exc
 
-    def _attempt_process(self, spec: TaskSpec, ctx: TaskContext) -> dict:
-        tmp_dir = os.path.join(self.run_dir, "tmp")
-        os.makedirs(tmp_dir, exist_ok=True)
-        stem = spec.task_id.replace(os.sep, "_")
-        in_path = os.path.join(tmp_dir, f"{stem}.{ctx.attempt}.in.json")
-        out_path = os.path.join(tmp_dir, f"{stem}.{ctx.attempt}.out.json")
-        # The attempt's files (with the worker's atomic-write temporary)
-        # go once its outcome is known; files a killed earlier life of
-        # the run left under the same names go before it starts.
-        scratch = (in_path, out_path, out_path + ".tmp")
-        _remove(scratch)
-        try:
-            with open(in_path, "w") as fh:
-                json.dump({
-                    "kind": spec.kind,
-                    "params": dict(spec.params),
-                    "task_id": spec.task_id,
-                    "attempt": ctx.attempt,
-                    "run_dir": self.run_dir,
-                }, fh)
-            done = self._lane_worker().run(in_path, out_path, spec.timeout)
-            if done is None:
-                self._workers.pop(threading.get_ident()).close(kill=True)
-                raise TaskFailure(
-                    f"timeout after {spec.timeout}s (worker killed)",
-                    status="timeout",
-                )
-            if not done:
-                returncode = self._workers.pop(threading.get_ident()).close()
-                raise TaskFailure(
-                    f"worker exited with code {returncode} and wrote no result"
-                )
-            with open(out_path) as fh:
-                result = json.load(fh)
-            if result.get("status") == "ok":
-                return result["payload"]
-            raise TaskFailure(str(result.get("error", "worker error")))
-        finally:
-            _remove(scratch)
-
-    def _lane_worker(self) -> _Worker:
-        """The calling lane's worker, started fresh when the lane has
-        none or the ATPG knobs changed since its worker started."""
+    def _attempt_process(self, spec: TaskSpec) -> dict:
         lane = threading.get_ident()
         worker = self._workers.get(lane)
-        if worker is not None and worker.knobs != env_knobs():
-            worker.close()
-            worker = None
         if worker is None:
             worker = self._workers[lane] = _Worker()
-        return worker
+        line = worker.run({
+            "kind": spec.kind,
+            "params": dict(spec.params),
+            "task_id": spec.task_id,
+            "run_dir": self.run_dir,
+        }, spec.timeout)
+        if line is None:
+            self._workers.pop(lane).close(kill=True)
+            raise TaskFailure(
+                f"timeout after {spec.timeout}s (worker killed)",
+                status="timeout",
+            )
+        if not line:
+            returncode = self._workers.pop(lane).close()
+            raise TaskFailure(
+                f"worker exited with code {returncode} and wrote no result"
+            )
+        result = json.loads(line)
+        if result.get("status") == "ok":
+            return result["payload"]
+        raise TaskFailure(str(result.get("error", "worker error")))
 
     def _close_workers(self) -> None:
         """Close every lane's worker and wait for it to exit."""
         while self._workers:
             self._workers.popitem()[1].close()
-
-
-def _remove(paths: Iterable[str]) -> None:
-    for path in paths:
-        if os.path.exists(path):
-            os.remove(path)
 
 
 def _peak_overlap(spans: Iterable[Mapping[str, float]]) -> int:
@@ -574,14 +511,12 @@ def _peak_overlap(spans: Iterable[Mapping[str, float]]) -> int:
 def run_campaign(
     campaign: CampaignSpec,
     root: str = DEFAULT_RUNS_ROOT,
-    store: Optional[dict] = None,
     on_task_start: Optional[Callable[[str, int], None]] = None,
     jobs: Optional[int] = None,
 ) -> dict:
     """Execute *campaign* from scratch; returns the final report."""
     runner = Runner(
-        campaign, root=root, store=store, on_task_start=on_task_start,
-        jobs=jobs,
+        campaign, root=root, on_task_start=on_task_start, jobs=jobs,
     )
     return runner.execute()
 
@@ -589,7 +524,6 @@ def run_campaign(
 def resume(
     run_id: str,
     root: str = DEFAULT_RUNS_ROOT,
-    store: Optional[dict] = None,
     jobs: Optional[int] = None,
 ) -> dict:
     """Resume *run_id* from its journal; returns the final report.
@@ -600,5 +534,5 @@ def resume(
     """
     campaign_path = os.path.join(root, run_id, "campaign.json")
     campaign = CampaignSpec.load(campaign_path)
-    runner = Runner(campaign, root=root, store=store, jobs=jobs)
+    runner = Runner(campaign, root=root, jobs=jobs)
     return runner.execute()

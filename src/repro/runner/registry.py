@@ -1,11 +1,9 @@
 """Task-kind registry for the experiment orchestrator.
 
 Task implementations are plain functions ``(params, ctx) -> payload``
-registered under a kind name.  Payloads must be JSON-serializable: they
-are journaled verbatim in ``task_end`` events and shipped across the
-process-isolation boundary.  Rich Python results (e.g.
-:class:`~repro.core.flow.DesignState` objects) go into ``ctx.store``,
-which exists only for inline execution in the orchestrating process.
+registered under a kind name.  The payload is a task's only result: it
+must be JSON-serializable, since it is journaled verbatim in
+``task_end`` events and shipped across the process-isolation boundary.
 
 A kind may also register a *fingerprint hook*, which checks the task's
 inputs and returns extra input-content material (e.g. a structural
@@ -36,8 +34,6 @@ class TaskContext:
 
     run_dir: str
     task_id: str
-    attempt: int = 1
-    store: Optional[dict] = None  # in-process object store (inline only)
 
 
 def task(name: str, fingerprint: Optional[FingerprintFn] = None):

@@ -1,5 +1,8 @@
 """Built-in task kinds of the experiment orchestrator.
 
+Each kind returns its payload, a JSON object that the journal records
+and that is the task's only result: no design object leaves a task.
+
 Campaign task kinds (the paper's sweeps):
 
 * ``analyze`` — build one benchmark circuit on a library variant and run
@@ -187,8 +190,6 @@ def analyze_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
         seed=int(params.get("seed", 0)),
         atpg_seed=int(params.get("seed", 0)),
     )
-    if ctx.store is not None:
-        ctx.store[f"analysis:{variant}:{name}"] = state
     payload = {
         "circuit": name,
         "variant": variant,
@@ -224,9 +225,6 @@ def resynthesize_task(params: Mapping[str, object], ctx: TaskContext) -> dict:
         seed=int(params.get("seed", 0)),
     )
     result = resynthesize_for_coverage(circuit, library, config)
-    if ctx.store is not None:
-        ctx.store[f"resynthesis:{variant}:{name}"] = result
-        ctx.store.setdefault(f"analysis:{variant}:{name}", result.original)
     payload = {
         "circuit": name,
         "variant": variant,

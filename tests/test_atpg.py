@@ -22,7 +22,6 @@ from repro.faults import (
 )
 from repro.faults.model import RISE, FALL
 from repro.netlist import Circuit
-from tests.conftest import mixed_fault_list, random_mapped_circuit
 from tests.sim_helpers import detected_by_patterns
 
 
@@ -174,16 +173,6 @@ class TestEngine:
         ids = {f.fault_id for f in faults}
         assert result.detected | result.undetectable == ids
         assert not result.detected & result.undetectable
-
-    @pytest.mark.parametrize("batch_size", [0, -3, 65])
-    def test_run_atpg_rejects_bad_batch_size(self, cells, library,
-                                             batch_size):
-        """A batch outside 1..BATCH_PAIRS pairs is an error, not
-        silently clipped."""
-        circuit = random_mapped_circuit(cells, seed=7)
-        faults = mixed_fault_list(circuit, library, seed=7, per_kind=2)
-        with pytest.raises(ValueError, match="batch_size"):
-            run_atpg(circuit, cells, faults, batch_size=batch_size)
 
 
 class TestCompaction:

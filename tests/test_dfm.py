@@ -135,14 +135,14 @@ class TestFaultSetAssembly:
 
         lib = osu018_library()
         fs = build_fault_set(circuit_mod, lib, designed)
-        counts = fs.counts()
-        assert counts["internal"] > 0
-        assert counts["external"] > 0
-        assert counts["total"] == counts["internal"] + counts["external"]
+        n_internal, n_external = len(fs.internal), len(fs.external)
+        assert n_internal > 0
+        assert n_external > 0
+        assert len(fs) == n_internal + n_external
         expected_internal = sum(
             lib[g.cell].internal_fault_count for g in circuit_mod
         )
-        assert counts["internal"] == expected_internal
+        assert n_internal == expected_internal
 
     def test_fault_ids_unique(self, circuit_mod, designed):
         from repro.library import osu018_library

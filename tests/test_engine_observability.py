@@ -19,7 +19,13 @@ from dataclasses import fields
 import repro.netlist.simulator as sim
 from repro.atpg.engine import run_atpg
 from repro.bench import build_benchmark
-from repro.core import ResynthesisConfig, resynthesize_for_coverage, table2_row
+from repro.core import (
+    ResynthesisConfig,
+    analyze_design,
+    resynthesize_for_coverage,
+    table1_row,
+    table2_row,
+)
 from repro.faults.fsim import PatternBatch, fault_simulate
 from repro.faults.sites import enumerate_internal_faults
 from repro.runner import Runner
@@ -185,7 +191,8 @@ def _without_rtime(rows):
 
 def test_task_effort_sums_its_atpg_calls(library, tmp_path):
     """A resynthesize task's engine record sums every analysis the run
-    made, and an analyze task counts the faults of its F."""
+    made, and an analyze task counts the faults of its F.  Both tasks'
+    rows equal those of a direct call of the flow."""
     spans = load_perfbench_spans()
     settings = dict(q_max=0, max_iterations_per_phase=1)
     resyn, resyn_calls = _traced_task(spans, tmp_path, (2,), **settings)
@@ -207,6 +214,10 @@ def test_task_effort_sums_its_atpg_calls(library, tmp_path):
         table2_row("sparc_tlu", direct)
     )
     row = analysis["row"]
+    assert row == table1_row(
+        "sparc_tlu",
+        analyze_design(build_benchmark("sparc_tlu", library), library),
+    )
     assert analysis["engine"]["faults_extracted"] == row["F_In"] + row["F_Ex"]
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.physical.layout import Layout, M2, M3, PlacedGate, RouteSegment, Via
 from repro.physical.routing import CHANNEL_TRACKS, subtrack
 
@@ -42,14 +40,6 @@ class TestLayout:
         assert lay.net_length("n1") == 7
         assert lay.net_length("n2") == 4
         assert lay.wirelength() == 11
-
-    def test_utilization(self):
-        lay = self._layout()
-        assert lay.utilization() == pytest.approx(5 / 80)
-
-    def test_row_occupancy(self):
-        lay = self._layout()
-        assert lay.row_occupancy() == [5, 0, 0, 0]
 
     def test_legal(self):
         assert self._layout().check_legal() == []

@@ -79,23 +79,6 @@ class TestTopology:
             for pred in adder4.gate_fanin_gates(gname):
                 assert pos[pred] < pos[gname]
 
-    def test_levelize_monotone(self, adder4):
-        levels = adder4.levelize()
-        for gname in adder4.gates:
-            for pred in adder4.gate_fanin_gates(gname):
-                assert levels[pred] < levels[gname]
-
-    def test_fanout_cone_contains_loads(self, tiny_circuit):
-        cone = tiny_circuit.fanout_cone("y")
-        assert cone == {"u2"}
-        assert tiny_circuit.fanout_cone("a") == {"u1", "u2"}
-
-    def test_fanin_cone(self, tiny_circuit):
-        assert tiny_circuit.fanin_cone("z") == {"u1", "u2"}
-
-    def test_cell_histogram(self, tiny_circuit):
-        assert tiny_circuit.cell_histogram() == {"NAND2X1": 1, "INVX1": 1}
-
     def test_clone_is_deep(self, tiny_circuit):
         copy = tiny_circuit.clone()
         copy.remove_gate("u2")

@@ -214,36 +214,6 @@ class TestExecution:
         assert all(e["status"] == "ok" and "fingerprint" in e
                    for e in ok_ends)
 
-    def test_incremental_execute_spec(self, tmp_path):
-        root = str(tmp_path)
-        runner = Runner(CampaignSpec("inc"), root=root, store={})
-        out_a = runner.execute_spec(TaskSpec("a", "sum", {"value": 4}))
-        out_b = runner.execute_spec(TaskSpec("b", "sum", {"value": 1}))
-        assert out_a.payload["value"] == 4
-        assert out_b.payload["value"] == 1
-        report = runner.finalize()
-        assert report["status"] == "ok"
-        # The campaign file accreted both tasks (the run is resumable).
-        loaded = CampaignSpec.load(
-            os.path.join(root, "inc", "campaign.json")
-        )
-        assert [t.task_id for t in loaded.tasks] == ["a", "b"]
-
-    def test_execute_spec_rejects_before_appending(self, tmp_path):
-        """A task that fails its check is not written into the campaign
-        file, so the run still resumes."""
-        root = str(tmp_path)
-        runner = Runner(CampaignSpec("inc"), root=root)
-        assert runner.execute_spec(TaskSpec("a", "sum", {"value": 1})).ok
-        with pytest.raises(CampaignError, match="cannot build circuit"):
-            runner.execute_spec(TaskSpec(
-                "analyze:full:nope", "analyze", {"circuit": "nope"},
-            ))
-        runner.finalize()
-        loaded = CampaignSpec.load(os.path.join(root, "inc", "campaign.json"))
-        assert [t.task_id for t in loaded.tasks] == ["a"]
-        assert resume("inc", root=root)["status"] == "ok"
-
 
 # ----------------------------------------------------------------------
 # Timeouts, retries, backoff
@@ -290,9 +260,8 @@ class TestRetries:
         assert not os.path.exists(root)
 
     def test_process_attempts_leave_no_scratch_files(self, tmp_path):
-        """Each process attempt's in/out files go once its outcome is
-        known: a failed, a timed-out and a successful task leave
-        nothing under tmp/."""
+        """A process attempt talks to its worker over pipes only: a
+        failed, a timed-out and a successful task leave no tmp/."""
         root = str(tmp_path)
         c = CampaignSpec("scratch", [
             TaskSpec("bad", "flaky", {"fail_times": 99}, retries=1,
@@ -305,7 +274,7 @@ class TestRetries:
         assert report["tasks"]["bad"]["status"] == "failed"
         assert report["tasks"]["stuck"]["status"] == "timeout"
         assert report["results"]["good"] == {"value": 4}
-        assert os.listdir(os.path.join(root, "scratch", "tmp")) == []
+        assert not os.path.exists(os.path.join(root, "scratch", "tmp"))
 
     def test_flaky_task_retries_then_succeeds(self, tmp_path):
         root = str(tmp_path)
@@ -357,9 +326,8 @@ def task_ends(root, run_id):
 @posix_only
 class TestLaneWorkers:
     """A process-isolated task runs in its pool lane's long-lived worker
-    interpreter.  A worker that timed out, died, or started under other
-    ATPG knobs is replaced at the lane's next attempt, and no worker
-    outlives the run."""
+    interpreter.  A worker that timed out or died is replaced at the
+    lane's next attempt, and no worker outlives the run."""
 
     def test_one_worker_serves_a_lane(self, tmp_path, workers):
         root = str(tmp_path)
@@ -404,35 +372,59 @@ class TestLaneWorkers:
         assert len(workers) == 2
         assert all(w.poll() is not None for w in workers)
 
-    def test_knob_change_starts_a_fresh_worker(
-        self, tmp_path, workers, monkeypatch
-    ):
-        """A worker keeps the ATPG knobs it started with, so a knob set
-        between two ``execute_spec`` calls takes a fresh worker."""
-        for knob in ("REPRO_ATPG_CONFLICT_BUDGET", "REPRO_ATPG_DEADLINE_MS",
-                     "REPRO_ATPG_DECISION_BUDGET",
-                     "REPRO_ATPG_ABORT_FRACTION"):
-            monkeypatch.delenv(knob, raising=False)
-        runner = Runner(CampaignSpec("knob"), root=str(tmp_path))
-        params = {"circuit": "sparc_tlu", "scale": 1, "seed": 0,
-                  "variant": "full"}
-        clean = runner.execute_spec(TaskSpec(
-            "analyze:full:sparc_tlu", "analyze", params,
-            isolation="process",
-        ))
-        assert len(workers) == 1 and workers[0].poll() is None
+    def test_lanes_keep_their_own_results(self, tmp_path):
+        """Two lanes' tasks whose ids differ only by ``/`` and ``_``
+        each report their own value."""
+        root = str(tmp_path)
+        c = CampaignSpec("ids", [
+            TaskSpec("p/1", "sum", {"value": 1}, isolation="process"),
+            TaskSpec("p_1", "sum", {"value": 2}, isolation="process"),
+        ])
+        report = Runner(c, root=root, jobs=2).execute()
+        assert report["status"] == "ok"
+        assert report["results"] == {"p/1": {"value": 1}, "p_1": {"value": 2}}
+
+    def test_result_line_is_read_to_its_newline(self, tmp_path, monkeypatch):
+        """A result line that arrives in pieces, and is longer than the
+        pipe holds, is read whole."""
+        fake_worker = (
+            "import json, os, sys, time\n"
+            "pipe = os.fdopen(int(sys.argv[1]), 'wb')\n"
+            "for _ in sys.stdin:\n"
+            "    line = json.dumps({'status': 'ok',\n"
+            "                       'payload': {'pad': 'x' * 200000}})\n"
+            "    data = (line + '\\n').encode()\n"
+            "    pipe.write(data[:10])\n"
+            "    pipe.flush()\n"
+            "    time.sleep(0.2)\n"
+            "    pipe.write(data[10:])\n"
+            "    pipe.flush()\n"
+        )
+        popen = subprocess.Popen
+        monkeypatch.setattr(
+            subprocess, "Popen",
+            lambda args, **kw: popen(
+                [sys.executable, "-c", fake_worker, args[-1]], **kw),
+        )
+        c = CampaignSpec("big", [
+            TaskSpec("big", "sum", {"value": 1}, isolation="process"),
+        ])
+        report = Runner(c, root=str(tmp_path), jobs=1).execute()
+        assert report["results"]["big"] == {"pad": "x" * 200000}
+
+    def test_atpg_budget_reaches_the_worker(self, tmp_path, monkeypatch):
+        """A worker runs under the orchestrator's ``REPRO_ATPG_*``
+        knobs: two conflicts per SAT decision abort some faults."""
         monkeypatch.setenv("REPRO_ATPG_CONFLICT_BUDGET", "2")
-        budgeted = runner.execute_spec(TaskSpec(
-            "analyze:budget:sparc_tlu", "analyze", params,
+        c = CampaignSpec("budget", [TaskSpec(
+            "analyze:full:sparc_tlu", "analyze",
+            {"circuit": "sparc_tlu", "scale": 1, "seed": 0,
+             "variant": "full"},
             isolation="process",
-        ))
-        assert clean.payload["row"]["Aborted"] == 0
-        assert budgeted.payload["row"]["Aborted"] > 0
-        assert len(workers) == 2
-        assert workers[0].poll() == 0
-        assert workers[1].poll() is None
-        assert runner.finalize()["status"] == "ok"
-        assert workers[1].poll() == 0
+        )])
+        report = Runner(c, root=str(tmp_path), jobs=1).execute()
+        row = report["results"]["analyze:full:sparc_tlu"]["row"]
+        assert row["Aborted"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -275,38 +275,6 @@ class TestJournalBatching:
 
 
 # ----------------------------------------------------------------------
-# Campaign saves of lazily-added tasks
-# ----------------------------------------------------------------------
-
-class TestCampaignSaveDebounce:
-    def test_lazy_tasks_saved_as_added(self, tmp_path):
-        # A crash right after any execute_spec loses no task: the
-        # campaign file already holds it.
-        root = str(tmp_path / "runs")
-        campaign = CampaignSpec(run_id="lazy", meta={"kind": "synthetic"})
-        runner = Runner(campaign, root=root)
-        path = os.path.join(root, "lazy", "campaign.json")
-        for i in range(5):
-            runner.execute_spec(TaskSpec(f"t{i}", "sum", {"value": i}))
-            loaded = CampaignSpec.load(path)
-            assert [t.task_id for t in loaded.tasks] == [
-                f"t{k}" for k in range(i + 1)
-            ]
-        assert runner.finalize()["status"] == "ok"
-
-    def test_interval_elapsed_saves_again(self, tmp_path):
-        root = str(tmp_path / "runs")
-        campaign = CampaignSpec(run_id="ticking", meta={"kind": "synthetic"})
-        runner = Runner(campaign, root=root)
-        runner.execute_spec(TaskSpec("t0", "sum", {"value": 1}))
-        loaded = CampaignSpec.load(
-            os.path.join(root, "ticking", "campaign.json")
-        )
-        assert [t.task_id for t in loaded.tasks] == ["t0"]
-        runner.finalize()
-
-
-# ----------------------------------------------------------------------
 # Kill / resume under concurrency (satellite: SIGKILL a jobs=4 run)
 # ----------------------------------------------------------------------
 
